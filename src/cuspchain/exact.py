@@ -3,6 +3,15 @@
 Everything here is immutable and deterministic: the same input produces a
 bit-identical output, with no rounding anywhere.  Rationals are stdlib
 ``fractions.Fraction``; imaginary quadratic scalars are ``QuadFieldElement``.
+
+A matrix whose entries are all rational (``Fraction`` or ``int``) is
+multiplied, row-reduced and has its determinant taken on integer numerators:
+the matrix (each factor of a product) is lifted to integers over the lcm of
+its denominators, elimination is fraction-free with each updated row divided
+by its content, and the result is turned back into canonical ``Fraction``
+entries once at the end.  A matrix with ``QuadFieldElement`` entries takes the
+entry-wise path.  Both paths return the same exact values, so reduced echelon
+forms, and everything built from them, do not depend on the path.
 """
 
 from __future__ import annotations
@@ -10,7 +19,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import MixedDiscriminants
@@ -177,8 +187,10 @@ def as_fraction(x) -> Fraction:
 class Matrix:
     """Immutable rectangular matrix with exact entries.
 
-    Entries are Fractions or QuadFieldElements (uniform per matrix by
-    convention; mixing is not policed here but upstream constructors coerce).
+    Entries are rationals (Fractions or ints) or QuadFieldElements (uniform
+    per matrix by convention; mixing is not policed here but upstream
+    constructors coerce).  Products, rref and det of a rational matrix are
+    computed on integer numerators and return Fractions.
     Zero-row matrices are allowed and must state their column count.
     """
 
@@ -300,6 +312,15 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.shape} by {other.shape} matrices"
                 )
+            if _is_rational(self.rows) and _is_rational(other.rows):
+                a, da = _lift_rows(self.rows)
+                b, db = _lift_rows(other.rows)
+                cols = list(zip(*b)) or [()] * other.ncols
+                return _int_matrix(
+                    [[sum(map(mul, r, c)) for c in cols] for r in a],
+                    other.ncols,
+                    [da * db] * len(a),
+                )
             cols = [other.col(j) for j in range(other.ncols)]
             return Matrix(
                 [[_dot(r, c) for c in cols] for r in self.rows],
@@ -359,6 +380,8 @@ class Matrix:
         Deterministic: the pivot in each column is the topmost unprocessed
         row with a nonzero entry; pivots are scaled to one.
         """
+        if _is_rational(self.rows):
+            return _int_rref(self.rows, self.ncols)
         m = [list(r) for r in self.rows]
         nrows, ncols = len(m), self.ncols
         pivots = []
@@ -389,6 +412,8 @@ class Matrix:
         n = self.nrows
         if n == 0:
             return Fraction(1)
+        if _is_rational(self.rows):
+            return _int_det(self.rows)
         m = [list(r) for r in self.rows]
         det = None
         sign = 1
@@ -470,6 +495,117 @@ def _dot(row: Sequence, col: Sequence):
     if total is None:
         return Fraction(0)
     return total
+
+
+_RATIONAL_TYPES = frozenset((Fraction, int))
+
+
+def _is_rational(rows: Sequence[Sequence]) -> bool:
+    """Every entry is a Fraction or an int: the integer kernel applies."""
+    return _RATIONAL_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows)))
+
+
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
+
+
+def _lift_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Integer numerators of rational rows over one common denominator."""
+    den = lcm(*map(_DENOMINATOR, itertools.chain.from_iterable(rows)))
+    if den == 1:
+        return [list(map(_NUMERATOR, r)) for r in rows], 1
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries (a zero row is returned as is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+# Shared results for the small integers that dominate sparse matrices;
+# Fractions are immutable, so sharing them is safe.
+_SMALL = {i: Fraction(i) for i in range(-16, 17)}
+_ZERO = _SMALL[0]
+
+
+def _int_matrix(rows: Sequence[Sequence[int]], ncols: int, dens=None) -> Matrix:
+    """Matrix of the canonical Fractions rows[i][j] / dens[i] (dens: all 1)."""
+    small = _SMALL
+    return Matrix(
+        [
+            [small[x] if x in small else Fraction(x) for x in r]
+            if d == 1
+            else [Fraction(x, d) if x else _ZERO for x in r]
+            for r, d in zip(rows, dens or itertools.repeat(1))
+        ],
+        ncols,
+    )
+
+
+def _int_rref(rows: Sequence[Sequence], ncols: int) -> tuple[Matrix, tuple[int, ...]]:
+    """Matrix.rref of a rational matrix, computed on integer rows.
+
+    Same pivot rule as the entry-wise elimination; an eliminated row becomes
+    pv * row - f * pivot_row divided by its content, and each pivot row is
+    divided by its pivot once, at the end.
+    """
+    m = _lift_rows(rows)[0]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        pv = prow[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = _primitive([pv * x - f * y for x, y in zip(m[i], prow)])
+        pivots.append(c)
+        r += 1
+    # rows past the rank are zero
+    dens = [m[i][p] for i, p in enumerate(pivots)] + [1] * (nrows - r)
+    return _int_matrix(m, ncols, dens), tuple(pivots)
+
+
+def _int_det(rows: Sequence[Sequence]) -> Fraction:
+    """Matrix.det of a square rational matrix, fraction-free on integer rows.
+
+    Rows already zero in the pivot column are left alone.  det(self) is
+    det(m) * num / den throughout: den collects the lifting denominator (once
+    per row) and the pivot that scales each updated row, num the row contents
+    divided out and the sign of each swap; at the end m is triangular.
+    """
+    n = len(rows)
+    m, d = _lift_rows(rows)
+    num, den = 1, d**n
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            return _ZERO
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            num = -num
+        prow = m[c]
+        pv = prow[c]
+        num *= pv
+        for i in range(c + 1, n):
+            f = m[i][c]
+            if f:
+                row = [pv * x - f * y for x, y in zip(m[i], prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    num *= g
+                den *= pv
+                m[i] = row
+    return Fraction(num, den)
 
 
 def _zero_like(mat: Matrix):
@@ -554,8 +690,7 @@ def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
                 h[i] = [p - q * t for p, t in zip(h[i], h[r])]
                 u[i] = [p - q * t for p, t in zip(u[i], u[r])]
         r += 1
-    to_frac = lambda rows, w: Matrix([[Fraction(x) for x in row] for row in rows], w)
-    return to_frac(h, n), to_frac(u, m)
+    return _int_matrix(h, n), _int_matrix(u, m)
 
 
 def smith(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -656,8 +791,7 @@ def smith(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             s[t] = [-x for x in s[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    to_frac = lambda rows, w: Matrix([[Fraction(x) for x in row] for row in rows], w)
-    return to_frac(s, n), to_frac(u, m), to_frac(v, n)
+    return _int_matrix(s, n), _int_matrix(u, m), _int_matrix(v, n)
 
 
 def vector_gcd(entries: Iterable[int]) -> int:

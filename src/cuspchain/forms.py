@@ -85,6 +85,8 @@ class FormSpace:
                     )
                 return x
             return QuadFieldElement(Fraction(x), 0, self.d)
+        if type(x) is Fraction:
+            return x
         if isinstance(x, QuadFieldElement):
             raise ValueError("imaginary entry in a rational form space")
         return Fraction(x)

@@ -10,11 +10,9 @@ change-of-basis matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .errors import AmbientMismatch, NotAnIsometry
-from .exact import Matrix, QuadFieldElement
+from .exact import Matrix
 from .forms import FormSpace, preserves_form
 
 
@@ -34,26 +32,10 @@ class FullLattice:
             raise ValueError("lattice basis is singular")
 
 
-def _scalar_denominator(x) -> int:
-    if isinstance(x, QuadFieldElement):
-        return x.a.denominator * x.b.denominator // gcd(
-            x.a.denominator, x.b.denominator
-        )
-    return Fraction(x).denominator
-
-
-def _integrality_denominator(m: Matrix) -> int:
-    out = 1
-    for x in m.entries():
-        d = _scalar_denominator(x)
-        out = out * d // gcd(out, d)
-    return out
-
-
 def minimal_multiplier(inner: Matrix, outer: Matrix) -> int:
     """Least k >= 1 with k * rowlattice(inner) inside rowlattice(outer)."""
     change = inner * outer.inverse()
-    return _integrality_denominator(change)
+    return change.denominator_lcm()
 
 
 def lattice_contains(outer: FullLattice, inner: FullLattice) -> bool:
@@ -90,10 +72,10 @@ def congruence_membership(gamma: Matrix, lat: FullLattice, n: int) -> bool:
         raise ValueError("the level N must be a positive integer")
     b_inv = lat.basis.inverse()
     action = lat.basis * gamma.transpose() * b_inv
-    if _integrality_denominator(action) != 1:
+    if action.denominator_lcm() != 1:
         return False
-    if _integrality_denominator(action.inverse()) != 1:
+    if action.inverse().denominator_lcm() != 1:
         return False
     difference = lat.basis * (gamma - Matrix.identity(space.dim)).transpose() * b_inv
     scaled = difference.map_entries(lambda x: x / n)
-    return _integrality_denominator(scaled) == 1
+    return scaled.denominator_lcm() == 1

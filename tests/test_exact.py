@@ -91,6 +91,144 @@ class TestMatrixBasics:
             assert all(x == 0 for x in (a * Matrix.column(row)).entries())
 
 
+def all_fractions(values) -> bool:
+    return all(type(x) is Fraction for x in values)
+
+
+class TestIntegerEntries:
+    def test_int_entries_give_exact_fractions(self):
+        m = Matrix([[1, 2], [3, 4]])
+        d = m.det()
+        assert d == -2 and type(d) is Fraction
+        inv = m.inverse()
+        assert inv == mat([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
+        assert all_fractions(inv.entries())
+        assert all_fractions((m * m).entries())
+        assert all_fractions(m.rref()[0].entries())
+        x = m.solve([1, 1])
+        assert x == (Fraction(-1), Fraction(1)) and all_fractions(x)
+
+    def test_int_entries_singular(self):
+        m = Matrix([[2, 4], [1, 2]])
+        assert type(m.det()) is Fraction and m.det() == 0
+        k = m.right_kernel()
+        assert k == mat([[-2, 1]]) and all_fractions(k.entries())
+
+
+# Rational matrices for the integer kernel, checked against the entry-wise
+# path run on the same matrix embedded in Q(sqrt(-d)).
+small_rationals = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-6, max_value=6),
+        st.sampled_from([1, 2, 3, 4, 6]),
+    ),
+)
+
+
+@st.composite
+def rational_matrices(draw, nrows=None, ncols=None):
+    m = draw(st.integers(min_value=0, max_value=5)) if nrows is None else nrows
+    n = draw(st.integers(min_value=0, max_value=5)) if ncols is None else ncols
+    rows = draw(
+        st.lists(
+            st.lists(small_rationals, min_size=n, max_size=n), min_size=m, max_size=m
+        )
+    )
+    if m >= 2 and draw(st.booleans()):
+        # rank-deficient: a zero row or a combination of two other rows
+        i, j, k = (draw(st.integers(min_value=0, max_value=m - 1)) for _ in range(3))
+        c1, c2 = draw(small_rationals), draw(small_rationals)
+        rows[i] = [c1 * x + c2 * y for x, y in zip(rows[j], rows[k])]
+    return Matrix(rows, n)
+
+
+def embed(m: Matrix, d: int) -> Matrix:
+    return m.map_entries(lambda x: QuadFieldElement(x, 0, d))
+
+
+def real(x) -> Fraction:
+    if isinstance(x, QuadFieldElement):
+        assert x.b == 0
+        return x.a
+    return x
+
+
+def real_rows(m: Matrix) -> list:
+    return [[real(x) for x in r] for r in m.rows]
+
+
+def same_as_entrywise(result: Matrix, reference: Matrix) -> bool:
+    return (
+        result.shape == reference.shape
+        and [list(r) for r in result.rows] == real_rows(reference)
+        and all_fractions(result.entries())
+    )
+
+
+discriminants = st.sampled_from([1, 2, 3, 7])
+
+
+class TestIntegerKernelAgainstEntrywise:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), discriminants)
+    def test_product(self, data, d):
+        shape = data.draw(st.tuples(*[st.integers(min_value=0, max_value=5)] * 3))
+        a = data.draw(rational_matrices(shape[0], shape[1]))
+        b = data.draw(rational_matrices(shape[1], shape[2]))
+        assert same_as_entrywise(a * b, embed(a, d) * embed(b, d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), discriminants)
+    def test_vector_times_square(self, data, d):
+        n = data.draw(st.integers(min_value=0, max_value=6))
+        v = data.draw(rational_matrices(1, n))
+        g = data.draw(rational_matrices(n, n))
+        assert same_as_entrywise(v * g, embed(v, d) * embed(g, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_matrices(), discriminants)
+    def test_rref_and_kernel(self, m, d):
+        q = embed(m, d)
+        red, pivots = m.rref()
+        q_red, q_pivots = q.rref()
+        assert pivots == q_pivots
+        assert same_as_entrywise(red, q_red)
+        assert same_as_entrywise(m.right_kernel(), q.right_kernel())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), discriminants)
+    def test_det_and_inverse(self, data, d):
+        n = data.draw(st.integers(min_value=0, max_value=5))
+        m = data.draw(rational_matrices(n, n))
+        q = embed(m, d)
+        det = m.det()
+        assert type(det) is Fraction and det == real(q.det())
+        if det == 0:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+            with pytest.raises(ZeroDivisionError):
+                q.inverse()
+        else:
+            assert same_as_entrywise(m.inverse(), q.inverse())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), discriminants)
+    def test_solve(self, data, d):
+        m = data.draw(rational_matrices())
+        rhs = data.draw(
+            st.lists(small_rationals, min_size=m.nrows, max_size=m.nrows)
+        )
+        x = m.solve(rhs)
+        q_x = embed(m, d).solve([QuadFieldElement(y, 0, d) for y in rhs])
+        if q_x is None:
+            assert x is None
+        else:
+            assert x is not None and all_fractions(x)
+            assert list(x) == [real(y) for y in q_x]
+
+
 class TestHNF:
     def test_identity(self):
         h, u = hnf(Matrix.identity(2))
