@@ -15,7 +15,7 @@ reports, not exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .errors import (
     CuspChainError,
@@ -37,8 +37,10 @@ from .forms import (
     Subspace,
     canonical_subspace,
     coords_in_rows,
+    extend_basis_rows,
     is_perfect_pairing,
     orthogonal_complement,
+    pairing_kernel,
     pairing_matrix,
     push_subspace,
     restricted_space,
@@ -207,12 +209,8 @@ def build_chain_orthogonal(
         )
     # intersecting planes: route through two auxiliary planes
     core = meet  # the common line
-    a_rest = canonical_subspace(
-        space, _complement_rows_in(space, core, a)
-    )
-    b_rest = canonical_subspace(
-        space, _complement_rows_in(space, core, b)
-    )
+    a_rest = canonical_subspace(space, extend_basis_rows(core.basis, a.basis))
+    b_rest = canonical_subspace(space, extend_basis_rows(core.basis, b.basis))
     if pairing_matrix(space, a_rest, b_rest).is_zero():  # pragma: no cover
         raise PreconditionFailed("residual lines unexpectedly pair to zero")
     split = subspace_sum(a_rest, b_rest)
@@ -221,7 +219,7 @@ def build_chain_orthogonal(
     core_local = canonical_subspace(
         sub, Matrix([coords_in_rows(comp.basis, core.basis.rows[0])])
     )
-    l3_local, l4_local = third_isotropic_lines(sub, core_local, cfg)
+    l3_local, l4_local = third_isotropic_lines(sub, core_local)
     l3 = canonical_subspace(space, l3_local.basis * comp.basis)
     l4 = canonical_subspace(space, l4_local.basis * comp.basis)
     p3 = subspace_sum(l4, b_rest)
@@ -232,12 +230,6 @@ def build_chain_orthogonal(
         OrthSegre(witness=_segre_witness(space, p4, b)),
     )
     return ChainCertificate(space, ORTHOGONAL, (a, p3, p4, b), links)
-
-
-def _complement_rows_in(space: FormSpace, sub: Subspace, whole: Subspace) -> Matrix:
-    from .isotropic import extend_basis_rows
-
-    return extend_basis_rows(sub.basis, whole.basis)
 
 
 def _interior_vector(
@@ -316,7 +308,7 @@ def _build_su_chain(space, kind, a, b, cfg):
             return [a, b], [ProductSplit(span=span, complement=comp)]
         # interpolate through a third cusp meeting both
         j1 = canonical_subspace(space, Matrix([a.basis.rows[0]]))
-        j1_perp_b = _pairing_kernel_inside(space, j1, b)
+        j1_perp_b = pairing_kernel(space, j1, b)
         third = subspace_sum(j1, j1_perp_b)
         left_nodes, left_links = _build_su_chain(space, kind, a, third, cfg)
         right_nodes, right_links = _build_su_chain(space, kind, third, b, cfg)
@@ -342,13 +334,6 @@ def _build_su_chain(space, kind, a, b, cfg):
         nodes, links = nodes + middle_nodes[1:], links + middle_links
     tail_nodes, tail_links = _build_su_chain(space, kind, mid4, b, cfg)
     return nodes + tail_nodes[1:], links + tail_links
-
-
-def _pairing_kernel_inside(space: FormSpace, j: Subspace, target: Subspace) -> Subspace:
-    """{ t in target : (j, t) = 0 } for a subspace j."""
-    p = pairing_matrix(space, j, target)
-    coeffs = p.right_kernel().conjugate()
-    return canonical_subspace(space, coeffs * target.basis)
 
 
 def _to_local(sub: FormSpace, basis: Matrix, s: Subspace) -> Subspace:
@@ -442,186 +427,250 @@ def _verify_into(cert: ChainCertificate, failures: list[Failure]) -> None:
                 f"{len(cert.links)} links exceed the bound 5 for non-maximal cusps",
             )
     for idx, link in enumerate(cert.links):
-        left, right = cert.nodes[idx], cert.nodes[idx + 1]
-        try:
-            _verify_link(cert, idx, link, left, right, failures)
-        except (CuspChainError, ValueError, ZeroDivisionError) as exc:
-            fail(idx, "link-error", f"{type(exc).__name__}: {exc}")
+        _verify_link(cert, idx, link, cert.nodes[idx], cert.nodes[idx + 1], failures)
 
 
 def _verify_link(cert, idx, link, left, right, failures):
+    """Checks shared by every link, then the checker its type declares."""
     fail = lambda cond, detail: failures.append(Failure(idx, cond, detail))
-    space = cert.ambient
-    node_dim = left.dim
-    if isinstance(link, OrthBoundaryPlane):
-        if cert.kind != ORTHOGONAL:
-            fail("link-kind", "boundary-plane link outside an orthogonal chain")
-            return
-        if node_dim != 1:
-            fail("link-node-dimension", "boundary-plane link needs line endpoints")
-            return
-        plane = link.plane
-        if plane.space != space or plane.basis.ncols != space.dim:
-            fail("plane-shape", "plane lives in a different space")
-            return
-        if not plane.is_canonical():
-            fail("plane-canonical", "plane basis is not canonical")
-        if plane.dim != 2:
-            fail("plane-dimension", f"plane has dimension {plane.dim}")
-            return
-        if not plane.is_isotropic():
-            fail("plane-isotropic", "plane is not isotropic")
-        for name, node in (("first", left), ("second", right)):
-            if not subspace_contains(plane, node):
-                fail("plane-contains-endpoints", f"plane misses the {name} endpoint")
-    elif isinstance(link, OrthInteriorCurve):
-        if cert.kind != ORTHOGONAL:
-            fail("link-kind", "interior-curve link outside an orthogonal chain")
-            return
-        if node_dim != 1:
-            fail("link-node-dimension", "interior-curve link needs line endpoints")
-            return
-        try:
-            v = space.coerce_vector(link.vector)
-        except (CuspChainError, ValueError) as exc:
-            fail("vector-shape", str(exc))
-            return
-        if space.norm(v) <= 0:
-            fail("vector-positive-norm", f"(v, v) = {space.norm(v)} is not positive")
-        span = subspace_sum(left, right)
-        if not (Matrix([v]) * space.gram * span.basis.conj_transpose()).is_zero():
-            fail("vector-orthogonal", "vector is not orthogonal to both endpoints")
-        if pairing_matrix(space, left, right).is_zero():
-            fail("endpoints-pairing-nonzero", "endpoints pair to zero")
-    elif isinstance(link, OrthSegre):
-        if cert.kind != ORTHOGONAL:
-            fail("link-kind", "2U-isometry link outside an orthogonal chain")
-            return
-        if node_dim != 2:
-            fail("link-node-dimension", "2U-isometry link needs plane endpoints")
-            return
-        w = link.witness
-        if w.shape != (4, space.dim):
-            fail("witness-shape", f"witness has shape {w.shape}")
-            return
-        w = space.coerce_matrix(w)
-        if w * space.gram * w.conj_transpose() != standard_2u().gram:
-            fail("witness-isometry", "witness rows do not realize the 2U Gram matrix")
-        first = canonical_subspace(space, Matrix([w.rows[2], w.rows[0]]))
-        second = canonical_subspace(space, Matrix([w.rows[3], w.rows[1]]))
-        if first != canonical_subspace(space, left.basis):
-            fail("witness-first-plane", "rows (2, 0) do not span the first endpoint")
-        if second != canonical_subspace(space, right.basis):
-            fail("witness-second-plane", "rows (3, 1) do not span the second endpoint")
-    elif isinstance(link, ProductSplit):
-        if cert.kind not in (SYMPLECTIC, UNITARY):
-            fail("link-kind", "product-split link needs a symplectic or unitary chain")
-            return
-        if node_dim != 1:
-            fail("link-node-dimension", "product-split link needs rank-1 endpoints")
-            return
-        if pairing_matrix(space, left, right).det() == 0:
-            fail("endpoints-pairing-perfect", "endpoint pairing is not perfect")
-        span, comp = link.span, link.complement
-        if span.space != space or comp.space != space:
-            fail("split-shape", "split subspaces live in a different space")
-            return
-        if not span.is_canonical():
-            fail("split-canonical", "split basis is not canonical")
-        if not comp.is_canonical():
-            fail("complement-canonical", "complement basis is not canonical")
-        if span != subspace_sum(left, right):
-            fail("split-is-endpoint-span", "split is not the span of the endpoints")
-        if span.dim and restricted_space_det(space, span) == 0:
-            fail("split-nondegenerate", "split carries a degenerate form")
-        if comp != orthogonal_complement(space, span):
-            fail("complement-matches", "complement is not the orthogonal complement")
-        if comp.dim and restricted_space_det(space, comp) == 0:
-            fail("complement-nondegenerate", "complement carries a degenerate form")
-        if span.dim + comp.dim != space.dim:
-            fail("decomposition-spans", "split and complement do not fill the space")
-    elif isinstance(link, BoundaryDescent):
-        if cert.kind not in (SYMPLECTIC, UNITARY):
-            fail("link-kind", "boundary-descent link needs a symplectic or unitary chain")
-            return
-        meet = subspace_intersection(
-            canonical_subspace(space, left.basis), canonical_subspace(space, right.basis)
-        )
-        if link.intersection.space != space:
-            fail("intersection-shape", "intersection lives in a different space")
-            return
-        if not link.intersection.is_canonical():
-            fail("intersection-canonical", "intersection basis is not canonical")
-        if link.intersection != meet:
-            fail("intersection-matches", "stored intersection differs from the nodes'")
-            return
-        if meet.dim == 0:
-            fail("intersection-nonzero", "endpoints intersect trivially")
-            return
-        sub = link.sub
-        if sub.kind != cert.kind:
-            fail("sub-kind", f"sub-certificate kind {sub.kind!r} differs")
-            return
-        k, m = meet.dim, sub.ambient.dim
-        if m != space.dim - 2 * k:
-            fail(
-                "quotient-dimension",
-                f"sub-certificate dimension {m} != {space.dim} - 2*{k}",
-            )
-            return
-        lift, project = link.lift, link.project
-        if lift.shape != (m, space.dim):
-            fail("lift-shape", f"lift has shape {lift.shape}")
-            return
-        if project.shape != (space.dim, m):
-            fail("project-shape", f"project has shape {project.shape}")
-            return
-        lift = space.coerce_matrix(lift)
-        project = space.coerce_matrix(project.transpose()).transpose()
-        if not (lift * space.gram * meet.basis.conj_transpose()).is_zero():
-            fail("lift-orthogonal", "lift rows leave the orthogonal of the intersection")
-        if sub.ambient.kind != space.kind or sub.ambient.d != space.d:
-            fail("sub-ambient", "sub-certificate scalar field differs")
-            return
-        if lift * space.gram * lift.conj_transpose() != sub.ambient.gram:
-            fail("lift-gram", "lift rows do not realize the sub-certificate form")
-        if lift * project != Matrix.identity(m).map_entries(space._coerce):
-            fail("project-identity", "project is not a left inverse of lift")
-        if not (meet.basis * project).is_zero():
-            fail("project-kills-intersection", "project does not kill the intersection")
-        for name, node, expected in (
-            ("first", left, sub.nodes[0] if sub.nodes else None),
-            ("second", right, sub.nodes[-1] if sub.nodes else None),
-        ):
-            if expected is None:
-                fail("sub-endpoints", "sub-certificate has no nodes")
-                return
-            coords = node.basis * project
-            residual = node.basis - coords * lift
-            if meet.dim:
-                stacked = Matrix.vstack(meet.basis, residual)
-                if rref_basis(stacked).nrows != meet.dim:
-                    fail(
-                        "push-residual",
-                        f"{name} endpoint does not project along the intersection",
-                    )
-            elif not residual.is_zero():  # pragma: no cover - meet.dim > 0 here
-                fail("push-residual", f"{name} endpoint does not project")
-            pushed = canonical_subspace(sub.ambient, coords)
-            if pushed != expected:
-                fail(
-                    "sub-endpoints",
-                    f"pushed {name} endpoint differs from the sub-certificate's",
-                )
-        sub_failures: list[Failure] = []
-        _verify_into(sub, sub_failures)
-        for g in sub_failures:
-            failures.append(
-                Failure(idx, f"sub:{g.condition}", f"(sub link {g.link}) {g.detail}")
-            )
-    else:
+    link_type = LINK_TYPES.get(type(link))
+    if link_type is None:
         fail("link-kind", f"unknown link type {type(link).__name__}")
+    elif cert.kind not in link_type.kinds:
+        fail("link-kind", link_type.kind_rule)
+    elif link_type.node_dim not in (None, left.dim):
+        fail("link-node-dimension", link_type.dim_rule)
+    else:
+        try:
+            link_type.check(cert, link, left, right, fail)
+        except (CuspChainError, TypeError, ValueError, ZeroDivisionError) as exc:
+            fail("link-error", f"{type(exc).__name__}: {exc}")
 
 
-def restricted_space_det(space: FormSpace, s: Subspace):
-    return (s.basis * space.gram * s.basis.conj_transpose()).det()
+# Each checker re-derives one link type's conditions from its stored
+# witnesses using only form and matrix primitives, never builder helpers.
+
+
+def _check_boundary_plane(cert, link, left, right, fail):
+    space = cert.ambient
+    plane = link.plane
+    if plane.space != space or plane.basis.ncols != space.dim:
+        fail("plane-shape", "plane lives in a different space")
+        return
+    if not plane.is_canonical():
+        fail("plane-canonical", "plane basis is not canonical")
+    if plane.dim != 2:
+        fail("plane-dimension", f"plane has dimension {plane.dim}")
+        return
+    if not plane.is_isotropic():
+        fail("plane-isotropic", "plane is not isotropic")
+    for name, node in (("first", left), ("second", right)):
+        if not subspace_contains(plane, node):
+            fail("plane-contains-endpoints", f"plane misses the {name} endpoint")
+
+
+def _check_interior_curve(cert, link, left, right, fail):
+    space = cert.ambient
+    try:
+        v = space.coerce_vector(link.vector)
+    except (CuspChainError, ValueError) as exc:
+        fail("vector-shape", str(exc))
+        return
+    if space.norm(v) <= 0:
+        fail("vector-positive-norm", f"(v, v) = {space.norm(v)} is not positive")
+    span = subspace_sum(left, right)
+    if not (Matrix([v]) * space.gram * span.basis.conj_transpose()).is_zero():
+        fail("vector-orthogonal", "vector is not orthogonal to both endpoints")
+    if pairing_matrix(space, left, right).is_zero():
+        fail("endpoints-pairing-nonzero", "endpoints pair to zero")
+
+
+def _check_segre(cert, link, left, right, fail):
+    space = cert.ambient
+    w = link.witness
+    if w.shape != (4, space.dim):
+        fail("witness-shape", f"witness has shape {w.shape}")
+        return
+    w = space.coerce_matrix(w)
+    if w * space.gram * w.conj_transpose() != standard_2u().gram:
+        fail("witness-isometry", "witness rows do not realize the 2U Gram matrix")
+    first = canonical_subspace(space, Matrix([w.rows[2], w.rows[0]]))
+    second = canonical_subspace(space, Matrix([w.rows[3], w.rows[1]]))
+    if first != canonical_subspace(space, left.basis):
+        fail("witness-first-plane", "rows (2, 0) do not span the first endpoint")
+    if second != canonical_subspace(space, right.basis):
+        fail("witness-second-plane", "rows (3, 1) do not span the second endpoint")
+
+
+def _check_product_split(cert, link, left, right, fail):
+    space = cert.ambient
+    if pairing_matrix(space, left, right).det() == 0:
+        fail("endpoints-pairing-perfect", "endpoint pairing is not perfect")
+    span, comp = link.span, link.complement
+    if span.space != space or comp.space != space:
+        fail("split-shape", "split subspaces live in a different space")
+        return
+    if not span.is_canonical():
+        fail("split-canonical", "split basis is not canonical")
+    if not comp.is_canonical():
+        fail("complement-canonical", "complement basis is not canonical")
+    if span != subspace_sum(left, right):
+        fail("split-is-endpoint-span", "split is not the span of the endpoints")
+    if span.dim and pairing_matrix(space, span, span).det() == 0:
+        fail("split-nondegenerate", "split carries a degenerate form")
+    if comp != orthogonal_complement(space, span):
+        fail("complement-matches", "complement is not the orthogonal complement")
+    if comp.dim and pairing_matrix(space, comp, comp).det() == 0:
+        fail("complement-nondegenerate", "complement carries a degenerate form")
+    if span.dim + comp.dim != space.dim:
+        fail("decomposition-spans", "split and complement do not fill the space")
+
+
+def _check_boundary_descent(cert, link, left, right, fail):
+    space = cert.ambient
+    meet = subspace_intersection(
+        canonical_subspace(space, left.basis), canonical_subspace(space, right.basis)
+    )
+    if link.intersection.space != space:
+        fail("intersection-shape", "intersection lives in a different space")
+        return
+    if not link.intersection.is_canonical():
+        fail("intersection-canonical", "intersection basis is not canonical")
+    if link.intersection != meet:
+        fail("intersection-matches", "stored intersection differs from the nodes'")
+        return
+    if meet.dim == 0:
+        fail("intersection-nonzero", "endpoints intersect trivially")
+        return
+    sub = link.sub
+    if sub.kind != cert.kind:
+        fail("sub-kind", f"sub-certificate kind {sub.kind!r} differs")
+        return
+    k, m = meet.dim, sub.ambient.dim
+    if m != space.dim - 2 * k:
+        fail(
+            "quotient-dimension",
+            f"sub-certificate dimension {m} != {space.dim} - 2*{k}",
+        )
+        return
+    lift, project = link.lift, link.project
+    if lift.shape != (m, space.dim):
+        fail("lift-shape", f"lift has shape {lift.shape}")
+        return
+    if project.shape != (space.dim, m):
+        fail("project-shape", f"project has shape {project.shape}")
+        return
+    lift = space.coerce_matrix(lift)
+    project = space.coerce_matrix(project.transpose()).transpose()
+    if not (lift * space.gram * meet.basis.conj_transpose()).is_zero():
+        fail("lift-orthogonal", "lift rows leave the orthogonal of the intersection")
+    if sub.ambient.kind != space.kind or sub.ambient.d != space.d:
+        fail("sub-ambient", "sub-certificate scalar field differs")
+        return
+    if lift * space.gram * lift.conj_transpose() != sub.ambient.gram:
+        fail("lift-gram", "lift rows do not realize the sub-certificate form")
+    if lift * project != Matrix.identity(m).map_entries(space._coerce):
+        fail("project-identity", "project is not a left inverse of lift")
+    if not (meet.basis * project).is_zero():
+        fail("project-kills-intersection", "project does not kill the intersection")
+    for name, node, expected in (
+        ("first", left, sub.nodes[0] if sub.nodes else None),
+        ("second", right, sub.nodes[-1] if sub.nodes else None),
+    ):
+        if expected is None:
+            fail("sub-endpoints", "sub-certificate has no nodes")
+            return
+        coords = node.basis * project
+        residual = node.basis - coords * lift
+        if rref_basis(Matrix.vstack(meet.basis, residual)).nrows != meet.dim:
+            fail(
+                "push-residual",
+                f"{name} endpoint does not project along the intersection",
+            )
+        pushed = canonical_subspace(sub.ambient, coords)
+        if pushed != expected:
+            fail(
+                "sub-endpoints",
+                f"pushed {name} endpoint differs from the sub-certificate's",
+            )
+    sub_failures: list[Failure] = []
+    _verify_into(sub, sub_failures)
+    for g in sub_failures:
+        fail(f"sub:{g.condition}", f"(sub link {g.link}) {g.detail}")
+
+
+# ---------------------------------------------------------------------------
+# link registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinkType:
+    """Everything the serializer and the verifier know about one link class.
+
+    ``fields`` lists the JSON keys, in decoding order, with the name of the
+    codec ``serialize`` applies to each.  The verifier reports ``kind_rule``
+    for a link in a chain whose kind is not in ``kinds`` and ``dim_rule``
+    for endpoints whose dimension is not ``node_dim`` (None: any), and
+    otherwise runs ``check``.
+    """
+
+    tag: str
+    fields: tuple[tuple[str, str], ...]
+    kinds: tuple[str, ...]
+    kind_rule: str
+    check: Callable
+    node_dim: int | None = None
+    dim_rule: str = ""
+
+
+LINK_TYPES: dict[type, LinkType] = {
+    BoundaryDescent: LinkType(
+        tag="boundary_descent",
+        fields=(
+            ("sub", "certificate"),
+            ("intersection", "subspace"),
+            ("lift", "ambient_matrix"),
+            ("project", "quotient_matrix"),
+        ),
+        kinds=(SYMPLECTIC, UNITARY),
+        kind_rule="boundary-descent link needs a symplectic or unitary chain",
+        check=_check_boundary_descent,
+    ),
+    ProductSplit: LinkType(
+        tag="product_split",
+        fields=(("span", "subspace"), ("complement", "subspace"), ("base", "leaf")),
+        kinds=(SYMPLECTIC, UNITARY),
+        kind_rule="product-split link needs a symplectic or unitary chain",
+        check=_check_product_split,
+        node_dim=1,
+        dim_rule="product-split link needs rank-1 endpoints",
+    ),
+    OrthBoundaryPlane: LinkType(
+        tag="orth_boundary_plane",
+        fields=(("plane", "subspace"), ("base", "leaf")),
+        kinds=(ORTHOGONAL,),
+        kind_rule="boundary-plane link outside an orthogonal chain",
+        check=_check_boundary_plane,
+        node_dim=1,
+        dim_rule="boundary-plane link needs line endpoints",
+    ),
+    OrthInteriorCurve: LinkType(
+        tag="orth_interior_curve",
+        fields=(("vector", "vector"), ("base", "leaf")),
+        kinds=(ORTHOGONAL,),
+        kind_rule="interior-curve link outside an orthogonal chain",
+        check=_check_interior_curve,
+        node_dim=1,
+        dim_rule="interior-curve link needs line endpoints",
+    ),
+    OrthSegre: LinkType(
+        tag="orth_segre",
+        fields=(("witness", "ambient_matrix"), ("base", "leaf")),
+        kinds=(ORTHOGONAL,),
+        kind_rule="2U-isometry link outside an orthogonal chain",
+        check=_check_segre,
+        node_dim=2,
+        dim_rule="2U-isometry link needs plane endpoints",
+    ),
+}

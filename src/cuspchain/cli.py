@@ -52,20 +52,13 @@ def _load_subspace(path: str, space: FormSpace) -> Subspace:
 
 
 def _search_config(args) -> SearchConfig:
-    height = args.height
-    if height is None:
-        # default first-pass bound, capped by an explicitly lowered max
-        height = min(10, args.max_height) if args.max_height >= 1 else 10
     try:
-        return SearchConfig(height_bound=height, max_height=args.max_height)
+        return SearchConfig(max_height=args.max_height)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--height", type=int, default=None, help="first-pass search height"
-    )
     parser.add_argument(
         "--max-height", type=int, default=50, help="hard cap on search height"
     )
@@ -78,8 +71,15 @@ def _parse_fraction(text: str) -> Fraction:
         raise InputFormatError(f"bad rational {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad command lines as input errors instead of exiting."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuspchain",
         description=(
             "Build and verify equivalence-chain certificates between "
@@ -287,9 +287,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload, code = COMMANDS[args.command](args)
     except SearchExhausted as exc:
         _emit_error(exc)

@@ -227,10 +227,6 @@ class Matrix:
         return cls([[z] * n for _ in range(m)], n)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], ncols: int | None = None) -> "Matrix":
-        return cls(rows, ncols)
-
-    @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
         return cls([[e] for e in entries], 1)
 

@@ -277,18 +277,18 @@ def orthogonal_complement(space: FormSpace, s: Subspace) -> Subspace:
 def pairing_kernels(
     space: FormSpace, a: Subspace, b: Subspace
 ) -> tuple[Subspace, Subspace]:
-    """Kernels of the pairing restricted to a x b, on each side."""
-    p = pairing_matrix(space, a, b)
-    if a.dim == 0 or b.dim == 0:
-        return (
-            canonical_subspace(space, a.basis),
-            canonical_subspace(space, b.basis),
-        )
-    ker_a_coeffs = p.transpose().right_kernel()
-    ker_b_coeffs = p.right_kernel().conjugate()
-    ka = canonical_subspace(space, ker_a_coeffs * a.basis)
-    kb = canonical_subspace(space, ker_b_coeffs * b.basis)
-    return ka, kb
+    """Kernels of the pairing restricted to a x b, on each side.
+
+    The form is hermitian or skew, so (s, b) = 0 and (b, s) = 0 cut the
+    same kernel in a.
+    """
+    return pairing_kernel(space, b, a), pairing_kernel(space, a, b)
+
+
+def pairing_kernel(space: FormSpace, a: Subspace, b: Subspace) -> Subspace:
+    """{ t in b : (a, t) = 0 }, the kernel of the pairing on the b side."""
+    coeffs = pairing_matrix(space, a, b).right_kernel().conjugate()
+    return canonical_subspace(space, coeffs * b.basis)
 
 
 def is_perfect_pairing(space: FormSpace, a: Subspace, b: Subspace) -> bool:
@@ -308,6 +308,21 @@ def restricted_space(space: FormSpace, basis: Matrix) -> FormSpace:
 def coords_in_rows(basis: Matrix, v: Sequence) -> tuple | None:
     """Coefficients x with x * basis == v, or None when v is outside the span."""
     return basis.transpose().solve(tuple(v))
+
+
+def extend_basis_rows(sub: Matrix, within: Matrix) -> Matrix:
+    """Rows of ``within`` extending span(sub) to span(within), greedily.
+
+    The rows of ``sub`` must be independent, as a canonical basis is.
+    """
+    chosen: list[tuple] = []
+    current = sub
+    for row in within.rows:
+        stacked = Matrix.vstack(current, Matrix([row]))
+        if rref_basis(stacked).nrows > current.nrows:
+            current = stacked
+            chosen.append(row)
+    return Matrix(chosen, ncols=within.ncols)
 
 
 @dataclass(frozen=True)
@@ -333,15 +348,7 @@ def subquotient(space: FormSpace, iso: Subspace) -> SubquotientData:
         raise NotIsotropic("subquotient requires an isotropic subspace")
     iso = canonical_subspace(space, iso.basis)
     perp = orthogonal_complement(space, iso)
-    # extend the canonical basis of iso to perp, greedily by rref pivots
-    chosen: list[tuple] = []
-    current = iso.basis
-    for row in perp.basis.rows:
-        stacked = Matrix.vstack(current, Matrix([row]))
-        if rref_basis(stacked).nrows > current.nrows:
-            current = stacked
-            chosen.append(row)
-    lift = Matrix(chosen, ncols=space.dim)
+    lift = extend_basis_rows(iso.basis, perp.basis)
     quotient_gram = lift * space.gram * lift.conj_transpose()
     quotient = FormSpace(space.kind, quotient_gram, space.d)
     full = Matrix.vstack(iso.basis, lift) if iso.dim else lift

@@ -35,7 +35,9 @@ from .forms import (
     FormSpace,
     Subspace,
     canonical_subspace,
+    extend_basis_rows,
     is_perfect_pairing,
+    orthogonal_complement,
     pairing_kernels,
     pairing_matrix,
     signature_of,
@@ -47,19 +49,13 @@ from .forms import (
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds for vector enumeration.
+    """Hard cap on the shell height that vector searches reach."""
 
-    ``height_bound`` is the shell reached by the first enumeration pass;
-    searches then deepen shell by shell up to the hard cap ``max_height``.
-    Results depend only on ``max_height``.
-    """
-
-    height_bound: int = 10
     max_height: int = 50
 
     def __post_init__(self):
-        if not (1 <= self.height_bound <= self.max_height):
-            raise ValueError("need 1 <= height_bound <= max_height")
+        if self.max_height < 1:
+            raise ValueError("need max_height >= 1")
 
 
 DEFAULT_SEARCH = SearchConfig()
@@ -197,14 +193,15 @@ def isotropic_dual_complement(space: FormSpace, w: Subspace) -> Subspace:
 
 
 def third_isotropic_lines(
-    space: FormSpace, iso_line: Subspace, cfg: SearchConfig = DEFAULT_SEARCH
+    space: FormSpace, iso_line: Subspace
 ) -> tuple[Subspace, Subspace]:
     """Two isotropic lines independent from the given one.
 
     Requires a symmetric space of signature (1, n-1) with n - 1 >= 2.  The
     line is completed to a hyperbolic pair (v, w); a negative vector u in
     the complement with (u, u) = -c gives the lines spanned by
-    v + u + (c/2) w and v - u + (c/2) w.
+    v + u + (c/2) w and v - u + (c/2) w.  The complement has signature
+    (0, n-2), so u is simply the sum of its canonical basis rows.
     """
     if space.kind != "symmetric":
         raise SignatureMismatch("third-line construction needs a symmetric space")
@@ -218,14 +215,8 @@ def third_isotropic_lines(
     v = canonical_subspace(space, iso_line.basis).basis.rows[0]
     w = hyperbolic_complete(space, v)
     plane = canonical_subspace(space, Matrix([v, w]))
-    comp = _orthogonal_complement_rows(space, plane)
-    sub = FormSpace(space.kind, comp * space.gram * comp.conj_transpose())
-    u_local = _search_vector(sub, lambda x: sub.norm(x) < 0, cfg.max_height)
-    if u_local is None:
-        raise SearchExhausted(
-            f"no negative vector of height <= {cfg.max_height} in the complement"
-        )
-    u = tuple((Matrix([u_local]) * comp).rows[0])
+    comp = orthogonal_complement(space, plane).basis
+    u = (Matrix([[1] * comp.nrows]) * comp).rows[0]
     c = -space.norm(u)
     half = c / 2
     l3 = tuple(a + b + half * d for a, b, d in zip(v, u, w))
@@ -237,11 +228,6 @@ def third_isotropic_lines(
         canonical_subspace(space, Matrix([l3])),
         canonical_subspace(space, Matrix([l4])),
     )
-
-
-def _orthogonal_complement_rows(space: FormSpace, s: Subspace) -> Matrix:
-    m = space.gram * s.basis.conj_transpose()
-    return rref_basis(m.transpose().right_kernel())
 
 
 def j0_construct(space: FormSpace, j1: Subspace, j2: Subspace) -> Subspace:
@@ -280,20 +266,6 @@ def j0_construct(space: FormSpace, j1: Subspace, j2: Subspace) -> Subspace:
     assert is_perfect_pairing(space, j0, j1)
     assert is_perfect_pairing(space, j0, j2)
     return j0
-
-
-def extend_basis_rows(sub: Matrix, within: Matrix) -> Matrix:
-    """Rows of ``within`` extending span(sub) to span(within), greedily."""
-    chosen: list[tuple] = []
-    current = sub
-    rank = rref_basis(current).nrows
-    for row in within.rows:
-        stacked = Matrix.vstack(current, Matrix([row]))
-        new_rank = rref_basis(stacked).nrows
-        if new_rank > rank:
-            current, rank = stacked, new_rank
-            chosen.append(row)
-    return Matrix(chosen, ncols=within.ncols)
 
 
 def split_off_kernels(

@@ -12,15 +12,11 @@ from fractions import Fraction
 from typing import Any
 
 from .chains import (
-    BoundaryDescent,
+    LINK_TYPES,
     ChainCertificate,
     Failure,
     Link,
     ManinDrinfeldLeaf,
-    OrthBoundaryPlane,
-    OrthInteriorCurve,
-    OrthSegre,
-    ProductSplit,
     VerificationReport,
 )
 from .errors import InputFormatError
@@ -30,8 +26,7 @@ from .forms import HERMITIAN, KINDS, FormSpace, Subspace
 CERTIFICATE_FORMAT = 1
 
 
-def fraction_to_json(q: Fraction) -> str:
-    q = Fraction(q)
+def fraction_to_json(q: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -142,79 +137,6 @@ def _leaf_from_json(obj) -> ManinDrinfeldLeaf:
     return ManinDrinfeldLeaf(note=obj["note"])
 
 
-def link_to_json(link: Link) -> dict:
-    if isinstance(link, BoundaryDescent):
-        return {
-            "type": "boundary_descent",
-            "intersection": subspace_to_json(link.intersection),
-            "lift": matrix_to_json(link.lift),
-            "project": matrix_to_json(link.project),
-            "sub": certificate_to_json(link.sub),
-        }
-    if isinstance(link, ProductSplit):
-        return {
-            "type": "product_split",
-            "span": subspace_to_json(link.span),
-            "complement": subspace_to_json(link.complement),
-            "base": _leaf_to_json(link.base),
-        }
-    if isinstance(link, OrthBoundaryPlane):
-        return {
-            "type": "orth_boundary_plane",
-            "plane": subspace_to_json(link.plane),
-            "base": _leaf_to_json(link.base),
-        }
-    if isinstance(link, OrthInteriorCurve):
-        return {
-            "type": "orth_interior_curve",
-            "vector": vector_to_json(link.vector),
-            "base": _leaf_to_json(link.base),
-        }
-    if isinstance(link, OrthSegre):
-        return {
-            "type": "orth_segre",
-            "witness": matrix_to_json(link.witness),
-            "base": _leaf_to_json(link.base),
-        }
-    raise InputFormatError(f"unknown link type {type(link).__name__}")
-
-
-def link_from_json(obj, space: FormSpace) -> Link:
-    if not isinstance(obj, dict):
-        raise InputFormatError("a link must be an object")
-    kind = obj.get("type")
-    if kind == "boundary_descent":
-        sub = certificate_from_json(obj.get("sub"))
-        return BoundaryDescent(
-            intersection=subspace_from_json(obj.get("intersection"), space),
-            sub=sub,
-            lift=matrix_from_json(obj.get("lift"), ncols=space.dim),
-            project=matrix_from_json(obj.get("project"), ncols=sub.ambient.dim),
-        )
-    if kind == "product_split":
-        return ProductSplit(
-            span=subspace_from_json(obj.get("span"), space),
-            complement=subspace_from_json(obj.get("complement"), space),
-            base=_leaf_from_json(obj.get("base")),
-        )
-    if kind == "orth_boundary_plane":
-        return OrthBoundaryPlane(
-            plane=subspace_from_json(obj.get("plane"), space),
-            base=_leaf_from_json(obj.get("base")),
-        )
-    if kind == "orth_interior_curve":
-        return OrthInteriorCurve(
-            vector=vector_from_json(obj.get("vector")),
-            base=_leaf_from_json(obj.get("base")),
-        )
-    if kind == "orth_segre":
-        return OrthSegre(
-            witness=matrix_from_json(obj.get("witness"), ncols=space.dim),
-            base=_leaf_from_json(obj.get("base")),
-        )
-    raise InputFormatError(f"unknown link type {kind!r}")
-
-
 def certificate_to_json(cert: ChainCertificate) -> dict:
     return {
         "format": CERTIFICATE_FORMAT,
@@ -246,6 +168,47 @@ def certificate_from_json(obj) -> ChainCertificate:
         nodes=tuple(subspace_from_json(n, space) for n in nodes),
         links=tuple(link_from_json(l, space) for l in links),
     )
+
+
+# Link field codecs by the names ``chains.LINK_TYPES`` declares: an encoder,
+# and a decoder of (JSON value, ambient space, fields decoded so far).
+FIELD_CODECS = {
+    "subspace": (subspace_to_json, lambda obj, space, done: subspace_from_json(obj, space)),
+    "ambient_matrix": (
+        matrix_to_json,
+        lambda obj, space, done: matrix_from_json(obj, ncols=space.dim),
+    ),
+    "quotient_matrix": (
+        matrix_to_json,
+        lambda obj, space, done: matrix_from_json(obj, ncols=done["sub"].ambient.dim),
+    ),
+    "vector": (vector_to_json, lambda obj, space, done: vector_from_json(obj)),
+    "certificate": (certificate_to_json, lambda obj, space, done: certificate_from_json(obj)),
+    "leaf": (_leaf_to_json, lambda obj, space, done: _leaf_from_json(obj)),
+}
+
+
+def link_to_json(link: Link) -> dict:
+    link_type = LINK_TYPES.get(type(link))
+    if link_type is None:
+        raise InputFormatError(f"unknown link type {type(link).__name__}")
+    out = {"type": link_type.tag}
+    for name, codec in link_type.fields:
+        out[name] = FIELD_CODECS[codec][0](getattr(link, name))
+    return out
+
+
+def link_from_json(obj, space: FormSpace) -> Link:
+    if not isinstance(obj, dict):
+        raise InputFormatError("a link must be an object")
+    tag = obj.get("type")
+    cls = next((c for c, t in LINK_TYPES.items() if t.tag == tag), None)
+    if cls is None:
+        raise InputFormatError(f"unknown link type {tag!r}")
+    done: dict = {}
+    for name, codec in LINK_TYPES[cls].fields:
+        done[name] = FIELD_CODECS[codec][1](obj.get(name), space, done)
+    return cls(**done)
 
 
 def report_to_json(report: VerificationReport) -> dict:

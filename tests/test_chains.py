@@ -426,3 +426,95 @@ class TestBuilderVerifierAgreement:
             assert report.ok, report.failures
             if rank > 1:
                 assert len(cert.links) <= 5
+
+
+def _single_link_certificates():
+    """One built certificate per link type, keyed by the type's JSON tag."""
+    orth = quadratic_2u_perp_diagonal([-2])
+    sym = standard_symplectic(2)
+    herm = standard_hermitian_hyperbolic(1, 2)
+    certs = {
+        "orth_boundary_plane": build_chain_orthogonal(
+            orth, line(orth, unit_vector(orth, 0)), line(orth, unit_vector(orth, 2))
+        ),
+        "orth_interior_curve": build_chain_orthogonal(
+            orth, line(orth, unit_vector(orth, 0)), line(orth, unit_vector(orth, 1))
+        ),
+        "orth_segre": build_chain_orthogonal(orth, plane(orth, 0, 2), plane(orth, 1, 3)),
+        "product_split": build_chain_symplectic(
+            sym, line(sym, unit_vector(sym, 0)), line(sym, unit_vector(sym, 1))
+        ),
+        "boundary_descent": build_chain_symplectic(
+            sym, standard_isotropic(sym, 2, "e"), plane(sym, 0, 3)
+        ),
+        "unitary_lines": build_chain_unitary(
+            herm, line(herm, unit_vector(herm, 0)), line(herm, unit_vector(herm, 1))
+        ),
+    }
+    for cert in certs.values():
+        assert len(cert.links) == 1 and verify_certificate(cert).ok
+    return certs
+
+
+CERTS = _single_link_certificates()
+
+# (link taken from, certificate it is grafted into, expected failures)
+GRAFTS = [
+    # a link in a chain of the wrong kind
+    ("orth_boundary_plane", "product_split",
+     [(0, "link-kind", "boundary-plane link outside an orthogonal chain")]),
+    ("orth_boundary_plane", "unitary_lines",
+     [(0, "link-kind", "boundary-plane link outside an orthogonal chain")]),
+    ("orth_interior_curve", "product_split",
+     [(0, "link-kind", "interior-curve link outside an orthogonal chain")]),
+    ("orth_interior_curve", "unitary_lines",
+     [(0, "link-kind", "interior-curve link outside an orthogonal chain")]),
+    ("orth_segre", "boundary_descent",
+     [(0, "link-kind", "2U-isometry link outside an orthogonal chain")]),
+    ("orth_segre", "unitary_lines",
+     [(0, "link-kind", "2U-isometry link outside an orthogonal chain")]),
+    ("product_split", "orth_boundary_plane",
+     [(0, "link-kind", "product-split link needs a symplectic or unitary chain")]),
+    ("boundary_descent", "orth_segre",
+     [(0, "link-kind", "boundary-descent link needs a symplectic or unitary chain")]),
+    # a link whose endpoints have the wrong dimension
+    ("orth_boundary_plane", "orth_segre",
+     [(0, "link-node-dimension", "boundary-plane link needs line endpoints")]),
+    ("orth_interior_curve", "orth_segre",
+     [(0, "link-node-dimension", "interior-curve link needs line endpoints")]),
+    ("orth_segre", "orth_boundary_plane",
+     [(0, "link-node-dimension", "2U-isometry link needs plane endpoints")]),
+    ("product_split", "boundary_descent",
+     [(0, "link-node-dimension", "product-split link needs rank-1 endpoints")]),
+    # boundary descents take endpoints of any dimension: the witness check fails
+    ("boundary_descent", "product_split",
+     [(0, "intersection-matches", "stored intersection differs from the nodes'")]),
+]
+
+
+class TestDeclarativeLinkChecks:
+    """Chain kind, endpoint dimension and link type, checked before witnesses."""
+
+    @pytest.mark.parametrize("source,target,expected", GRAFTS)
+    def test_grafted_link(self, source, target, expected):
+        cert = replace(CERTS[target], links=CERTS[source].links)
+        report = verify_certificate(cert)
+        assert [(f.link, f.condition, f.detail) for f in report.failures] == expected
+
+    @pytest.mark.parametrize("target", ["orth_boundary_plane", "product_split", "unitary_lines"])
+    @pytest.mark.parametrize("link", [object(), "link", None])
+    def test_unknown_link_object(self, target, link):
+        report = verify_certificate(replace(CERTS[target], links=(link,)))
+        assert [(f.link, f.condition, f.detail) for f in report.failures] == [
+            (0, "link-kind", f"unknown link type {type(link).__name__}")
+        ]
+
+
+class TestVerifierNeverRaises:
+    @pytest.mark.parametrize("vector", [None, 5])
+    def test_non_sequence_interior_vector(self, vector):
+        cert = CERTS["orth_interior_curve"]
+        bad = replace(cert, links=(replace(cert.links[0], vector=vector),))
+        report = verify_certificate(bad)
+        assert [(f.link, f.condition) for f in report.failures] == [(0, "link-error")]
+        assert report.failures[0].detail.startswith("TypeError: ")

@@ -92,7 +92,7 @@ def test_search_exhausted_exit_code(tmp_path, capsys):
     i1 = write(tmp_path / "i1.json", {"basis": [["1", "0", "0", "0"]]})
     i2 = write(tmp_path / "i2.json", {"basis": [["0", "1", "0", "0"]]})
     argv = ["chain", "--space", space_file, "--i1", i1, "--i2", i2]
-    code, out, err = run(capsys, argv + ["--height", "4", "--max-height", "4"])
+    code, out, err = run(capsys, argv + ["--max-height", "4"])
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "SearchExhausted"
@@ -221,14 +221,38 @@ def test_bad_search_bounds_rejected(symplectic_files, capsys):
             "isotropic",
             "--space",
             symplectic_files["space"],
-            "--height",
-            "10",
             "--max-height",
-            "4",
+            "0",
         ],
     )
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InputFormatError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--bogus"],
+        ["chain", "--space", "s.json", "--i1", "a.json", "--i2", "b.json", "--bogus"],
+        ["chain", "--space", "s.json"],
+        ["isotropic", "--space", "s.json", "--max-height", "many"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_bad_command_line_is_input_error(argv, capsys):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InputFormatError"
+    assert payload["detail"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "--help"])
+    assert exc.value.code == 0
+    assert "--max-height" in capsys.readouterr().out
 
 
 def test_demo_trace_zero(capsys):

@@ -58,7 +58,7 @@ class TestFindIsotropicVector:
             for y in range(-10, 11):
                 if (x, y) != (0, 0):
                     assert x * x - 3 * y * y != 0
-        assert find_isotropic_vector(space, SearchConfig(10, 10)) is None
+        assert find_isotropic_vector(space, SearchConfig(max_height=10)) is None
 
     def test_definite_short_circuits(self):
         assert find_isotropic_vector(diag_space([1, 1, 1])) is None
@@ -71,7 +71,7 @@ class TestFindIsotropicVector:
     def test_monotone_in_cap(self):
         space = quadratic_2u_perp_diagonal([-2])
         found = [
-            find_isotropic_vector(space, SearchConfig(1, cap)) for cap in (1, 3, 50)
+            find_isotropic_vector(space, SearchConfig(max_height=cap)) for cap in (1, 3, 50)
         ]
         assert found[0] is not None
         assert found[0] == found[1] == found[2]
@@ -87,7 +87,7 @@ class TestFindIsotropicVector:
     def test_primitivity(self):
         # the shell order would otherwise hit (2, 0) before (1, 0) at height 2
         space = hyperbolic_plane()
-        v = find_isotropic_vector(space, SearchConfig(2, 2))
+        v = find_isotropic_vector(space, SearchConfig(max_height=2))
         assert v == (1, 0)
 
 

@@ -6,10 +6,16 @@ from fractions import Fraction
 import pytest
 
 from cuspchain import serialize
-from cuspchain.chains import build_chain_orthogonal, build_chain_symplectic, build_chain_unitary
+from cuspchain.chains import (
+    LINK_TYPES,
+    build_chain_orthogonal,
+    build_chain_symplectic,
+    build_chain_unitary,
+)
 from cuspchain.errors import InputFormatError
-from cuspchain.exact import QuadFieldElement
+from cuspchain.exact import Matrix, QuadFieldElement
 from cuspchain.forms import (
+    canonical_subspace,
     line,
     quadratic_2u_perp_diagonal,
     standard_hermitian_hyperbolic,
@@ -80,6 +86,14 @@ def certificate_samples():
         orth, random_orthogonal_isometry(orth, rng, 3), base
     )
     yield build_chain_orthogonal(orth, base, moved)
+    e1, f1, e2 = (line(orth, unit_vector(orth, i)) for i in (0, 1, 2))
+    yield build_chain_orthogonal(orth, e1, e2)
+    yield build_chain_orthogonal(orth, e1, f1)
+    planes = [
+        canonical_subspace(orth, Matrix([unit_vector(orth, i), unit_vector(orth, j)]))
+        for i, j in ((0, 2), (1, 3))
+    ]
+    yield build_chain_orthogonal(orth, *planes)
     herm = standard_hermitian_hyperbolic(1, 2)
     yield build_chain_unitary(
         herm,
@@ -94,6 +108,21 @@ def test_certificate_round_trip():
         decoded = serialize.certificate_from_json(encoded)
         assert decoded == cert
         assert serialize.certificate_to_json(decoded) == encoded
+
+
+def test_samples_cover_every_link_type():
+    def tags(encoded):
+        for link in encoded["links"]:
+            yield link["type"]
+            if "sub" in link:
+                yield from tags(link["sub"])
+
+    seen = {
+        tag
+        for cert in certificate_samples()
+        for tag in tags(serialize.certificate_to_json(cert))
+    }
+    assert seen == {link_type.tag for link_type in LINK_TYPES.values()}
 
 
 def test_certificate_canonical_bytes():
