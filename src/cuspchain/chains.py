@@ -443,7 +443,9 @@ def _verify_link(cert, idx, link, left, right, failures):
     else:
         try:
             link_type.check(cert, link, left, right, fail)
-        except (CuspChainError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (
+            AttributeError, CuspChainError, TypeError, ValueError, ZeroDivisionError
+        ) as exc:
             fail("link-error", f"{type(exc).__name__}: {exc}")
 
 

@@ -10,7 +10,10 @@ codes: 0 success or verified, 1 verification failed, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -71,11 +74,48 @@ def _parse_fraction(text: str) -> Fraction:
         raise InputFormatError(f"bad rational {text!r}") from exc
 
 
+class _MissingFlags(InputFormatError):
+    """Required flags are missing; raised before unknown flags are reported."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports bad command lines as input errors instead of exiting."""
+    """Reports bad command lines as input errors instead of exiting.
+
+    argparse looks for missing required flags before it reports unknown
+    ones, so the unknown flags are named in that message as well.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        try:
+            return super().parse_known_args(args, namespace)
+        except _MissingFlags as exc:
+            unknown = self._unknown_options(args)
+            prefix = f"unrecognized arguments: {' '.join(unknown)}; " if unknown else ""
+            raise InputFormatError(prefix + str(exc)) from None
 
     def error(self, message):
+        if message.startswith("the following arguments are required"):
+            raise _MissingFlags(message)
         raise InputFormatError(message)
+
+    def _unknown_options(self, args: list[str]) -> list[str]:
+        """Flags among args that this parser matches to none of its own."""
+        known = self._option_string_actions
+        out = []
+        for arg in itertools.takewhile(lambda a: a != "--", args):
+            name = arg.split("=", 1)[0]
+            if len(arg) < 2 or arg[0] != "-" or " " in arg or _NEGATIVE.match(arg):
+                continue  # argparse reads these as values
+            if name in known or (
+                name.startswith("--") and any(o.startswith(name) for o in known)
+            ):
+                continue  # an option or an abbreviation of one
+            out.append(arg)
+        return out
+
+
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,6 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     q = demo_sub.add_parser("order")
     q.add_argument("--lattice", required=True)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once: parsing leaves no state in it."""
+    return build_parser()
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
@@ -288,7 +334,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         payload, code = COMMANDS[args.command](args)
     except SearchExhausted as exc:
         _emit_error(exc)

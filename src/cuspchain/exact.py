@@ -4,14 +4,26 @@ Everything here is immutable and deterministic: the same input produces a
 bit-identical output, with no rounding anywhere.  Rationals are stdlib
 ``fractions.Fraction``; imaginary quadratic scalars are ``QuadFieldElement``.
 
-A matrix whose entries are all rational (``Fraction`` or ``int``) is
-multiplied, row-reduced and has its determinant taken on integer numerators:
-the matrix (each factor of a product) is lifted to integers over the lcm of
-its denominators, elimination is fraction-free with each updated row divided
-by its content, and the result is turned back into canonical ``Fraction``
-entries once at the end.  A matrix with ``QuadFieldElement`` entries takes the
-entry-wise path.  Both paths return the same exact values, so reduced echelon
-forms, and everything built from them, do not depend on the path.
+Matrix products, row reduction (and so rank, inverse, solving and kernels)
+and determinants run on integers, in one of two kernels chosen by entry type:
+
+* a matrix whose entries are all rational (``Fraction`` or ``int``) is lifted
+  to integer numerators over the lcm of its denominators (each factor of a
+  product on its own);
+* a matrix with ``QuadFieldElement`` entries is lifted to integer pairs
+  ``(re, im)`` over one common denominator, standing for
+  ``(re + im*sqrt(-d)) / den``, and multiplied and eliminated in
+  ``Z[sqrt(-d)]``; when every imaginary part is zero the pairs reduce to the
+  rational kernel's integers.  Every entry of such a result is a
+  ``QuadFieldElement``, and an operation meeting two values of ``d`` raises
+  :class:`MixedDiscriminants`.
+
+Elimination is fraction-free: each updated row is divided by its rational
+content, and each pivot row by its pivot once, at the end.  Results are
+turned back into canonical ``Fraction`` (or ``QuadFieldElement``) entries
+once, at the end.  There is no entry-wise path; reduced echelon forms are
+unique, so they, and everything built from them, match exact entry-wise
+arithmetic.
 """
 
 from __future__ import annotations
@@ -62,8 +74,8 @@ class QuadFieldElement:
             raise ValueError("QuadFieldElement requires a field parameter d")
         if not isinstance(d, int) or not is_squarefree(d):
             raise ValueError(f"d must be a positive squarefree integer, got {d!r}")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -187,10 +199,12 @@ def as_fraction(x) -> Fraction:
 class Matrix:
     """Immutable rectangular matrix with exact entries.
 
-    Entries are rationals (Fractions or ints) or QuadFieldElements (uniform
-    per matrix by convention; mixing is not policed here but upstream
-    constructors coerce).  Products, rref and det of a rational matrix are
-    computed on integer numerators and return Fractions.
+    Entries are rationals (Fractions or ints) or QuadFieldElements of one
+    field; upstream constructors coerce hermitian entries to
+    QuadFieldElements.  Products, rref and det run on integers (see the
+    module docstring): a rational matrix gives Fractions, a matrix with a
+    QuadFieldElement entry gives QuadFieldElements in every entry.  They
+    refuse entries of any other type with a TypeError.
     Zero-row matrices are allowed and must state their column count.
     """
 
@@ -309,19 +323,8 @@ class Matrix:
                     f"cannot multiply {self.shape} by {other.shape} matrices"
                 )
             if _is_rational(self.rows) and _is_rational(other.rows):
-                a, da = _lift_rows(self.rows)
-                b, db = _lift_rows(other.rows)
-                cols = list(zip(*b)) or [()] * other.ncols
-                return _int_matrix(
-                    [[sum(map(mul, r, c)) for c in cols] for r in a],
-                    other.ncols,
-                    [da * db] * len(a),
-                )
-            cols = [other.col(j) for j in range(other.ncols)]
-            return Matrix(
-                [[_dot(r, c) for c in cols] for r in self.rows],
-                other.ncols,
-            )
+                return _int_mul(self.rows, other.rows, other.ncols)
+            return _pair_mul(self.rows, other.rows, other.ncols)
         return Matrix([[x * other for x in r] for r in self.rows], self.ncols)
 
     def __rmul__(self, other):
@@ -378,26 +381,7 @@ class Matrix:
         """
         if _is_rational(self.rows):
             return _int_rref(self.rows, self.ncols)
-        m = [list(r) for r in self.rows]
-        nrows, ncols = len(m), self.ncols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(m, ncols), tuple(pivots)
+        return _pair_rref(self.rows, self.ncols)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -409,24 +393,8 @@ class Matrix:
         if n == 0:
             return Fraction(1)
         if _is_rational(self.rows):
-            return _int_det(self.rows)
-        m = [list(r) for r in self.rows]
-        det = None
-        sign = 1
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pr is None:
-                return m[0][0] * 0
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                sign = -sign
-            pv = m[c][c]
-            det = pv if det is None else det * pv
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] / pv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        return det if sign == 1 else -det
+            return Fraction(*_int_det(*_lift_rows(self.rows)))
+        return _pair_det(self.rows)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -483,16 +451,6 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
-def _dot(row: Sequence, col: Sequence):
-    total = None
-    for x, y in zip(row, col):
-        term = x * y
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    return total
-
-
 _RATIONAL_TYPES = frozenset((Fraction, int))
 
 
@@ -505,12 +463,22 @@ _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
 
 
+def _numerators(rows: Sequence[Sequence], den: int) -> list[list[int]]:
+    """The integers x * den of rational rows whose denominators divide den."""
+    if den == 1:
+        return [list(map(_NUMERATOR, r)) for r in rows]
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+
+
 def _lift_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """Integer numerators of rational rows over one common denominator."""
-    den = lcm(*map(_DENOMINATOR, itertools.chain.from_iterable(rows)))
-    if den == 1:
-        return [list(map(_NUMERATOR, r)) for r in rows], 1
-    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
+    den = lcm(*set(map(_DENOMINATOR, itertools.chain.from_iterable(rows))))
+    return _numerators(rows, den), den
+
+
+def _int_product(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]):
+    """Integer matrix product of the given rows with the given columns."""
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -539,14 +507,22 @@ def _int_matrix(rows: Sequence[Sequence[int]], ncols: int, dens=None) -> Matrix:
     )
 
 
-def _int_rref(rows: Sequence[Sequence], ncols: int) -> tuple[Matrix, tuple[int, ...]]:
-    """Matrix.rref of a rational matrix, computed on integer rows.
+def _int_mul(a_rows, b_rows, ncols: int) -> Matrix:
+    """Matrix product of rational matrices on integer numerators."""
+    a, da = _lift_rows(a_rows)
+    b, db = _lift_rows(b_rows)
+    cols = list(zip(*b)) or [()] * ncols
+    return _int_matrix(_int_product(a, cols), ncols, [da * db] * len(a))
 
-    Same pivot rule as the entry-wise elimination; an eliminated row becomes
-    pv * row - f * pivot_row divided by its content, and each pivot row is
-    divided by its pivot once, at the end.
+
+def _int_eliminate(m: list[list[int]], ncols: int) -> list[int]:
+    """Reduce the integer rows m in place; returns the pivot columns.
+
+    The pivot of each column is the topmost remaining row nonzero there (the
+    rule of Matrix.rref); an eliminated row becomes pv * row - f * pivot_row
+    divided by its content.  Afterwards row i is the i-th row of the reduced
+    echelon form times its pivot entry, and rows past the rank are zero.
     """
-    m = _lift_rows(rows)[0]
     nrows = len(m)
     pivots = []
     r = 0
@@ -565,26 +541,32 @@ def _int_rref(rows: Sequence[Sequence], ncols: int) -> tuple[Matrix, tuple[int, 
                 m[i] = _primitive([pv * x - f * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
-    # rows past the rank are zero
-    dens = [m[i][p] for i, p in enumerate(pivots)] + [1] * (nrows - r)
+    return pivots
+
+
+def _int_rref(rows: Sequence[Sequence], ncols: int) -> tuple[Matrix, tuple[int, ...]]:
+    """Matrix.rref of a rational matrix: each pivot row divided once, at the end."""
+    m = _lift_rows(rows)[0]
+    pivots = _int_eliminate(m, ncols)
+    dens = [m[i][p] for i, p in enumerate(pivots)] + [1] * (len(m) - len(pivots))
     return _int_matrix(m, ncols, dens), tuple(pivots)
 
 
-def _int_det(rows: Sequence[Sequence]) -> Fraction:
-    """Matrix.det of a square rational matrix, fraction-free on integer rows.
+def _int_det(m: list[list[int]], lift: int) -> tuple[int, int]:
+    """(num, den) with num / den the determinant of the square matrix m / lift.
 
-    Rows already zero in the pivot column are left alone.  det(self) is
-    det(m) * num / den throughout: den collects the lifting denominator (once
-    per row) and the pivot that scales each updated row, num the row contents
-    divided out and the sign of each swap; at the end m is triangular.
+    Fraction-free on the integer rows m (changed in place); rows already zero
+    in the pivot column are left alone.  det(m / lift) is det(m) * num / den
+    throughout: den collects lift (once per row) and the pivot that scales
+    each updated row, num the row contents divided out and the sign of each
+    swap; at the end m is triangular.
     """
-    n = len(rows)
-    m, d = _lift_rows(rows)
-    num, den = 1, d**n
+    n = len(m)
+    num, den = 1, lift**n
     for c in range(n):
         pr = next((i for i in range(c, n) if m[i][c]), None)
         if pr is None:
-            return _ZERO
+            return 0, 1
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
             num = -num
@@ -601,7 +583,198 @@ def _int_det(rows: Sequence[Sequence]) -> Fraction:
                     num *= g
                 den *= pv
                 m[i] = row
-    return Fraction(num, den)
+    return num, den
+
+
+# -- the pair kernel: matrices with QuadFieldElement entries ------------------
+#
+# Every entry is lifted to a pair (re, im) of integers over one common
+# denominator den, standing for (re + im*s) / den with s = sqrt(-d); Fraction
+# and int entries have im = 0.  A matrix whose imaginary parts are all zero
+# (most of them: Gram matrices, bases of rational subspaces) has im None and
+# runs through the rational kernel's integer elimination.
+
+_QUAD_TYPES = frozenset((QuadFieldElement,))
+_SCALAR_TYPES = _RATIONAL_TYPES | _QUAD_TYPES
+_A, _B, _D = attrgetter("a"), attrgetter("b"), attrgetter("d")
+
+
+def _lift_pairs(rows: Sequence[Sequence], fields: set):
+    """(re, im, den) of rows of scalars, im None when it would be all zero.
+
+    The d of every QuadFieldElement entry is added to ``fields``.
+    """
+    entries = list(itertools.chain.from_iterable(rows))
+    types = set(map(type, entries))
+    if types <= _QUAD_TYPES:
+        re = [list(map(_A, r)) for r in rows]
+        im = [list(map(_B, r)) for r in rows]
+        fields.update(map(_D, entries))
+    elif types <= _SCALAR_TYPES:
+        quad = QuadFieldElement
+        re = [[x.a if type(x) is quad else x for x in r] for r in rows]
+        im = [[x.b if type(x) is quad else 0 for x in r] for r in rows]
+        fields.update(x.d for x in entries if type(x) is quad)
+    else:
+        bad = ", ".join(sorted(t.__name__ for t in types - _SCALAR_TYPES))
+        raise TypeError(f"matrix entries of type {bad} are not exact scalars")
+    if not any(map(any, im)):
+        re, den = _lift_rows(re)
+        return re, None, den
+    den = lcm(*set(map(_DENOMINATOR, itertools.chain(*re, *im))))
+    return _numerators(re, den), _numerators(im, den), den
+
+
+def _field(fields: set) -> int:
+    """The one d that the entries of an operation share."""
+    if len(fields) > 1:
+        d1, d2 = sorted(fields)[:2]
+        raise MixedDiscriminants(f"cannot mix d={d1} with d={d2}")
+    return next(iter(fields))
+
+
+def _pair_matrix(re, im, ncols: int, dens: Sequence[int], d: int) -> Matrix:
+    """Matrix of the QuadFieldElements (re[i][j] + im[i][j]*s) / dens[i].
+
+    im None stands for zero imaginary parts.  Most entries of a product or a
+    reduced echelon form are 0 or 1, so the result shares one instance of
+    each (QuadFieldElements are immutable).
+    """
+    quad = QuadFieldElement
+    zero, one = quad(_ZERO, _ZERO, d), quad(_SMALL[1], _ZERO, d)
+    out = []
+    for r, i, n in zip(re, im or itertools.repeat(None), dens):
+        out.append(
+            [
+                (zero if not x else one if x == n else quad(Fraction(x, n), _ZERO, d))
+                if not y
+                else quad(Fraction(x, n) if x else _ZERO, Fraction(y, n), d)
+                for x, y in zip(r, itertools.repeat(0) if i is None else i)
+            ]
+        )
+    return Matrix(out, ncols)
+
+
+def _pair_mul(a_rows, b_rows, ncols: int) -> Matrix:
+    """Matrix product with QuadFieldElement entries, on integer pairs.
+
+    (ar + ai*s)(br + bi*s) = (ar*br - d*ai*bi) + (ar*bi + ai*br)*s; when both
+    factors have imaginary parts, each row [ar | ai] of the first meets the
+    column [br | -d*bi] for the real part and [bi | br] for the imaginary part.
+    """
+    fields = set()
+    ar, ai, da = _lift_pairs(a_rows, fields)
+    br, bi, db = _lift_pairs(b_rows, fields)
+    d = _field(fields)
+    cols = list(zip(*br)) or [()] * ncols
+    if ai is None or bi is None:
+        re = _int_product(ar, cols)
+        if bi is not None:
+            im = _int_product(ar, list(zip(*bi)))
+        else:
+            im = None if ai is None else _int_product(ai, cols)
+    else:
+        icols = list(zip(*bi))
+        rows = [r + i for r, i in zip(ar, ai)]
+        re_cols = [c + tuple(-d * x for x in i) for c, i in zip(cols, icols)]
+        re = _int_product(rows, re_cols)
+        im = _int_product(rows, [i + c for c, i in zip(cols, icols)])
+    return _pair_matrix(re, im, ncols, [da * db] * len(ar), d)
+
+
+def _pair_update(p, x, f, y, d: int):
+    """(re, im, g): p*x - f*y divided by its rational content g.
+
+    p and f are pairs, x and y pairs of integer rows, all in Z[sqrt(-d)].
+    """
+    (pr, pi), (xr, xi), (fr, fi), (yr, yi) = p, x, f, y
+    dpi, dfi = d * pi, d * fi
+    re = [pr * a - dpi * b - fr * u + dfi * v for a, b, u, v in zip(xr, xi, yr, yi)]
+    im = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xr, xi, yr, yi)]
+    g = gcd(*re, *im)
+    if g > 1:
+        re = [x // g for x in re]
+        im = [x // g for x in im]
+    return re, im, g
+
+
+def _pair_rref(rows: Sequence[Sequence], ncols: int) -> tuple[Matrix, tuple[int, ...]]:
+    """Matrix.rref with QuadFieldElement entries, computed on integer pairs.
+
+    The elimination of _int_eliminate in Z[sqrt(-d)]: with pivot p and f the
+    entry to clear, a row becomes p*row - f*pivot_row divided by its rational
+    content; each pivot row is divided by its pivot once, at the end, as
+    x*conj(p) / N(p).
+    """
+    fields = set()
+    re, im, _ = _lift_pairs(rows, fields)
+    d = _field(fields)
+    nrows = len(re)
+    if im is None:
+        pivots = _int_eliminate(re, ncols)
+        dens = [re[i][p] for i, p in enumerate(pivots)]
+    else:
+        pivots = []
+        for c in range(ncols):
+            r = len(pivots)
+            if r == nrows:
+                break
+            pr = next((i for i in range(r, nrows) if re[i][c] or im[i][c]), None)
+            if pr is None:
+                continue
+            re[r], re[pr] = re[pr], re[r]
+            im[r], im[pr] = im[pr], im[r]
+            prow = (re[r], im[r])
+            pv = (prow[0][c], prow[1][c])
+            for i in range(nrows):
+                f = (re[i][c], im[i][c])
+                if (f[0] or f[1]) and i != r:
+                    re[i], im[i], _ = _pair_update(pv, (re[i], im[i]), f, prow, d)
+            pivots.append(c)
+        dens = []
+        for i, c in enumerate(pivots):
+            xr, xi = re[i], im[i]
+            pr, pi = xr[c], xi[c]
+            re[i] = [a * pr + d * b * pi for a, b in zip(xr, xi)]
+            im[i] = [b * pr - a * pi for a, b in zip(xr, xi)]
+            dens.append(pr * pr + d * pi * pi)
+    # rows past the rank are zero
+    dens += [1] * (nrows - len(pivots))
+    return _pair_matrix(re, im, ncols, dens, d), tuple(pivots)
+
+
+def _pair_det(rows: Sequence[Sequence]) -> QuadFieldElement:
+    """Matrix.det with QuadFieldElement entries, fraction-free on integer pairs.
+
+    As _int_det, with num a pair (nr, ni): scaling a row by the pivot p
+    multiplies num by conj(p) and den by N(p), so den stays an integer.
+    """
+    fields = set()
+    re, im, lift = _lift_pairs(rows, fields)
+    d = _field(fields)
+    if im is None:
+        num, den = _int_det(re, lift)
+        return QuadFieldElement(Fraction(num, den), _ZERO, d)
+    n = len(re)
+    nr, ni, den = 1, 0, lift**n
+    for c in range(n):
+        pr = next((i for i in range(c, n) if re[i][c] or im[i][c]), None)
+        if pr is None:
+            return QuadFieldElement(_ZERO, _ZERO, d)
+        if pr != c:
+            re[c], re[pr] = re[pr], re[c]
+            im[c], im[pr] = im[pr], im[c]
+            nr, ni = -nr, -ni
+        prow = (re[c], im[c])
+        pv = p0, p1 = prow[0][c], prow[1][c]
+        nr, ni = nr * p0 - d * ni * p1, nr * p1 + ni * p0
+        for i in range(c + 1, n):
+            f = (re[i][c], im[i][c])
+            if f[0] or f[1]:
+                re[i], im[i], g = _pair_update(pv, (re[i], im[i]), f, prow, d)
+                nr, ni = g * (nr * p0 + d * ni * p1), g * (ni * p0 - nr * p1)
+                den *= p0 * p0 + d * p1 * p1
+    return QuadFieldElement(Fraction(nr, den), Fraction(ni, den), d)
 
 
 def _zero_like(mat: Matrix):

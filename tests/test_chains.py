@@ -518,3 +518,26 @@ class TestVerifierNeverRaises:
         report = verify_certificate(bad)
         assert [(f.link, f.condition) for f in report.failures] == [(0, "link-error")]
         assert report.failures[0].detail.startswith("TypeError: ")
+
+    def test_missing_descent_subcertificate(self):
+        space = standard_symplectic(3)
+        cert = build_chain_symplectic(
+            space, standard_isotropic(space, 3, "e"), standard_isotropic(space, 3, "f")
+        )
+        descents = [i for i, l in enumerate(cert.links) if type(l) is BoundaryDescent]
+        assert descents
+        for idx in descents:
+            links = list(cert.links)
+            links[idx] = replace(links[idx], sub=None)
+            report = verify_certificate(replace(cert, links=tuple(links)))
+            assert [(f.link, f.condition) for f in report.failures] == [
+                (idx, "link-error")
+            ]
+            assert report.failures[0].detail.startswith("AttributeError: ")
+
+    def test_missing_boundary_plane(self):
+        cert = CERTS["orth_boundary_plane"]
+        bad = replace(cert, links=(replace(cert.links[0], plane=None),))
+        report = verify_certificate(bad)
+        assert [(f.link, f.condition) for f in report.failures] == [(0, "link-error")]
+        assert report.failures[0].detail.startswith("AttributeError: ")

@@ -1,12 +1,26 @@
 """Command-line surface: exit codes, canonical output, chain/verify round trip."""
 
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cuspchain
 from cuspchain import serialize
 from cuspchain.cli import main
 from cuspchain.forms import line, standard_symplectic, unit_vector
+
+from support import (
+    random_unitary_isometry,
+    standard_isotropic,
+    transform_subspace,
+    unitary_test_space,
+)
 
 
 def write(path, payload):
@@ -246,6 +260,56 @@ def test_bad_command_line_is_input_error(argv, capsys):
     payload = json.loads(err)
     assert payload["error"] == "InputFormatError"
     assert payload["detail"]
+    if "--bogus" in argv:
+        # named even when required flags are missing as well
+        assert "--bogus" in payload["detail"]
+
+
+def run_alone(argv):
+    """(exit code, stdout, stderr) of the command in a fresh interpreter."""
+    paths = [str(Path(cuspchain.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cuspchain.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_match_single_runs(symplectic_files, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    f = symplectic_files
+    chain = ["chain", "--space", f["space"], "--i1", f["i1"], "--i2", f["i2"]]
+    commands = [
+        chain,
+        ["chain", "--bogus"],
+        ["analyze", "--space", f["space"], "--max-height", "2"],
+        ["isotropic", "--space", f["space"], "--max-height", "many"],
+        ["demo", "veronese", "--tau", "1/2"],
+        ["chain", "--space", f["space"]],
+        ["demo", "hermitian-m2", "--D", "2"],
+        ["no-such-command"],
+        ["chain", "--help"],
+        chain + ["--bogus"],
+    ]
+    alone = [run_alone(argv) for argv in commands]
+    assert [code for code, _, _ in alone] == [0, 2, 0, 2, 0, 2, 0, 2, 0, 2]
+    for _ in range(2):
+        for argv, expected in zip(commands, alone):
+            assert run_in_process(capsys, argv) == expected, argv
 
 
 def test_help_still_exits_zero(capsys):
@@ -333,3 +397,110 @@ def test_level_command(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out) == {"N1": 2, "N2": 3, "Nprime": 6}
+
+
+# -- golden bytes of hermitian certificates -----------------------------------
+
+HERMITIAN_SHAPES = [(1, ()), (1, (-1,)), (2, ()), (1, (-1, -2))]
+
+
+def hermitian_instances():
+    """(key, space, i1, i2) for each D, each hermitian shape and each rank."""
+    for d in (1, 2, 3, 7):
+        for copies, negatives in HERMITIAN_SHAPES:
+            for rank in range(1, copies + 1):
+                for seed in (0, 1):
+                    rng = random.Random(1000 * d + 100 * copies + 10 * len(negatives)
+                                        + 2 * rank + seed)
+                    space = unitary_test_space(d, copies, negatives)
+                    base = standard_isotropic(space, rank, "e")
+                    i1, i2 = (
+                        transform_subspace(
+                            space,
+                            random_unitary_isometry(space, rng, rng.randint(1, 3)),
+                            base,
+                        )
+                        for _ in range(2)
+                    )
+                    key = f"D{d} copies{copies} neg{list(negatives)} rank{rank} s{seed}"
+                    yield key, space, i1, i2
+
+
+def stdout_digests(tmp_path, capsys) -> dict:
+    out = {}
+    for k, (key, space, i1, i2) in enumerate(hermitian_instances()):
+        files = {
+            name: write(tmp_path / f"{k}.{name}.json", doc)
+            for name, doc in (
+                ("space", serialize.form_space_to_json(space)),
+                ("i1", serialize.subspace_to_json(i1)),
+                ("i2", serialize.subspace_to_json(i2)),
+            )
+        }
+        argv = ["chain", "--space", files["space"]]
+        argv += ["--i1", files["i1"], "--i2", files["i2"]]
+        code, chain_out, _ = run(capsys, argv)
+        assert code == 0
+        cert = tmp_path / f"{k}.cert.json"
+        cert.write_text(chain_out, encoding="utf-8")
+        code, verify_out, _ = run(capsys, ["verify", "--cert", str(cert)])
+        assert code == 0
+        out[key] = tuple(
+            hashlib.sha256(text.encode()).hexdigest()[:16]
+            for text in (chain_out, verify_out)
+        )
+    return out
+
+
+# First 16 hex digits of the sha256 of each instance's `chain` stdout, and of
+# the `verify` stdout every one of them gives, recorded while hermitian
+# matrices were still reduced entry by entry.
+HERMITIAN_VERIFY_DIGEST = "80a05d2beed2e295"
+HERMITIAN_GOLDEN = {
+    "D1 copies1 neg[] rank1 s0": "2e5263f7867d8e9f",
+    "D1 copies1 neg[] rank1 s1": "2e5263f7867d8e9f",
+    "D1 copies1 neg[-1] rank1 s0": "9047e3bf5c69edc2",
+    "D1 copies1 neg[-1] rank1 s1": "9047e3bf5c69edc2",
+    "D1 copies2 neg[] rank1 s0": "c727fb6af20ac8c1",
+    "D1 copies2 neg[] rank1 s1": "198dbf21624bdd93",
+    "D1 copies2 neg[] rank2 s0": "c20a21cfe8b8c49e",
+    "D1 copies2 neg[] rank2 s1": "c406c0af578146b8",
+    "D1 copies1 neg[-1, -2] rank1 s0": "1148e46468ceb5fe",
+    "D1 copies1 neg[-1, -2] rank1 s1": "acae7a02599122b1",
+    "D2 copies1 neg[] rank1 s0": "740929ba550662bd",
+    "D2 copies1 neg[] rank1 s1": "1ed7041dc3200c47",
+    "D2 copies1 neg[-1] rank1 s0": "9433d622eb058b1a",
+    "D2 copies1 neg[-1] rank1 s1": "9433d622eb058b1a",
+    "D2 copies2 neg[] rank1 s0": "80afedd00d190e94",
+    "D2 copies2 neg[] rank1 s1": "0e2681d6499a9971",
+    "D2 copies2 neg[] rank2 s0": "4550ed4c7c17600e",
+    "D2 copies2 neg[] rank2 s1": "a7b19352328f3873",
+    "D2 copies1 neg[-1, -2] rank1 s0": "efa00f316f762bfe",
+    "D2 copies1 neg[-1, -2] rank1 s1": "ddede8dc4f42870e",
+    "D3 copies1 neg[] rank1 s0": "1bd9e98291c25794",
+    "D3 copies1 neg[] rank1 s1": "bbd8d14741ab41e2",
+    "D3 copies1 neg[-1] rank1 s0": "a406d11153bf73d4",
+    "D3 copies1 neg[-1] rank1 s1": "c944c8d191eb55f3",
+    "D3 copies2 neg[] rank1 s0": "96df0603fe49947f",
+    "D3 copies2 neg[] rank1 s1": "96df0603fe49947f",
+    "D3 copies2 neg[] rank2 s0": "883005e3f0d0c8f5",
+    "D3 copies2 neg[] rank2 s1": "75ecb9dc0c22e142",
+    "D3 copies1 neg[-1, -2] rank1 s0": "dc88320623e17ece",
+    "D3 copies1 neg[-1, -2] rank1 s1": "a5da98e8cb7d39af",
+    "D7 copies1 neg[] rank1 s0": "cc1d19db7f85046b",
+    "D7 copies1 neg[] rank1 s1": "0057ce3645b6b733",
+    "D7 copies1 neg[-1] rank1 s0": "5654fab9f79443f4",
+    "D7 copies1 neg[-1] rank1 s1": "55c78a728640698b",
+    "D7 copies2 neg[] rank1 s0": "9498aa1d211b2d33",
+    "D7 copies2 neg[] rank1 s1": "9498aa1d211b2d33",
+    "D7 copies2 neg[] rank2 s0": "f4dc0edb406e68df",
+    "D7 copies2 neg[] rank2 s1": "c8bf254b75707024",
+    "D7 copies1 neg[-1, -2] rank1 s0": "b0959579ac85e91a",
+    "D7 copies1 neg[-1, -2] rank1 s1": "de1caef8f3d57923",
+}
+
+
+def test_hermitian_certificate_bytes_unchanged(tmp_path, capsys):
+    digests = stdout_digests(tmp_path, capsys)
+    assert {k: chain for k, (chain, _) in digests.items()} == HERMITIAN_GOLDEN
+    assert {verify for _, verify in digests.values()} == {HERMITIAN_VERIFY_DIGEST}

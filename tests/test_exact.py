@@ -368,3 +368,301 @@ class TestCanonicalBasis:
         assert hnf(mat(rows)) == hnf(mat(rows))
         assert smith(mat(rows)) == smith(mat(rows))
         assert rref_basis(mat(rows)) == rref_basis(mat(rows))
+
+
+# -- the pair kernel against an entry-wise reference --------------------------
+#
+# The reference is the entry-wise elimination Matrix used for matrices with
+# QuadFieldElement entries before they ran on integer pairs, kept here
+# verbatim as an oracle: every scalar operation is a Fraction or
+# QuadFieldElement operation.
+
+
+def ref_dot(row, col):
+    total = None
+    for x, y in zip(row, col):
+        term = x * y
+        total = term if total is None else total + term
+    if total is None:
+        return Fraction(0)
+    return total
+
+
+def ref_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols = [b.col(j) for j in range(b.ncols)]
+    return Matrix([[ref_dot(r, c) for c in cols] for r in a.rows], b.ncols)
+
+
+def ref_rref(a: Matrix):
+    m = [list(r) for r in a.rows]
+    nrows, ncols = len(m), a.ncols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(m, ncols), tuple(pivots)
+
+
+def ref_det(a: Matrix):
+    n = a.nrows
+    if n == 0:
+        return Fraction(1)
+    m = [list(r) for r in a.rows]
+    det = None
+    sign = 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return m[0][0] * 0
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            sign = -sign
+        pv = m[c][c]
+        det = pv if det is None else det * pv
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / pv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det if sign == 1 else -det
+
+
+def ref_zero(a: Matrix):
+    for x in a.entries():
+        if isinstance(x, QuadFieldElement):
+            return QuadFieldElement(0, 0, x.d)
+    return Fraction(0)
+
+
+def ref_inverse(a: Matrix) -> Matrix:
+    n = a.nrows
+    aug = Matrix.hstack(a, Matrix.identity(n)) if n else Matrix([], 0)
+    red, pivots = ref_rref(aug)
+    if tuple(range(n)) != pivots[:n] or len(pivots) != n:
+        raise ZeroDivisionError("matrix is singular")
+    return Matrix([r[n:] for r in red.rows], n)
+
+
+def ref_solve(a: Matrix, rhs):
+    rhs = tuple(rhs)
+    if a.nrows == 0:
+        return tuple([ref_zero(a)] * a.ncols)
+    aug = Matrix.hstack(a, Matrix.column(rhs))
+    red, pivots = ref_rref(aug)
+    if a.ncols in pivots:
+        return None
+    x = [ref_zero(aug)] * a.ncols
+    for r, p in enumerate(pivots):
+        x[p] = red.rows[r][a.ncols]
+    return tuple(x)
+
+
+def ref_right_kernel(a: Matrix) -> Matrix:
+    red, pivots = ref_rref(a)
+    free = [c for c in range(a.ncols) if c not in pivots]
+    zero = ref_zero(a)
+    one = zero + 1
+    rows = []
+    for fc in free:
+        x = [zero] * a.ncols
+        x[fc] = one
+        for r, p in enumerate(pivots):
+            x[p] = -red.rows[r][fc]
+        rows.append(x)
+    return Matrix(rows, a.ncols)
+
+
+# Rule for entry types: an operation that meets a QuadFieldElement returns
+# QuadFieldElements of that d in every entry (and a QuadFieldElement det).
+# Where every entry of the operands is a QuadFieldElement -- the only case a
+# FormSpace hands to Matrix, since it coerces every hermitian entry -- this
+# is also what the entry-wise path returned.  With mixed operands the
+# entry-wise path left a Fraction wherever no QuadFieldElement reached the
+# entry (a row the elimination never touched, a product term without one);
+# the values are the same either way, and the golden certificate digests in
+# tests/test_cli.py show that no output byte moves.
+
+
+def quad_entries(d):
+    return st.builds(
+        lambda a, b: QuadFieldElement(a, b, d), small_rationals, small_rationals
+    )
+
+
+# Fraction, not int, beside quad entries: the entry-wise reference turns an
+# int divided by an int pivot into a float (see test_int_entries_stay_exact).
+small_fractions = small_rationals.map(Fraction)
+
+
+@st.composite
+def hermitian_matrices(draw, d, nrows=None, ncols=None, uniform=None):
+    """Matrices over Q(sqrt(-d)); mixed ones also carry Fraction/int entries.
+
+    Every matrix with entries has a QuadFieldElement, so the pair kernel
+    applies; rank deficiency is planted as in rational_matrices.
+    """
+    m = draw(st.integers(min_value=0, max_value=5)) if nrows is None else nrows
+    n = draw(st.integers(min_value=0, max_value=5)) if ncols is None else ncols
+    if uniform is None:
+        uniform = draw(st.booleans())
+    entry = quad_entries(d) if uniform else st.one_of(small_fractions, quad_entries(d))
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    if m and n:
+        rows[0][0] = draw(quad_entries(d))
+    if m >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(min_value=0, max_value=m - 1)) for _ in range(3))
+        c1, c2 = draw(quad_entries(d)), draw(entry)
+        rows[i] = [c1 * x + c2 * y for x, y in zip(rows[j], rows[k])]
+    return Matrix(rows, n)
+
+
+def is_quad(x, d) -> bool:
+    return (
+        type(x) is QuadFieldElement
+        and x.d == d
+        and type(x.a) is Fraction
+        and type(x.b) is Fraction
+    )
+
+
+def all_quad(*mats) -> bool:
+    return all(type(x) is QuadFieldElement for m in mats for x in m.entries())
+
+
+def same_as_reference(result, reference, d, uniform):
+    """Equal values, QuadFieldElements of d, the reference's types if uniform."""
+    result, reference = list(result), list(reference)
+    assert result == reference
+    assert all(is_quad(x, d) for x in result)
+    if uniform:
+        assert [type(x) for x in result] == [type(x) for x in reference]
+
+
+class TestPairKernelAgainstEntrywise:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), discriminants)
+    def test_product(self, data, d):
+        m, k, n = data.draw(st.tuples(*[st.integers(min_value=0, max_value=5)] * 3))
+        if data.draw(st.booleans()):
+            a = data.draw(hermitian_matrices(d, m, k))
+            either = st.one_of(hermitian_matrices(d, k, n), rational_matrices(k, n))
+            b = data.draw(either)
+        else:
+            a = data.draw(rational_matrices(m, k))
+            b = data.draw(hermitian_matrices(d, k, n))
+        prod, ref = a * b, ref_mul(a, b)
+        assert prod.shape == ref.shape
+        if k == 0:
+            # no entry to meet: the rational kernel's Fraction zeros, as before
+            assert list(prod.entries()) == list(ref.entries())
+            assert all_fractions(prod.entries()) and all_fractions(ref.entries())
+        else:
+            same_as_reference(prod.entries(), ref.entries(), d, all_quad(a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), discriminants)
+    def test_rref_and_kernel(self, data, d):
+        a = data.draw(hermitian_matrices(d))
+        uniform = all_quad(a)
+        red, pivots = a.rref()
+        ref_red, ref_pivots = ref_rref(a)
+        assert pivots == ref_pivots and red.shape == ref_red.shape
+        same_as_reference(red.entries(), ref_red.entries(), d, uniform)
+        assert rref_basis(a) == Matrix(ref_red.rows[: len(ref_pivots)], a.ncols)
+        assert a.rank() == len(ref_pivots)
+        kernel, ref_kernel = a.right_kernel(), ref_right_kernel(a)
+        assert kernel.shape == ref_kernel.shape
+        if a.nrows:
+            same_as_reference(kernel.entries(), ref_kernel.entries(), d, uniform)
+        else:
+            # no entries: the kernel is the identity in Fractions, as before
+            assert kernel == ref_kernel and all_fractions(kernel.entries())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), discriminants)
+    def test_det_and_inverse(self, data, d):
+        n = data.draw(st.integers(min_value=0, max_value=5))
+        a = data.draw(hermitian_matrices(d, n, n))
+        det, ref = a.det(), ref_det(a)
+        assert det == ref
+        if n == 0:
+            assert type(det) is Fraction and type(ref) is Fraction
+            return
+        assert is_quad(det, d)
+        if ref == 0:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            with pytest.raises(ZeroDivisionError):
+                ref_inverse(a)
+        else:
+            inv, ref_inv = a.inverse(), ref_inverse(a)
+            same_as_reference(inv.entries(), ref_inv.entries(), d, all_quad(a))
+            assert a * inv == Matrix.identity(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), discriminants)
+    def test_solve(self, data, d):
+        a = data.draw(hermitian_matrices(d))
+        entry = st.one_of(small_fractions, quad_entries(d))
+        rhs = data.draw(st.lists(entry, min_size=a.nrows, max_size=a.nrows))
+        x, ref = a.solve(rhs), ref_solve(a, rhs)
+        if ref is None:
+            assert x is None
+        elif a.nrows == 0:
+            assert x == ref and all_fractions(x) and all_fractions(ref)
+        else:
+            uniform = all_quad(a, Matrix.column(rhs))
+            same_as_reference(x, ref, d, uniform)
+
+    def test_untouched_rows_become_quad(self):
+        # the entry-wise path kept this Fraction row; the rule makes it quad
+        q = lambda a, b=0: QuadFieldElement(a, b, 2)
+        a = Matrix([[q(1, 1), q(2)], [Fraction(0), Fraction(0)]])
+        red, pivots = a.rref()
+        ref_red, _ = ref_rref(a)
+        assert pivots == (0,) and red == ref_red
+        assert all_fractions(ref_red.rows[1])
+        assert all(is_quad(x, 2) for x in red.entries())
+
+    def test_int_entries_stay_exact(self):
+        q = QuadFieldElement(0, 0, 1)
+        a = Matrix([[q, 1]])
+        assert type(ref_rref(a)[0].rows[0][1]) is float
+        assert a.rref()[0].rows == ((q, QuadFieldElement(1, 0, 1)),)
+        assert Matrix([[q + 1, 2], [3, 4]]).inverse() == Matrix(
+            [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
+        ).map_entries(lambda x: QuadFieldElement(x, 0, 1))
+
+
+class TestPairKernelMixedDiscriminants:
+    def test_product_rref_and_det_refuse_two_fields(self):
+        x2, x3 = QuadFieldElement(1, 1, 2), QuadFieldElement(1, 1, 3)
+        a = Matrix([[x2, x2], [x2, 1]])
+        b = Matrix([[x3, 1], [1, x3]])
+        with pytest.raises(MixedDiscriminants):
+            a * b
+        with pytest.raises(MixedDiscriminants):
+            Matrix([[x2, 1], [1, x3]]).rref()
+        with pytest.raises(MixedDiscriminants):
+            Matrix([[x2, 1], [1, x3]]).det()
+        with pytest.raises(MixedDiscriminants):
+            Matrix([[x2, 0], [0, Fraction(1)], [x3, 1]]).rank()
+
+    def test_rational_operand_joins_either_field(self):
+        r = Matrix([[1, Fraction(1, 2)]])
+        for d in (2, 3):
+            q = Matrix.column([QuadFieldElement(0, 1, d), QuadFieldElement(2, 0, d)])
+            assert (r * q).rows == ((QuadFieldElement(1, 1, d),),)
