@@ -24,7 +24,6 @@ from .errors import (
     FormKindMismatch,
     NotIsotropic,
     PreconditionFailed,
-    SearchExhausted,
     SignatureMismatch,
     SignatureUnsupported,
 )
@@ -238,11 +237,9 @@ def _interior_vector(
     span = subspace_sum(a, b)
     comp = orthogonal_complement(space, span)
     sub = restricted_space(space, comp.basis)
-    local = _search_vector(sub, lambda x: sub.norm(x) > 0, cfg.max_height)
-    if local is None:
-        raise SearchExhausted(
-            f"no positive vector of height <= {cfg.max_height} orthogonal to both lines"
-        )
+    local = _search_vector(
+        sub, lambda n: n > 0, cfg.max_height, "positive vector orthogonal to both lines"
+    )
     return tuple((Matrix([local]) * comp.basis).rows[0])
 
 

@@ -61,6 +61,10 @@ class PreconditionFailed(CuspChainError):
     """A stated operation precondition does not hold for the inputs."""
 
 
+class PostconditionFailed(CuspChainError):
+    """A construction produced output that fails its own exact check."""
+
+
 class SubspacesIntersect(CuspChainError):
     """Two subspaces required to intersect trivially do not."""
 

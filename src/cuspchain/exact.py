@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import Iterable, Sequence
@@ -961,10 +960,6 @@ def smith(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             u[t] = [-x for x in u[t]]
         t += 1
     return _int_matrix(s, n), _int_matrix(u, m), _int_matrix(v, n)
-
-
-def vector_gcd(entries: Iterable[int]) -> int:
-    return reduce(gcd, (abs(int(x)) for x in entries), 0)
 
 
 def descending_range(h: int) -> range:

@@ -123,9 +123,6 @@ class FormSpace:
         """(v, v); rational even in the hermitian case."""
         return as_fraction(self.pair(v, v))
 
-    def is_isotropic_vector(self, v: Sequence) -> bool:
-        return self.pair(v, v) == 0
-
 
 @dataclass(frozen=True)
 class Signature:

@@ -1,19 +1,26 @@
 """Constructive production of isotropic vectors and subspaces.
 
-Searches enumerate primitive integer-coordinate vectors shell by shell in a
-fixed deterministic order, so every result is reproducible.  The dual
-complement, third-line and J0 constructions are built from exact linear
-solves plus the standard isotropy correction w -> w - ((w,w)/2) v.
+Searches enumerate primitive integer coordinate tuples shell by shell in a
+fixed deterministic order, so every result is reproducible.  The Gram matrix
+is lifted once per search to an integer form (see :func:`integer_form`), and
+each candidate's norm is a few integer multiply-adds; only the accepted tuple
+becomes a vector of ``Fraction``s or ``QuadFieldElement``s, and its norm is
+checked once more in exact arithmetic.  The dual complement, third-line and
+J0 constructions are built from exact linear solves plus the standard
+isotropy correction w -> w - ((w,w)/2) v; their postconditions are explicit
+checks that raise :class:`PostconditionFailed`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DimensionTooSmall,
     NotIsotropic,
+    PostconditionFailed,
     PreconditionFailed,
     SearchExhausted,
     SignatureMismatch,
@@ -24,10 +31,10 @@ from .errors import (
 from .exact import (
     Matrix,
     QuadFieldElement,
+    _lift_pairs,
     conjugate_scalar,
     rref_basis,
     shell_tuples,
-    vector_gcd,
 )
 from .forms import (
     ALTERNATING,
@@ -61,33 +68,84 @@ class SearchConfig:
 DEFAULT_SEARCH = SearchConfig()
 
 
-def _candidate_vectors(space: FormSpace, max_height: int):
-    """Primitive coordinate vectors by increasing shell, deterministic order.
+def integer_form(space: FormSpace) -> tuple[list[list[int]], int]:
+    """(S, den) with x * S * x^T = den * (v, v) and den > 0.
 
-    For hermitian spaces each coordinate is a + b*sqrt(-d) with integer a, b
-    and the shell is the max over all |a|, |b|.
+    x holds the search coordinates of v: its entries, or for a hermitian
+    space the interleaved parts (a_0, b_0, a_1, b_1, ...) of the entries
+    v_i = a_i + b_i*sqrt(-d).  With Gram entries (g_ij + h_ij*sqrt(-d))/den,
+    h(v, v) * den = sum g_ij (a_i a_j + d b_i b_j) + 2d sum h_ij a_i b_j, a
+    rational form in 2n variables; S is its symmetric integer matrix.
     """
-    dim = space.dim
-    hermitian = space.kind == HERMITIAN
-    width = 2 * dim if hermitian else dim
+    g, h, den = _lift_pairs(space.gram.rows, set())
+    if space.kind != HERMITIAN:
+        return g, den
+    d, n = space.d, space.dim
+    s = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            s[2 * i][2 * j] = g[i][j]
+            s[2 * i + 1][2 * j + 1] = d * g[i][j]
+            if h is not None:
+                s[2 * i][2 * j + 1] = s[2 * j + 1][2 * i] = d * h[i][j]
+    return s, den
+
+
+def _candidate_vectors(space: FormSpace, max_height: int):
+    """Primitive coordinate tuples by increasing shell, deterministic order.
+
+    For hermitian spaces each coordinate a + b*sqrt(-d) contributes the pair
+    (a, b) and the shell is the max over all |a|, |b|.
+    """
+    width = 2 * space.dim if space.kind == HERMITIAN else space.dim
     for h in range(1, max_height + 1):
         for raw in shell_tuples(width, h):
-            if vector_gcd(raw) != 1:
-                continue
-            if hermitian:
-                yield tuple(
-                    QuadFieldElement(raw[2 * i], raw[2 * i + 1], space.d)
-                    for i in range(dim)
+            if gcd(*raw) == 1:
+                yield raw
+
+
+def _search_vector(space: FormSpace, accept, max_height: int, what: str):
+    """The first candidate v, as a vector of the space's scalars, that passes.
+
+    ``accept`` is called on the integer n = den * (v, v) of
+    :func:`integer_form`; den > 0, so n has the sign of (v, v).  When no
+    candidate up to ``max_height`` passes, SearchExhausted names the ``what``
+    sought, the candidates tried and the last shell reached.
+    """
+    form, den = integer_form(space)
+    terms = [
+        (i, j, c if i == j else 2 * c)
+        for i, row in enumerate(form)
+        for j, c in enumerate(row[i:], i)
+        if c
+    ]
+    tried = 0
+    raw = ()
+    for raw in _candidate_vectors(space, max_height):
+        tried += 1
+        n = sum([c * raw[i] * raw[j] for i, j, c in terms])
+        if accept(n):
+            v = _exact_vector(space, raw)
+            if space.norm(v) * den != n:
+                raise PostconditionFailed(
+                    f"integer norm {n}/{den} of {raw} disagrees with the exact norm"
                 )
-            else:
-                yield tuple(Fraction(x) for x in raw)
-
-
-def _search_vector(space: FormSpace, predicate, max_height: int):
-    for v in _candidate_vectors(space, max_height):
-        if predicate(v):
             return v
-    return None
+    height = max(map(abs, raw), default=0)
+    raise SearchExhausted(
+        f"no {what} of height <= {max_height} "
+        f"({tried} candidates tried, last shell reached {height})"
+    )
+
+
+def _exact_vector(space: FormSpace, raw: tuple) -> tuple:
+    """The vector of the space's scalars whose search coordinates are raw."""
+    if space.kind == HERMITIAN:
+        return tuple(
+            QuadFieldElement(raw[2 * i], raw[2 * i + 1], space.d)
+            for i in range(space.dim)
+        )
+    return tuple(Fraction(x) for x in raw)
 
 
 def find_isotropic_vector(
@@ -106,7 +164,18 @@ def find_isotropic_vector(
     sig = signature_of(space)
     if sig.plus == 0 or sig.minus == 0:
         return None
-    return _search_vector(space, space.is_isotropic_vector, cfg.max_height)
+    try:
+        return _search_vector(
+            space, lambda n: n == 0, cfg.max_height, "isotropic vector"
+        )
+    except SearchExhausted:
+        return None
+
+
+def _ensure(holds: bool, what: str) -> None:
+    """Raise PostconditionFailed unless ``holds``; kept under ``python -O``."""
+    if not holds:
+        raise PostconditionFailed(what)
 
 
 def hyperbolic_complete(space: FormSpace, v) -> tuple:
@@ -123,7 +192,10 @@ def hyperbolic_complete(space: FormSpace, v) -> tuple:
         return w0
     half_norm = space.norm(w0) / 2
     w = tuple(x - half_norm * y for x, y in zip(w0, v))
-    assert space.pair(v, w) == 1 and space.pair(w, w) == 0
+    _ensure(
+        space.pair(v, w) == 1 and space.pair(w, w) == 0,
+        "hyperbolic partner is not isotropic with (v, w) = 1",
+    )
     return w
 
 
@@ -174,9 +246,12 @@ def dual_isotropic_basis(space: FormSpace, rows: Matrix) -> list[tuple]:
             x = tuple(xx - half_norm * yy for xx, yy in zip(x, basis[i]))
         duals.append(x)
     for i, x in enumerate(duals):
-        assert space.pair(x, x) == 0
+        _ensure(space.pair(x, x) == 0, f"dual vector {i} is not isotropic")
         for j, bj in enumerate(basis):
-            assert space.pair(bj, x) == (1 if i == j else 0)
+            _ensure(
+                space.pair(bj, x) == (1 if i == j else 0),
+                f"dual vector {i} pairs wrongly with basis vector {j}",
+            )
     return duals
 
 
@@ -187,8 +262,11 @@ def isotropic_dual_complement(space: FormSpace, w: Subspace) -> Subspace:
     w = canonical_subspace(space, w.basis)
     duals = dual_isotropic_basis(space, w.basis)
     out = canonical_subspace(space, Matrix(duals, ncols=space.dim))
-    assert out.is_isotropic()
-    assert is_perfect_pairing(space, w, out)
+    _ensure(out.is_isotropic(), "dual complement is not isotropic")
+    _ensure(
+        is_perfect_pairing(space, w, out),
+        "dual complement does not pair perfectly with the subspace",
+    )
     return out
 
 
@@ -221,9 +299,14 @@ def third_isotropic_lines(
     half = c / 2
     l3 = tuple(a + b + half * d for a, b, d in zip(v, u, w))
     l4 = tuple(a - b + half * d for a, b, d in zip(v, u, w))
-    assert space.pair(l3, l3) == 0 and space.pair(l4, l4) == 0
-    stacked = Matrix([v, l3, l4])
-    assert rref_basis(stacked).nrows == 3
+    _ensure(
+        space.pair(l3, l3) == 0 and space.pair(l4, l4) == 0,
+        "third lines are not isotropic",
+    )
+    _ensure(
+        rref_basis(Matrix([v, l3, l4])).nrows == 3,
+        "third lines are not independent of the given line",
+    )
     return (
         canonical_subspace(space, Matrix([l3])),
         canonical_subspace(space, Matrix([l4])),
@@ -262,9 +345,9 @@ def j0_construct(space: FormSpace, j1: Subspace, j2: Subspace) -> Subspace:
         tuple(x + y for x, y in zip(duals[i], duals[k + i])) for i in range(k)
     ]
     j0 = canonical_subspace(space, Matrix(rows, ncols=space.dim))
-    assert j0.dim == k and j0.is_isotropic()
-    assert is_perfect_pairing(space, j0, j1)
-    assert is_perfect_pairing(space, j0, j2)
+    _ensure(j0.dim == k and j0.is_isotropic(), f"J0 is not an isotropic {k}-space")
+    _ensure(is_perfect_pairing(space, j0, j1), "J0 does not pair perfectly with J1")
+    _ensure(is_perfect_pairing(space, j0, j2), "J0 does not pair perfectly with J2")
     return j0
 
 
@@ -284,7 +367,13 @@ def split_off_kernels(
     j1, j2 = pairing_kernels(space, i1, i2)
     k1 = canonical_subspace(space, extend_basis_rows(j1.basis, i1.basis))
     k2 = canonical_subspace(space, extend_basis_rows(j2.basis, i2.basis))
-    assert j1.dim == j2.dim
-    assert j1.dim + k1.dim == i1.dim and j2.dim + k2.dim == i2.dim
-    assert is_perfect_pairing(space, k1, k2)
+    _ensure(j1.dim == j2.dim, "pairing kernels have different dimensions")
+    _ensure(
+        j1.dim + k1.dim == i1.dim and j2.dim + k2.dim == i2.dim,
+        "kernel and complement do not split the subspaces",
+    )
+    _ensure(
+        is_perfect_pairing(space, k1, k2),
+        "complements K1 and K2 do not pair perfectly",
+    )
     return j1, k1, j2, k2

@@ -110,6 +110,11 @@ def test_search_exhausted_exit_code(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "SearchExhausted"
+    # the detail says how far the search got: 8 + 8 + 16 + 16 primitive
+    # candidates in shells 1-4 of the 2-dimensional complement
+    detail = json.loads(err)["detail"]
+    assert "48 candidates tried" in detail
+    assert "last shell reached 4" in detail
     # with the default cap the build goes through
     code, out, err = run(capsys, argv)
     assert code == 0

@@ -1,16 +1,27 @@
 """Isotropic search and the constructive subspace machinery."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import cuspchain
 from cuspchain.errors import (
     PreconditionFailed,
+    SearchExhausted,
     SignatureMismatch,
     SubspacesIntersect,
     VectorNotIsotropic,
 )
-from cuspchain.exact import Matrix, QuadFieldElement, rref_basis
+from cuspchain.exact import Matrix, QuadFieldElement, rref_basis, shell_tuples
 from cuspchain.forms import (
     FormSpace,
     canonical_subspace,
@@ -19,6 +30,7 @@ from cuspchain.forms import (
     line,
     pairing_matrix,
     quadratic_2u_perp_diagonal,
+    signature_of,
     standard_2u,
     standard_hermitian_hyperbolic,
     standard_symplectic,
@@ -27,8 +39,10 @@ from cuspchain.forms import (
 )
 from cuspchain.isotropic import (
     SearchConfig,
+    _search_vector,
     find_isotropic_vector,
     hyperbolic_complete,
+    integer_form,
     isotropic_dual_complement,
     j0_construct,
     split_off_kernels,
@@ -271,3 +285,247 @@ class TestSplitOffKernels:
         i1 = line(space, unit_vector(space, 0))
         with pytest.raises(SubspacesIntersect):
             split_off_kernels(space, i1, i1)
+
+
+# -- the integer search against a Fraction search through space.pair ---------
+
+
+def reference_search(space, predicate, max_height):
+    """Every primitive candidate as exact scalars, tested through the form."""
+    hermitian = space.kind == "hermitian"
+    width = 2 * space.dim if hermitian else space.dim
+    for h in range(1, max_height + 1):
+        for raw in shell_tuples(width, h):
+            if reduce(gcd, (abs(int(x)) for x in raw), 0) != 1:
+                continue
+            if hermitian:
+                v = tuple(
+                    QuadFieldElement(raw[2 * i], raw[2 * i + 1], space.d)
+                    for i in range(space.dim)
+                )
+            else:
+                v = tuple(Fraction(x) for x in raw)
+            if predicate(v):
+                return v
+    return None
+
+
+def reference_find(space, max_height):
+    """find_isotropic_vector as it was, with the same short-circuits."""
+    sig = signature_of(space)
+    if sig.plus == 0 or sig.minus == 0:
+        return None
+    return reference_search(space, lambda v: space.pair(v, v) == 0, max_height)
+
+
+def searched(space, accept, max_height):
+    try:
+        return _search_vector(space, accept, max_height, "vector")
+    except SearchExhausted:
+        return None
+
+
+def same_vector(ours, ref):
+    if ref is None:
+        return ours is None
+    return (
+        ours == ref
+        and [type(x) for x in ours] == [type(x) for x in ref]
+        and all(
+            (x.d, type(x.a), type(x.b)) == (y.d, type(y.a), type(y.b))
+            for x, y in zip(ours, ref)
+            if isinstance(y, QuadFieldElement)
+        )
+    )
+
+
+small_entries = st.builds(
+    Fraction,
+    st.integers(min_value=-4, max_value=4),
+    st.sampled_from([1, 1, 2, 3, 6]),
+)
+
+
+@st.composite
+def symmetric_spaces(draw):
+    """Non-diagonal symmetric Grams with mixed denominators.
+
+    Half are a random unimodular change of basis of an indefinite diagonal
+    form with a hyperbolic pair, so that isotropic vectors of small height
+    occur; the rest are random and mostly anisotropic.
+    """
+    n = draw(st.integers(min_value=2, max_value=3))
+    if draw(st.booleans()):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(small_entries)
+    else:
+        diag = [1, -1] + [draw(small_entries) for _ in range(n - 2)]
+        assume(all(diag))
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(2):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(min_value=-2, max_value=2))
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        rows = [
+            [sum(m[i][k] * diag[k] * m[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        scale = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)]))
+        rows = [[scale * x for x in r] for r in rows]
+    gram = Matrix(rows)
+    assume(gram.det() != 0)
+    return FormSpace("symmetric", gram)
+
+
+@st.composite
+def hermitian_spaces(draw, max_dim=2):
+    d = draw(st.sampled_from([1, 2, 3, 7]))
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    rows = [[QuadFieldElement(0, 0, d)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = QuadFieldElement(draw(small_entries), 0, d)
+        for j in range(i + 1, n):
+            x = QuadFieldElement(draw(small_entries), draw(small_entries), d)
+            rows[i][j], rows[j][i] = x, x.conjugate()
+    gram = Matrix(rows)
+    assume(gram.det() != 0)
+    return FormSpace("hermitian", gram, d=d)
+
+
+caps = st.integers(min_value=1, max_value=3)
+
+
+class TestIntegerSearchAgainstFractionSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_spaces(), caps)
+    def test_symmetric_isotropic(self, space, cap):
+        ours = find_isotropic_vector(space, SearchConfig(max_height=cap))
+        assert same_vector(ours, reference_find(space, cap))
+        ours = searched(space, lambda n: n == 0, cap)
+        assert same_vector(ours, reference_search(space, lambda v: space.pair(v, v) == 0, cap))
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_spaces(), caps)
+    def test_symmetric_positive(self, space, cap):
+        ours = searched(space, lambda n: n > 0, cap)
+        ref = reference_search(space, lambda x: space.norm(x) > 0, cap)
+        assert same_vector(ours, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), caps)
+    def test_hermitian_isotropic(self, data, cap):
+        # width 2n: keep the cube small at cap 3
+        space = data.draw(hermitian_spaces(max_dim=2 if cap < 3 else 1))
+        ours = find_isotropic_vector(space, SearchConfig(max_height=cap))
+        assert same_vector(ours, reference_find(space, cap))
+        ours = searched(space, lambda n: n == 0, cap)
+        assert same_vector(ours, reference_search(space, lambda v: space.pair(v, v) == 0, cap))
+
+    @settings(max_examples=40, deadline=None)
+    @given(hermitian_spaces(), caps)
+    def test_hermitian_positive(self, space, cap):
+        ours = searched(space, lambda n: n > 0, cap)
+        ref = reference_search(space, lambda x: space.norm(x) > 0, cap)
+        assert same_vector(ours, ref)
+
+    def test_hermitian_hyperbolic_finds_the_old_vector(self):
+        for d in (1, 2, 3, 7):
+            space = standard_hermitian_hyperbolic(d)
+            assert same_vector(
+                find_isotropic_vector(space), reference_find(space, 50)
+            )
+
+
+class TestIntegerForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(symmetric_spaces(), hermitian_spaces(max_dim=3)),
+        st.lists(st.integers(min_value=-5, max_value=5), min_size=6, max_size=6),
+    )
+    def test_equals_den_times_norm(self, space, coords):
+        form, den = integer_form(space)
+        width = len(form)
+        x = coords[:width]
+        assert den > 0
+        assert width == (2 if space.kind == "hermitian" else 1) * space.dim
+        assert all(form[i][j] == form[j][i] for i in range(width) for j in range(width))
+        if space.kind == "hermitian":
+            v = [QuadFieldElement(x[2 * i], x[2 * i + 1], space.d) for i in range(space.dim)]
+        else:
+            v = x
+        value = sum(x[i] * form[i][j] * x[j] for i in range(width) for j in range(width))
+        assert value == den * space.norm(v)
+
+    def test_hermitian_cross_terms(self):
+        # g = diag(3, -3), h_01 = 1, h_10 = -1 over den = 3: 2d*h_ij sits at
+        # (a_i, b_j) and (b_j, a_i), split evenly
+        d = 2
+        s = QuadFieldElement(0, 1, d)
+        space = FormSpace(
+            "hermitian",
+            Matrix([[QuadFieldElement(1, 0, d), s / 3], [-s / 3, QuadFieldElement(-1, 0, d)]]),
+            d=d,
+        )
+        form, den = integer_form(space)
+        assert den == 3
+        assert form[0][3] == form[3][0] == d * 1
+        assert form[1][2] == form[2][1] == d * -1
+
+
+class TestSearchEffort:
+    def test_exhausted_search_names_its_effort(self):
+        space = diag_space([1, -3])
+        with pytest.raises(SearchExhausted) as info:
+            _search_vector(space, lambda n: n == 0, 3, "isotropic vector")
+        tried = sum(
+            1 for h in (1, 2, 3) for raw in shell_tuples(2, h) if gcd(*raw) == 1
+        )
+        assert str(info.value) == (
+            f"no isotropic vector of height <= 3 ({tried} candidates tried, "
+            "last shell reached 3)"
+        )
+
+
+# A symplectic chain between e1 and e2 runs split_off_kernels; with
+# is_perfect_pairing forced to False its last postcondition fails.
+BROKEN_POSTCONDITION = """
+import sys
+from cuspchain import isotropic, serialize
+from cuspchain.cli import main
+from cuspchain.forms import line, standard_symplectic, unit_vector
+
+space = standard_symplectic(2)
+docs = {
+    "space": serialize.form_space_to_json(space),
+    "i1": serialize.subspace_to_json(line(space, unit_vector(space, 0))),
+    "i2": serialize.subspace_to_json(line(space, unit_vector(space, 2))),
+}
+argv = ["chain"]
+for name, doc in docs.items():
+    path = f"{sys.argv[1]}/{name}.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize.dumps_canonical(doc))
+    argv += [f"--{name}", path]
+isotropic.is_perfect_pairing = lambda *args: False
+sys.stdout.write(f"optimize={sys.flags.optimize}\\n")
+sys.exit(main(argv))
+"""
+
+
+def test_postcondition_survives_python_O(tmp_path):
+    paths = [str(Path(cuspchain.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_POSTCONDITION, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.stdout == "optimize=1\n"
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {
+        "error": "PostconditionFailed",
+        "detail": "complements K1 and K2 do not pair perfectly",
+    }
