@@ -44,6 +44,8 @@ def _load_json(path: str):
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path} nests JSON too deeply") from exc
 
 
 def _load_space(path: str) -> FormSpace:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotContained, NotDeterminantOne
+from .errors import NotContained, NotDeterminantOne, _ensure
 from .exact import Matrix, QuadFieldElement, hnf, smith
 from .forms import HERMITIAN, SYMMETRIC, FormSpace, preserves_form
 
@@ -101,7 +101,9 @@ def sl2_conjugation_image(g: SL2Element) -> Matrix:
     cols = [_trace_zero_coords(gm * basis * gi) for basis in TRACE_ZERO_BASIS]
     image = Matrix(cols).transpose()
     space, _ = trace_zero_space()
-    assert preserves_form(space, image)
+    _ensure(
+        preserves_form(space, image), "conjugation image does not preserve U perp <2>"
+    )
     return image
 
 
@@ -155,7 +157,9 @@ def sl2_pair_orthogonal_image(g1: SL2Element, g3: SL2Element) -> Matrix:
     from .forms import standard_2u
 
     image = _sl2_first_factor(g1) * _sl2_second_factor(g3)
-    assert preserves_form(standard_2u(), image)
+    _ensure(
+        preserves_form(standard_2u(), image), "SL2 x SL2 image does not preserve 2U"
+    )
     return image
 
 
@@ -231,9 +235,9 @@ def sl2_su11_image(d: int, g: SL2Element) -> Matrix:
     gm = g.matrix()
     cols = [model.from_matrix(b * gm) for b in (I2, E12)]
     image = Matrix(cols).transpose()
-    assert preserves_form(space, image)
+    _ensure(preserves_form(space, image), "SU(1, 1) image does not preserve the form")
     det = image[0, 0] * image[1, 1] - image[0, 1] * image[1, 0]
-    assert det == 1
+    _ensure(det == 1, "SU(1, 1) image does not have determinant 1")
     return image
 
 
@@ -287,7 +291,7 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
     Solved exactly: stability under each basis element is a lattice-valued
     linear condition on vec(X); the intersection is extracted through the
     Smith normal form.  The result contains the identity and is closed under
-    multiplication (both asserted).
+    multiplication (both checked).
     """
     b = lattice.vec_basis()
     b_inv = b.inverse()
@@ -307,7 +311,7 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
     # With S = U * ints * V, the rows x with x * ints in denom * Z^16 are
     # exactly y * U for y in the row lattice diag(denom / s_i).
     diag = [s[i, i] for i in range(4)]
-    assert all(dv != 0 for dv in diag), "stability system must have full rank"
+    _ensure(all(dv != 0 for dv in diag), "stability system must have full rank")
     scale_rows = Matrix(
         [
             [denom / diag[i] if i == j else Fraction(0) for j in range(4)]
@@ -316,12 +320,12 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
     )
     basis_rows = _canonical_lattice_rows(scale_rows * u)
     order = MatrixLattice(tuple(_unvec(r) for r in basis_rows.rows))
-    assert order.contains(I2)
+    _ensure(order.contains(I2), "order does not contain the identity")
     for x in order.basis:
         for y in order.basis:
-            assert order.contains(x * y), "order must be multiplicatively closed"
+            _ensure(order.contains(x * y), "order must be multiplicatively closed")
         for lm in lattice.basis:
-            assert lattice.contains(lm * x)
+            _ensure(lattice.contains(lm * x), "order does not stabilize the lattice")
     return order
 
 
@@ -332,5 +336,5 @@ def order_containment_scale(order: MatrixLattice, maximal: MatrixLattice) -> int
         raise NotContained("the first order is not contained in the second")
     s, _, _ = smith(change)
     n0 = s[3, 3]
-    assert n0 != 0
+    _ensure(n0 != 0, "containment scale is zero")
     return int(n0)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the postcondition check."""
 
 
 class CuspChainError(Exception):
@@ -87,3 +87,9 @@ class AmbientMismatch(CuspChainError):
 
 class NotContained(CuspChainError):
     """A lattice expected inside another is not contained in it."""
+
+
+def _ensure(holds: bool, what: str) -> None:
+    """Raise PostconditionFailed unless ``holds``; kept under ``python -O``."""
+    if not holds:
+        raise PostconditionFailed(what)

@@ -163,9 +163,6 @@ class QuadFieldElement:
         """Field norm a^2 + d*b^2; nonnegative, zero only at zero."""
         return self.a * self.a + self.d * self.b * self.b
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def rational_part(self) -> Fraction:
         if self.b != 0:
             raise ValueError(f"{self!r} is not rational")

@@ -6,6 +6,10 @@ conjugate-linear in the second, matching the hermitian trace form used by
 the matrix-algebra model; for the rational kinds conjugation is trivial.
 Row vectors pair as ``u * G * conj(v)^T`` and isometries act on column
 vectors, so a matrix M preserves the form iff ``M^T * G * conj(M) == G``.
+
+:func:`integer_form` is the one integer matrix of a form (a hermitian form
+as its rational form in 2n variables); signatures come from a fraction-free
+(Bareiss) symmetric elimination of it, and a pairing is one matrix product.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .errors import (
 from .exact import (
     Matrix,
     QuadFieldElement,
+    _lift_pairs,
+    _lift_rows,
     as_fraction,
-    conjugate_scalar,
     rref_basis,
 )
 
@@ -113,11 +118,7 @@ class FormSpace:
 
     def pair(self, u: Sequence, v: Sequence):
         """Form value (u, v); linear in u, conjugate-linear in v."""
-        gu = Matrix([u]) * self.gram
-        total = self.zero_scalar()
-        for x, y in zip(gu.rows[0], v):
-            total = total + x * conjugate_scalar(y)
-        return total
+        return (Matrix([u]) * self.gram * Matrix([v]).conj_transpose())[0, 0]
 
     def norm(self, v: Sequence) -> Fraction:
         """(v, v); rational even in the hermitian case."""
@@ -158,11 +159,6 @@ class Subspace:
 
     def is_isotropic(self) -> bool:
         return pairing_matrix(self.space, self, self).is_zero()
-
-    def contains_vector(self, v: Sequence) -> bool:
-        if self.dim == 0:
-            return all(x == 0 for x in v)
-        return self.basis.transpose().solve(self.space.coerce_vector(v)) is not None
 
 
 def canonical_subspace(space: FormSpace, rows: Matrix | Iterable[Iterable]) -> Subspace:
@@ -211,54 +207,81 @@ def pairing_matrix(space: FormSpace, a: Subspace, b: Subspace) -> Matrix:
     return a.basis * space.gram * b.basis.conj_transpose()
 
 
+def integer_form(space: FormSpace) -> tuple[list[list[int]], int]:
+    """(S, den) with x * S * x^T = den * (v, v) and den > 0.
+
+    x holds the coordinates of v: its entries, or for a hermitian space the
+    interleaved parts (a_0, b_0, a_1, b_1, ...) of the entries
+    v_i = a_i + b_i*sqrt(-d).  With Gram entries (g_ij + h_ij*sqrt(-d))/den,
+    h(v, v) * den = sum g_ij (a_i a_j + d b_i b_j) + 2d sum h_ij a_i b_j, a
+    rational form in 2n variables; S is its symmetric integer matrix.
+    """
+    if space.kind != HERMITIAN:
+        return _lift_rows(space.gram.rows)
+    g, h, den = _lift_pairs(space.gram.rows, set())
+    d, n = space.d, space.dim
+    s = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            s[2 * i][2 * j] = g[i][j]
+            s[2 * i + 1][2 * j + 1] = d * g[i][j]
+            if h is not None:
+                s[2 * i][2 * j + 1] = s[2 * j + 1][2 * i] = d * h[i][j]
+    return s, den
+
+
+def _congruent_pivots(s: list[list[int]]) -> list[int]:
+    """Pivots d_1, ..., d_r of a fraction-free congruent elimination of s.
+
+    Symmetric Bareiss elimination of a symmetric integer matrix: each step
+    pivots on the first nonzero diagonal entry of the remaining block
+    (moving its row and column to the front together), or, when every
+    remaining diagonal entry is zero, first sets b_i <- b_i + b_j for the
+    first a_ij != 0, which makes a_ii = 2 a_ij.  Every update divides
+    exactly by the previous pivot, so d_k is the k-th leading principal
+    minor of P * s * P^T for the unimodular basis change P made so far, and
+    every intermediate entry is a minor of it.  r is the rank of s.
+    """
+    a = [list(row) for row in s]
+    pivots: list[int] = []
+    prev = 1
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            pairs = [(i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+            if not pairs:
+                break
+            k, j = pairs[0]
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        pivot_row = a.pop(k)  # also the pivot column, by symmetry
+        p = pivot_row.pop(k)
+        for row in a:
+            c = row.pop(k)
+            row[:] = [(p * x - c * y) // prev for x, y in zip(row, pivot_row)]
+        pivots.append(p)
+        prev = p
+    return pivots
+
+
 def signature_of(space: FormSpace) -> Signature:
-    """Inertia counts via exact congruent (conjugate-symmetric) elimination."""
+    """Inertia counts of the integer form, by Jacobi's rule on its pivots.
+
+    The k-th diagonal entry of the congruent diagonalization has the sign of
+    d_k * d_(k-1) (d_0 = 1).  A hermitian form of signature (p, q) is a
+    rational form of signature (2p, 2q) in 2n variables, so its counts are
+    halved.
+    """
     if space.kind == ALTERNATING:
         raise AlternatingHasNoSignature("alternating forms have no signature")
-    n = space.dim
-    g = [list(r) for r in space.gram.rows]
-
-    def add_row_col(i, j, c):
-        # basis change b_i <- b_i + c * b_j
-        cc = conjugate_scalar(c)
-        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
-        for row in g:
-            row[i] = row[i] + row[j] * cc
-
-    def swap(i, j):
-        g[i], g[j] = g[j], g[i]
-        for row in g:
-            row[i], row[j] = row[j], row[i]
-
-    plus = minus = null = 0
-    for i in range(n):
-        if g[i][i] == 0:
-            j = next((k for k in range(i + 1, n) if g[k][k] != 0), None)
-            if j is not None:
-                swap(i, j)
-            else:
-                j = next((k for k in range(i + 1, n) if g[i][k] != 0), None)
-                if j is None:
-                    null += 1
-                    continue
-                entry = g[i][j]
-                if isinstance(entry, QuadFieldElement) and entry.a == 0:
-                    # purely imaginary pairing: mix with weight sqrt(-d)
-                    add_row_col(i, j, QuadFieldElement(0, 1, entry.d))
-                else:
-                    add_row_col(i, j, 1)
-        pivot = g[i][i]
-        for k in range(i + 1, n):
-            if g[k][i] != 0:
-                add_row_col(k, i, -(g[k][i] / pivot))
-        value = as_fraction(pivot)
-        if value > 0:
-            plus += 1
-        elif value < 0:
-            minus += 1
-        else:  # pragma: no cover - pivot chosen nonzero
-            null += 1
-    return Signature(plus, minus, null)
+    form, _ = integer_form(space)
+    pivots = _congruent_pivots(form)
+    plus = sum((p > 0) == (q > 0) for p, q in zip(pivots, [1] + pivots))
+    counts = (plus, len(pivots) - plus, len(form) - len(pivots))
+    if space.kind == HERMITIAN:
+        counts = tuple(c // 2 for c in counts)
+    return Signature(*counts)
 
 
 def orthogonal_complement(space: FormSpace, s: Subspace) -> Subspace:

@@ -2,7 +2,7 @@
 
 Searches enumerate primitive integer coordinate tuples shell by shell in a
 fixed deterministic order, so every result is reproducible.  The Gram matrix
-is lifted once per search to an integer form (see :func:`integer_form`), and
+is lifted once per search to an integer form (:func:`forms.integer_form`), and
 each candidate's norm is a few integer multiply-adds; only the accepted tuple
 becomes a vector of ``Fraction``s or ``QuadFieldElement``s, and its norm is
 checked once more in exact arithmetic.  The dual complement, third-line and
@@ -27,11 +27,11 @@ from .errors import (
     SubspacesIntersect,
     VectorInRadical,
     VectorNotIsotropic,
+    _ensure,
 )
 from .exact import (
     Matrix,
     QuadFieldElement,
-    _lift_pairs,
     conjugate_scalar,
     rref_basis,
     shell_tuples,
@@ -43,6 +43,7 @@ from .forms import (
     Subspace,
     canonical_subspace,
     extend_basis_rows,
+    integer_form,
     is_perfect_pairing,
     orthogonal_complement,
     pairing_kernels,
@@ -66,29 +67,6 @@ class SearchConfig:
 
 
 DEFAULT_SEARCH = SearchConfig()
-
-
-def integer_form(space: FormSpace) -> tuple[list[list[int]], int]:
-    """(S, den) with x * S * x^T = den * (v, v) and den > 0.
-
-    x holds the search coordinates of v: its entries, or for a hermitian
-    space the interleaved parts (a_0, b_0, a_1, b_1, ...) of the entries
-    v_i = a_i + b_i*sqrt(-d).  With Gram entries (g_ij + h_ij*sqrt(-d))/den,
-    h(v, v) * den = sum g_ij (a_i a_j + d b_i b_j) + 2d sum h_ij a_i b_j, a
-    rational form in 2n variables; S is its symmetric integer matrix.
-    """
-    g, h, den = _lift_pairs(space.gram.rows, set())
-    if space.kind != HERMITIAN:
-        return g, den
-    d, n = space.d, space.dim
-    s = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            s[2 * i][2 * j] = g[i][j]
-            s[2 * i + 1][2 * j + 1] = d * g[i][j]
-            if h is not None:
-                s[2 * i][2 * j + 1] = s[2 * j + 1][2 * i] = d * h[i][j]
-    return s, den
 
 
 def _candidate_vectors(space: FormSpace, max_height: int):
@@ -170,12 +148,6 @@ def find_isotropic_vector(
         )
     except SearchExhausted:
         return None
-
-
-def _ensure(holds: bool, what: str) -> None:
-    """Raise PostconditionFailed unless ``holds``; kept under ``python -O``."""
-    if not holds:
-        raise PostconditionFailed(what)
 
 
 def hyperbolic_complete(space: FormSpace, v) -> tuple:

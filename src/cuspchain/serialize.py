@@ -48,11 +48,18 @@ def scalar_from_json(obj) -> Fraction | QuadFieldElement:
             return QuadFieldElement(
                 _fraction_from_json(obj["a"]),
                 _fraction_from_json(obj["b"]),
-                int(obj["D"]),
+                _field_parameter(obj["D"]),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise InputFormatError(f"bad field element {obj!r}: {exc}") from exc
     return _fraction_from_json(obj)
+
+
+def _field_parameter(obj) -> int:
+    """The field parameter D, which must be a JSON integer (not a bool)."""
+    if type(obj) is not int:
+        raise InputFormatError(f"field parameter D must be an integer, got {obj!r}")
+    return obj
 
 
 def _fraction_from_json(obj) -> Fraction:
@@ -108,7 +115,7 @@ def form_space_from_json(obj) -> FormSpace:
     gram = matrix_from_json(obj.get("gram"))
     d = obj.get("D")
     try:
-        return FormSpace(kind, gram, int(d) if d is not None else None)
+        return FormSpace(kind, gram, _field_parameter(d) if d is not None else None)
     except (ValueError, TypeError) as exc:
         raise InputFormatError(str(exc)) from exc
 

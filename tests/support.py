@@ -6,9 +6,14 @@ Everything takes an explicit random.Random so test runs are reproducible.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import cuspchain
 from cuspchain.exact import Matrix, QuadFieldElement
 from cuspchain.forms import (
     FormSpace,
@@ -292,3 +297,15 @@ def oracle_invariant_factors(rows: list[list[int]]) -> list[int]:
     while len(factors) < rank:
         factors.append(0)
     return factors
+
+
+def run_optimized(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` under ``python -O``, importing this checkout's package."""
+    paths = [str(Path(cuspchain.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )

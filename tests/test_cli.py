@@ -218,6 +218,33 @@ def test_malformed_space_rejected(tmp_path, capsys):
     assert json.loads(err)["error"] == "InputFormatError"
 
 
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    deep = "[" * 5000 + "]" * 5000
+    cert = tmp_path / "cert.json"
+    cert.write_text(
+        '{"format": 1, "kind": "symplectic", "ambient": %s, "nodes": [], "links": []}'
+        % deep,
+        encoding="utf-8",
+    )
+    deep = "[" * 3000 + "]" * 3000
+    space = tmp_path / "space.json"
+    space.write_text('{"kind": "symmetric", "gram": [[%s]]}' % deep, encoding="utf-8")
+    for argv in (["verify", "--cert", str(cert)], ["analyze", "--space", str(space)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("d", [3.7, True])
+def test_non_integer_field_parameter_is_input_error(tmp_path, capsys, d):
+    space_file = write(
+        tmp_path / "space.json", {"kind": "hermitian", "gram": [["1"]], "D": d}
+    )
+    code, out, err = run(capsys, ["analyze", "--space", space_file])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InputFormatError"
+
+
 def test_non_isotropic_input_is_input_error(tmp_path, capsys):
     from cuspchain.forms import quadratic_2u_perp_diagonal
 

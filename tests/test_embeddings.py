@@ -1,10 +1,12 @@
 """Explicit models: trace-zero SL2 action, Veronese/Segre points, the
 hermitian M2(Q) structure, and right orders of matrix lattices."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+
 
 from cuspchain.embeddings import (
     E12,
@@ -28,7 +30,7 @@ from cuspchain.exact import Matrix, QuadFieldElement
 from cuspchain.forms import Signature, preserves_form, signature_of, standard_2u
 from cuspchain.levels import FullLattice, congruence_membership
 
-from support import mobius, random_sl2
+from support import mobius, random_sl2, run_optimized
 
 
 class TestTraceZeroSpace:
@@ -377,3 +379,48 @@ def test_sl2_element_validation():
         SL2Element(1, 0, 0, 2)
     g = SL2Element(2, 1, 1, 1)
     assert g * g.inverse() == SL2Element.identity()
+
+
+# Each postcondition is made to fail by patching the check it relies on;
+# the child prints the error each construction raises.
+BROKEN_POSTCONDITIONS = """
+import json, sys
+from cuspchain import embeddings
+from cuspchain.embeddings import SL2Element, MatrixLattice, order_of_lattice
+from cuspchain.exact import Matrix
+
+embeddings.preserves_form = lambda *args: False
+MatrixLattice.contains = lambda self, m: False
+lattice = MatrixLattice(tuple(
+    Matrix([[int(k == 0), int(k == 1)], [int(k == 2), int(k == 3)]]) for k in range(4)
+))
+calls = {
+    "conjugation": lambda: embeddings.sl2_conjugation_image(SL2Element.identity()),
+    "pair": lambda: embeddings.sl2_pair_orthogonal_image(
+        SL2Element.identity(), SL2Element.identity()
+    ),
+    "su11": lambda: embeddings.sl2_su11_image(2, SL2Element.identity()),
+    "order": lambda: order_of_lattice(lattice),
+}
+out = {"optimize": sys.flags.optimize}
+for name, call in calls.items():
+    try:
+        call()
+    except Exception as exc:
+        out[name] = [type(exc).__name__, str(exc)]
+sys.stdout.write(json.dumps(out))
+"""
+
+
+def test_postconditions_survive_python_O():
+    proc = run_optimized(BROKEN_POSTCONDITIONS)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "optimize": 1,
+        "conjugation": [
+            "PostconditionFailed", "conjugation image does not preserve U perp <2>"
+        ],
+        "pair": ["PostconditionFailed", "SL2 x SL2 image does not preserve 2U"],
+        "su11": ["PostconditionFailed", "SU(1, 1) image does not preserve the form"],
+        "order": ["PostconditionFailed", "order does not contain the identity"],
+    }

@@ -4,15 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cuspchain.errors import AlternatingHasNoSignature, NotIsotropic, NotNested
-from cuspchain.exact import Matrix, QuadFieldElement
+from cuspchain.exact import Matrix, QuadFieldElement, as_fraction, conjugate_scalar
 from cuspchain.forms import (
     FormSpace,
     Signature,
     Subspace,
     canonical_subspace,
+    _congruent_pivots,
     hyperbolic_plane,
+    integer_form,
     is_perfect_pairing,
     line,
     orthogonal_complement,
@@ -316,3 +320,149 @@ def test_subspace_canonical_flag():
     assert not raw.is_canonical()
     assert canonical_subspace(space, raw.basis).is_canonical()
     assert pairing_matrix(space, raw, raw).shape == (1, 1)
+
+
+# -- signatures and pairings against an entry-wise reference ---------------
+
+
+def reference_signature(space: FormSpace) -> Signature:
+    """Congruent elimination on the Gram entries themselves, in their field."""
+    n = space.dim
+    g = [list(r) for r in space.gram.rows]
+
+    def add_row_col(i, j, c):
+        # basis change b_i <- b_i + c * b_j
+        cc = conjugate_scalar(c)
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        for row in g:
+            row[i] = row[i] + row[j] * cc
+
+    def swap(i, j):
+        g[i], g[j] = g[j], g[i]
+        for row in g:
+            row[i], row[j] = row[j], row[i]
+
+    plus = minus = null = 0
+    for i in range(n):
+        if g[i][i] == 0:
+            j = next((k for k in range(i + 1, n) if g[k][k] != 0), None)
+            if j is not None:
+                swap(i, j)
+            else:
+                j = next((k for k in range(i + 1, n) if g[i][k] != 0), None)
+                if j is None:
+                    null += 1
+                    continue
+                entry = g[i][j]
+                if isinstance(entry, QuadFieldElement) and entry.a == 0:
+                    # purely imaginary pairing: mix with weight sqrt(-d)
+                    add_row_col(i, j, QuadFieldElement(0, 1, entry.d))
+                else:
+                    add_row_col(i, j, 1)
+        pivot = g[i][i]
+        for k in range(i + 1, n):
+            if g[k][i] != 0:
+                add_row_col(k, i, -(g[k][i] / pivot))
+        value = as_fraction(pivot)
+        if value > 0:
+            plus += 1
+        elif value < 0:
+            minus += 1
+    return Signature(plus, minus, null)
+
+
+def reference_pair(space: FormSpace, u, v):
+    gu = Matrix([u]) * space.gram
+    total = space.zero_scalar()
+    for x, y in zip(gu.rows[0], v):
+        total = total + x * conjugate_scalar(y)
+    return total
+
+
+mixed_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-6, max_value=6),
+    st.sampled_from([1, 1, 2, 3, 5, 6]),
+)
+
+
+@st.composite
+def symmetric_grams(draw):
+    """Symmetric Grams of dimension 1-8 with mixed denominators.
+
+    The first 2h basis vectors form zero-diagonal hyperbolic blocks
+    [[0, c], [c, 0]], coupled to the rest or orthogonal to it; in the
+    orthogonal case the elimination meets an all-zero remaining diagonal.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(mixed_fractions)
+    h = draw(st.integers(min_value=0, max_value=n // 2))
+    coupled = draw(st.booleans())
+    for i in range(2 * h):
+        for j in range(n):
+            if j // 2 == i // 2 or (not coupled and j >= 2 * h):
+                rows[i][j] = rows[j][i] = Fraction(0)
+    for b in range(h):
+        c = draw(mixed_fractions.filter(bool))
+        rows[2 * b][2 * b + 1] = rows[2 * b + 1][2 * b] = c
+    gram = Matrix(rows)
+    assume(gram.det() != 0)
+    return FormSpace("symmetric", gram)
+
+
+@st.composite
+def hermitian_grams(draw):
+    """Hermitian Grams over d in {1, 2, 3, 7}, dimension 1-4.
+
+    Off-diagonal entries are purely imaginary or zero unless ``general``
+    draws a rational part as well; diagonal entries may vanish.
+    """
+    d = draw(st.sampled_from([1, 2, 3, 7]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    general = draw(st.booleans())
+    rows = [[QuadFieldElement(0, 0, d)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = QuadFieldElement(draw(mixed_fractions), 0, d)
+        for j in range(i + 1, n):
+            re = draw(mixed_fractions) if general else 0
+            x = QuadFieldElement(re, draw(mixed_fractions), d)
+            rows[i][j], rows[j][i] = x, x.conjugate()
+    gram = Matrix(rows)
+    assume(gram.det() != 0)
+    return FormSpace("hermitian", gram, d)
+
+
+def vectors(space: FormSpace):
+    if space.kind == "hermitian":
+        entry = st.builds(
+            QuadFieldElement, mixed_fractions, mixed_fractions, st.just(space.d)
+        )
+    else:
+        entry = mixed_fractions
+    return st.lists(entry, min_size=space.dim, max_size=space.dim).map(tuple)
+
+
+class TestAgainstEntrywiseReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(symmetric_grams(), hermitian_grams()), st.data())
+    def test_signature_and_pair(self, space, data):
+        assert signature_of(space) == reference_signature(space)
+        u, v = data.draw(vectors(space)), data.draw(vectors(space))
+        ours, ref = space.pair(u, v), reference_pair(space, u, v)
+        assert ours == ref and type(ours) is type(ref)
+
+    def test_dense_30_bit(self):
+        rng = random.Random(12)
+        n = 12
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randrange(-(2**30), 2**30)
+        space = FormSpace("symmetric", Matrix(rows))
+        assert signature_of(space) == reference_signature(space)
+        # every pivot is a leading minor of P * G * P^T: Hadamard's bound
+        form, _ = integer_form(space)
+        assert max(abs(p).bit_length() for p in _congruent_pivots(form)) <= n * 32

@@ -1,19 +1,14 @@
 """Isotropic search and the constructive subspace machinery."""
 
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import cuspchain
 from cuspchain.errors import (
     PreconditionFailed,
     SearchExhausted,
@@ -48,6 +43,8 @@ from cuspchain.isotropic import (
     split_off_kernels,
     third_isotropic_lines,
 )
+
+from support import run_optimized
 
 
 def diag_space(entries):
@@ -515,14 +512,7 @@ sys.exit(main(argv))
 
 
 def test_postcondition_survives_python_O(tmp_path):
-    paths = [str(Path(cuspchain.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        paths.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", BROKEN_POSTCONDITION, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_optimized(BROKEN_POSTCONDITION, str(tmp_path))
     assert proc.stdout == "optimize=1\n"
     assert proc.returncode == 2
     assert json.loads(proc.stderr) == {

@@ -53,6 +53,14 @@ def test_bad_scalars_rejected():
         serialize.scalar_from_json({"a": "1"})
 
 
+@pytest.mark.parametrize("d", [3.7, 3.0, True, "3", None])
+def test_field_parameter_must_be_a_json_integer(d):
+    with pytest.raises(InputFormatError):
+        serialize.scalar_from_json({"a": "1", "b": "1", "D": d})
+    with pytest.raises(InputFormatError):
+        serialize.form_space_from_json({"kind": "hermitian", "gram": [["1"]], "D": d})
+
+
 def test_form_space_round_trip():
     for space in (
         quadratic_2u_perp_diagonal([-2]),
