@@ -249,9 +249,8 @@ def _segre_witness(space: FormSpace, j1: Subspace, j2: Subspace) -> Matrix:
     if j1.dim != 2 or j2.dim != 2 or p.det() == 0:
         raise PreconditionFailed("need perfectly paired isotropic planes")
     dual = p.inverse().transpose() * j2.basis  # rows pair dually with j1 rows
-    a1, a2 = j1.basis.rows
-    b1, b2 = dual.rows
-    return Matrix([a1, b1, a2, b2], ncols=space.dim)
+    # rows a1, a2 of j1 and b1, b2 of dual, in the order (a1, b1, a2, b2)
+    return Matrix.vstack(j1.basis, dual).submatrix(rows=[0, 2, 1, 3])
 
 
 def build_chain_symplectic(
@@ -304,7 +303,7 @@ def _build_su_chain(space, kind, a, b, cfg):
             comp = orthogonal_complement(space, span)
             return [a, b], [ProductSplit(span=span, complement=comp)]
         # interpolate through a third cusp meeting both
-        j1 = canonical_subspace(space, Matrix([a.basis.rows[0]]))
+        j1 = canonical_subspace(space, a.basis.submatrix(rows=[0]))
         j1_perp_b = pairing_kernel(space, j1, b)
         third = subspace_sum(j1, j1_perp_b)
         left_nodes, left_links = _build_su_chain(space, kind, a, third, cfg)
@@ -493,8 +492,8 @@ def _check_segre(cert, link, left, right, fail):
     w = space.coerce_matrix(w)
     if w * space.gram * w.conj_transpose() != standard_2u().gram:
         fail("witness-isometry", "witness rows do not realize the 2U Gram matrix")
-    first = canonical_subspace(space, Matrix([w.rows[2], w.rows[0]]))
-    second = canonical_subspace(space, Matrix([w.rows[3], w.rows[1]]))
+    first = canonical_subspace(space, w.submatrix(rows=[2, 0]))
+    second = canonical_subspace(space, w.submatrix(rows=[3, 1]))
     if first != canonical_subspace(space, left.basis):
         fail("witness-first-plane", "rows (2, 0) do not span the first endpoint")
     if second != canonical_subspace(space, right.basis):
@@ -568,7 +567,7 @@ def _check_boundary_descent(cert, link, left, right, fail):
         return
     if lift * space.gram * lift.conj_transpose() != sub.ambient.gram:
         fail("lift-gram", "lift rows do not realize the sub-certificate form")
-    if lift * project != Matrix.identity(m).map_entries(space._coerce):
+    if lift * project != Matrix.identity(m):
         fail("project-identity", "project is not a left inverse of lift")
     if not (meet.basis * project).is_zero():
         fail("project-kills-intersection", "project does not kill the intersection")

@@ -19,7 +19,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import chains, embeddings, levels, serialize
-from .errors import CuspChainError, InputFormatError, SearchExhausted
+from .errors import (
+    CuspChainError,
+    InputFormatError,
+    PostconditionFailed,
+    SearchExhausted,
+)
 from .forms import ALTERNATING, FormSpace, Subspace, signature_of
 from .isotropic import SearchConfig, find_isotropic_vector
 from .serialize import dumps_canonical
@@ -313,6 +318,8 @@ def _cmd_demo(args) -> tuple[dict, int]:
                 tuple(serialize.matrix_from_json(m) for m in mats)
             )
             order = embeddings.order_of_lattice(lattice)
+        except PostconditionFailed:
+            raise  # a failed self-check of the program, not bad input
         except (CuspChainError, ValueError) as exc:
             raise InputFormatError(str(exc)) from exc
         return (

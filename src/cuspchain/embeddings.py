@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import NotContained, NotDeterminantOne, _ensure
-from .exact import Matrix, QuadFieldElement, hnf, smith
+from .exact import Matrix, QuadFieldElement, _in_field, hnf, smith
 from .forms import HERMITIAN, SYMMETRIC, FormSpace, preserves_form
 
 
@@ -260,8 +261,7 @@ class MatrixLattice:
 
     def __post_init__(self):
         basis = tuple(
-            m.map_entries(Fraction) if isinstance(m, Matrix) else Matrix(m).map_entries(Fraction)
-            for m in self.basis
+            _rational(m if isinstance(m, Matrix) else Matrix(m)) for m in self.basis
         )
         if len(basis) != 4 or any(m.shape != (2, 2) for m in basis):
             raise ValueError("a matrix lattice needs four 2x2 matrices")
@@ -272,17 +272,31 @@ class MatrixLattice:
     def vec_basis(self) -> Matrix:
         return Matrix([_vec(m) for m in self.basis])
 
+    @cached_property
+    def _dual(self) -> Matrix:
+        """vec_basis()^-1: vec(X) * _dual holds the coordinates of X in the basis."""
+        return self.vec_basis().inverse()
+
     def contains(self, m: Matrix) -> bool:
-        coeffs = self.vec_basis().transpose().solve(_vec(m.map_entries(Fraction)))
-        return coeffs is not None and all(Fraction(c).denominator == 1 for c in coeffs)
+        return self.contains_each([m])[0]
+
+    def contains_each(self, mats: Sequence[Matrix]) -> tuple[bool, ...]:
+        """Membership of each matrix, read off one product with _dual."""
+        coords = Matrix([_vec(m) for m in mats], 4) * self._dual
+        return tuple(coords.submatrix(rows=[i]).is_integral() for i in range(len(mats)))
+
+
+def _rational(m: Matrix) -> Matrix:
+    """m with Fraction entries; entries of other types go through Fraction()."""
+    out = _in_field(m, None)
+    return m.map_entries(Fraction) if out is None else out
 
 
 def _canonical_lattice_rows(rows: Matrix) -> Matrix:
     """HNF-canonical basis of a full rational row lattice."""
     scale = rows.denominator_lcm()
-    ints = rows.map_entries(lambda x: Fraction(x) * scale)
-    h, _ = hnf(ints)
-    return h.map_entries(lambda x: x / scale)
+    h, _ = hnf(rows * scale)
+    return h * Fraction(1, scale)
 
 
 def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
@@ -290,11 +304,11 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
 
     Solved exactly: stability under each basis element is a lattice-valued
     linear condition on vec(X); the intersection is extracted through the
-    Smith normal form.  The result contains the identity and is closed under
-    multiplication (both checked).
+    Smith normal form.  The result contains the identity, is closed under
+    multiplication and stabilizes the lattice (all checked, with one product
+    per lattice).
     """
-    b = lattice.vec_basis()
-    b_inv = b.inverse()
+    b_inv = lattice._dual
     blocks = []
     for bm in lattice.basis:
         # columns of r: vec(bm * E_k) for the four unit matrices E_k
@@ -306,8 +320,7 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
         blocks.append(r.transpose() * b_inv)
     stacked = Matrix.hstack(*blocks)  # x * stacked must be integral
     denom = stacked.denominator_lcm()
-    ints = stacked.map_entries(lambda x: Fraction(x) * denom)
-    s, u, _ = smith(ints)
+    s, u, _ = smith(stacked * denom)
     # With S = U * ints * V, the rows x with x * ints in denom * Z^16 are
     # exactly y * U for y in the row lattice diag(denom / s_i).
     diag = [s[i, i] for i in range(4)]
@@ -320,12 +333,16 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
     )
     basis_rows = _canonical_lattice_rows(scale_rows * u)
     order = MatrixLattice(tuple(_unvec(r) for r in basis_rows.rows))
-    _ensure(order.contains(I2), "order does not contain the identity")
-    for x in order.basis:
-        for y in order.basis:
-            _ensure(order.contains(x * y), "order must be multiplicatively closed")
-        for lm in lattice.basis:
-            _ensure(lattice.contains(lm * x), "order does not stabilize the lattice")
+    products = [x * y for x in order.basis for y in order.basis]
+    moved = [lm * x for x in order.basis for lm in lattice.basis]
+    in_order = order.contains_each([I2] + products)
+    in_lattice = lattice.contains_each(moved)
+    _ensure(in_order[0], "order does not contain the identity")
+    for i in range(4):  # the products x_i * y, then lm * x_i, for each x_i in turn
+        closed = all(in_order[1 + 4 * i : 5 + 4 * i])
+        _ensure(closed, "order must be multiplicatively closed")
+        stable = all(in_lattice[4 * i : 4 * i + 4])
+        _ensure(stable, "order does not stabilize the lattice")
     return order
 
 

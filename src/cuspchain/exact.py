@@ -4,34 +4,34 @@ Everything here is immutable and deterministic: the same input produces a
 bit-identical output, with no rounding anywhere.  Rationals are stdlib
 ``fractions.Fraction``; imaginary quadratic scalars are ``QuadFieldElement``.
 
-Matrix products, row reduction (and so rank, inverse, solving and kernels)
-and determinants run on integers, in one of two kernels chosen by entry type:
+A :class:`Matrix` keeps its entries as integers.  Row i holds integer pairs
+``(re, im)`` over a positive denominator ``den[i]``, standing for
+``(re + im*sqrt(-d)) / den[i]``; a rational matrix has no ``d`` and no
+imaginary parts.  Each row is reduced (``den[i]`` shares no factor with all
+of the row's integers), so equal matrices hold equal integers.
 
-* a matrix whose entries are all rational (``Fraction`` or ``int``) is lifted
-  to integer numerators over the lcm of its denominators (each factor of a
-  product on its own);
-* a matrix with ``QuadFieldElement`` entries is lifted to integer pairs
-  ``(re, im)`` over one common denominator, standing for
-  ``(re + im*sqrt(-d)) / den``, and multiplied and eliminated in
-  ``Z[sqrt(-d)]``; when every imaginary part is zero the pairs reduce to the
-  rational kernel's integers.  Every entry of such a result is a
-  ``QuadFieldElement``, and an operation meeting two values of ``d`` raises
-  :class:`MixedDiscriminants`.
+* A matrix built from rows keeps the entries as given and lifts them to
+  integers on its first arithmetic, once.
+* Products, row reduction (and so rank, inverse, solving and kernels),
+  determinants, transposes, conjugates and stacking run on the integers and
+  give a matrix that holds only integers.  Its ``rows`` are built on first
+  access: ``Fraction`` entries for a rational matrix, ``QuadFieldElement``
+  entries in every position otherwise.  An operation meeting two values of
+  ``d`` raises :class:`MixedDiscriminants`.
 
-Elimination is fraction-free: each updated row is divided by its rational
-content, and each pivot row by its pivot once, at the end.  Results are
-turned back into canonical ``Fraction`` (or ``QuadFieldElement``) entries
-once, at the end.  There is no entry-wise path; reduced echelon forms are
-unique, so they, and everything built from them, match exact entry-wise
-arithmetic.
+Products multiply in ``Z`` or ``Z[sqrt(-d)]``.  Elimination is
+fraction-free: each updated row is divided by its rational content, and
+each pivot row by its pivot once, at the end.  There is no entry-wise path;
+reduced echelon forms are unique, so they, and everything built from them,
+match exact entry-wise arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
-from operator import attrgetter, mul
+from math import gcd, lcm, prod
+from operator import attrgetter, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import MixedDiscriminants
@@ -196,15 +196,17 @@ class Matrix:
     """Immutable rectangular matrix with exact entries.
 
     Entries are rationals (Fractions or ints) or QuadFieldElements of one
-    field; upstream constructors coerce hermitian entries to
-    QuadFieldElements.  Products, rref and det run on integers (see the
-    module docstring): a rational matrix gives Fractions, a matrix with a
+    field.  A matrix holds its entries in one of two forms (see the module
+    docstring): the entries as given, for a matrix built from rows, or
+    integer arrays, for a matrix produced by an operation.  ``rows`` builds
+    the entries of the second form once, on first access.  Products, rref
+    and det: a rational matrix gives Fractions, a matrix with a
     QuadFieldElement entry gives QuadFieldElements in every entry.  They
     refuse entries of any other type with a TypeError.
     Zero-row matrices are allowed and must state their column count.
     """
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("_rows", "_ints", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         rows = tuple(tuple(r) for r in rows)
@@ -218,7 +220,9 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -228,13 +232,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        return _stored(
+            [[int(i == j) for j in range(n)] for i in range(n)], None, [1] * n, None, n
+        )
 
     @classmethod
     def zero(cls, m: int, n: int) -> "Matrix":
-        z = Fraction(0)
-        return cls([[z] * n for _ in range(m)], n)
+        return _stored([[0] * n for _ in range(m)], None, [1] * m, None, n)
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
@@ -243,12 +247,18 @@ class Matrix:
     @classmethod
     def vstack(cls, *mats: "Matrix") -> "Matrix":
         ncols = mats[0].ncols
-        rows = []
         for m in mats:
             if m.ncols != ncols:
                 raise ValueError("vstack column mismatch")
-            rows.extend(m.rows)
-        return cls(rows, ncols)
+        if all(m._ints is None for m in mats):
+            return cls([r for m in mats for r in m._rows], ncols)
+        parts = [m._lifted() for m in mats]
+        d = _join(*(p[3] for p in parts))
+        re = [r for p in parts for r in p[0]]
+        im = None
+        if any(p[1] is not None for p in parts):
+            im = [r for p in parts for r in (p[1] or [[0] * ncols] * len(p[0]))]
+        return _stored(re, im, [q for p in parts for q in p[2]], d, ncols)
 
     @classmethod
     def hstack(cls, *mats: "Matrix") -> "Matrix":
@@ -256,22 +266,51 @@ class Matrix:
         for m in mats:
             if m.nrows != nrows:
                 raise ValueError("hstack row mismatch")
-        rows = [sum((m.rows[i] for m in mats), ()) for i in range(nrows)]
-        return cls(rows, sum(m.ncols for m in mats))
+        ncols = sum(m.ncols for m in mats)
+        if all(m._ints is None for m in mats):
+            rows = [sum((m._rows[i] for m in mats), ()) for i in range(nrows)]
+            return cls(rows, ncols)
+        # each row over the lcm of its pieces' denominators, which keeps it
+        # canonical: every prime power of the lcm is the full power of some
+        # piece's denominator, whose numerators it leaves coprime to that prime
+        parts = [m._lifted() for m in mats]
+        d = _join(*(p[3] for p in parts))
+        has_im = any(p[1] is not None for p in parts)
+        re, im, den = [], [] if has_im else None, []
+        for i in range(nrows):
+            q = lcm(*(p[2][i] for p in parts))
+            re.append([x * (q // p[2][i]) for p in parts for x in p[0][i]])
+            if has_im:
+                im.append(
+                    [
+                        x * (q // p[2][i])
+                        for p, m in zip(parts, mats)
+                        for x in (p[1][i] if p[1] is not None else [0] * m.ncols)
+                    ]
+                )
+            den.append(q)
+        return _stored(re, im, den, d, ncols)
 
     # -- shape and access --------------------------------------------------
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple, ...]:
+        rows = self._rows
+        if rows is None:
+            rows = _scalars(*self._ints)
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.ncols)
+        return (self.nrows, self.ncols)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        rows = self._rows
+        if rows is None:
+            rows = self.rows
+        return rows[i][j]
 
     def row(self, i: int) -> tuple:
         return self.rows[i]
@@ -283,34 +322,65 @@ class Matrix:
         for r in self.rows:
             yield from r
 
+    def submatrix(
+        self, rows: slice | Sequence[int] = slice(None), cols: slice = slice(None)
+    ) -> "Matrix":
+        """The given rows (a slice or indices, in that order) and column slice."""
+        index = range(self.nrows)[rows] if isinstance(rows, slice) else rows
+        ncols = len(range(self.ncols)[cols])
+        if self._ints is None:
+            return Matrix([self._rows[i][cols] for i in index], ncols)
+        re, im, den, d = self._ints
+        im = None if im is None else [im[i][cols] for i in index]
+        sub_re, sub_den = [re[i][cols] for i in index], [den[i] for i in index]
+        if ncols == self.ncols:
+            return _stored(sub_re, im, sub_den, d, ncols)
+        return _canonical(sub_re, im, sub_den, d, ncols)
+
     # -- algebra -----------------------------------------------------------
+
+    def _lifted(self) -> tuple:
+        """(re, im, den, d) of the entries; a matrix built from rows lifts once."""
+        ints = self._ints
+        if ints is None:
+            ints = _lift(self._rows)
+            object.__setattr__(self, "_ints", ints)
+        return ints
+
+    def _try_lifted(self) -> tuple | None:
+        """_lifted, or None for entries that are not exact scalars of one field."""
+        try:
+            return self._lifted()
+        except (TypeError, MixedDiscriminants):
+            return None
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.ncols == other.ncols and self.rows == other.rows
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            return False
+        if self._ints is None and other._ints is None:
+            return self._rows == other._rows
+        a, b = self._try_lifted(), other._try_lifted()
+        if a is None or b is None or (a[3] and b[3] and a[3] != b[3]):
+            # entries outside the kernels, or two fields: compare entry by entry
+            return self.rows == other.rows
+        # rows are canonical, so equal values have equal arrays
+        return a[2] == b[2] and a[0] == b[0] and a[1] == b[1]
 
     def __hash__(self):
         return hash((self.rows, self.ncols))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in addition")
-        return Matrix(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        return _combine(self, other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in subtraction")
-        return Matrix(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        return _combine(self, other, -1, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self.rows], self.ncols)
+        re, im, den, d = self._lifted()
+        im = None if im is None else [[-x for x in r] for r in im]
+        return _stored([[-x for x in r] for r in re], im, den, d, self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -318,24 +388,37 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.shape} by {other.shape} matrices"
                 )
-            if _is_rational(self.rows) and _is_rational(other.rows):
-                return _int_mul(self.rows, other.rows, other.ncols)
-            return _pair_mul(self.rows, other.rows, other.ncols)
+            return _mul(self._lifted(), other._lifted(), other.ncols)
+        if type(other) in _RATIONAL_TYPES:
+            return _scaled(self, other)
         return Matrix([[x * other for x in r] for r in self.rows], self.ncols)
 
     def __rmul__(self, other):
+        if type(other) in _RATIONAL_TYPES:
+            return _scaled(self, other)
         return Matrix([[other * x for x in r] for r in self.rows], self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [tuple(r[j] for r in self.rows) for j in range(self.ncols)],
-            len(self.rows),
-        )
+        if self._ints is None:
+            rows = self._rows
+            return Matrix(
+                [tuple(r[j] for r in rows) for j in range(self.ncols)], len(rows)
+            )
+        re, im, q = _one_denominator(self._ints)
+        if self.nrows:
+            re = [list(c) for c in zip(*re)]
+            im = None if im is None else [list(c) for c in zip(*im)]
+        else:
+            re = [[] for _ in range(self.ncols)]
+        out = (re, im, [q] * self.ncols, self._ints[3], self.nrows)
+        # over one denominator, each new row still has to be reduced
+        return _stored(*out) if q == 1 else _canonical(*out)
 
     def conjugate(self) -> "Matrix":
-        return Matrix(
-            [[conjugate_scalar(x) for x in r] for r in self.rows], self.ncols
-        )
+        re, im, den, d = self._lifted()
+        if im is None:
+            return self if self._rows is None else _stored(re, im, den, d, self.ncols)
+        return _stored(re, [[-x for x in r] for r in im], den, d, self.ncols)
 
     def conj_transpose(self) -> "Matrix":
         return self.conjugate().transpose()
@@ -344,10 +427,15 @@ class Matrix:
         return Matrix([[fn(x) for x in r] for r in self.rows], self.ncols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries())
+        if self._ints is None:
+            return all(x == 0 for x in self.entries())
+        re, im, _, _ = self._ints
+        return im is None and not any(map(any, re))
 
     def is_integral(self) -> bool:
         """Every entry has denominator 1 (componentwise for quad entries)."""
+        if self._ints is not None:
+            return all(q == 1 for q in self._ints[2])
         for x in self.entries():
             if isinstance(x, QuadFieldElement):
                 if x.a.denominator != 1 or x.b.denominator != 1:
@@ -357,6 +445,8 @@ class Matrix:
         return True
 
     def denominator_lcm(self) -> int:
+        if self._ints is not None:
+            return lcm(*self._ints[2])
         out = 1
         for x in self.entries():
             if isinstance(x, QuadFieldElement):
@@ -373,11 +463,30 @@ class Matrix:
         """Reduced row echelon form and its pivot columns.
 
         Deterministic: the pivot in each column is the topmost unprocessed
-        row with a nonzero entry; pivots are scaled to one.
+        row with a nonzero entry; pivots are scaled to one.  Scaling a row
+        leaves the form unchanged, so each row's numerators are eliminated
+        without its denominator.
         """
-        if _is_rational(self.rows):
-            return _int_rref(self.rows, self.ncols)
-        return _pair_rref(self.rows, self.ncols)
+        re, im, _, d = self._lifted()
+        ncols = self.ncols
+        re = list(re)
+        if im is None:
+            pivots = _int_eliminate(re, ncols)
+            dens = [re[i][p] for i, p in enumerate(pivots)]
+        else:
+            im = list(im)
+            pivots = _pair_eliminate(re, im, ncols, d)
+            dens = []
+            # each pivot row divided by its pivot p as x * conj(p) / N(p)
+            for i, c in enumerate(pivots):
+                xr, xi = re[i], im[i]
+                pr, pi = xr[c], xi[c]
+                re[i] = [a * pr + d * b * pi for a, b in zip(xr, xi)]
+                im[i] = [b * pr - a * pi for a, b in zip(xr, xi)]
+                dens.append(pr * pr + d * pi * pi)
+        # rows past the rank are zero
+        dens += [1] * (len(re) - len(pivots))
+        return _canonical(re, im, dens, d, ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -385,12 +494,15 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
+        if self.nrows == 0:
             return Fraction(1)
-        if _is_rational(self.rows):
-            return Fraction(*_int_det(*_lift_rows(self.rows)))
-        return _pair_det(self.rows)
+        re, im, den, d = self._lifted()
+        if im is None:
+            num, q = _int_det(list(re), prod(den))
+            if d is None:
+                return Fraction(num, q)
+            return QuadFieldElement(Fraction(num, q), _ZERO, d)
+        return _pair_det(list(re), list(im), prod(den), d)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -400,7 +512,7 @@ class Matrix:
         red, pivots = aug.rref()
         if tuple(range(n)) != pivots[:n] or len(pivots) != n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix([r[n:] for r in red.rows], n)
+        return red.submatrix(cols=slice(n, None))
 
     def solve(self, rhs: Sequence) -> tuple | None:
         """Some x with self @ x = rhs, free variables pinned to zero.
@@ -410,32 +522,46 @@ class Matrix:
         rhs = tuple(rhs)
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side length mismatch")
-        aug = Matrix.hstack(self, Matrix.column(rhs)) if self.nrows else self
         if self.nrows == 0:
             return tuple([_zero_like(self)] * self.ncols)
+        aug = Matrix.hstack(self, Matrix.column(rhs))
         red, pivots = aug.rref()
         if self.ncols in pivots:
             return None
-        zero = _zero_like(aug)
-        x = [zero] * self.ncols
+        x = [_zero_like(aug)] * self.ncols
         for r, p in enumerate(pivots):
-            x[p] = red.rows[r][self.ncols]
+            x[p] = _entry(red._ints, r, self.ncols)
         return tuple(x)
 
     def right_kernel(self) -> "Matrix":
         """Rows form a basis of {x : self @ x = 0} (deterministic order)."""
         red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        zero = _zero_like(self)
-        one = zero + 1
-        rows = []
-        for fc in free:
-            x = [zero] * self.ncols
-            x[fc] = one
-            for r, p in enumerate(pivots):
-                x[p] = -red.rows[r][fc]
-            rows.append(x)
-        return Matrix(rows, self.ncols)
+        re, im, den, d = red._ints
+        ncols = self.ncols
+        out_re, out_im, out_den = [], [], []
+        for fc in range(ncols):
+            if fc in pivots:
+                continue
+            # x[fc] = 1 and x[p] = -red[r][fc], over the lcm of the dens of
+            # the rows nonzero in column fc
+            hits = [
+                (r, p)
+                for r, p in enumerate(pivots)
+                if re[r][fc] or (im is not None and im[r][fc])
+            ]
+            q = lcm(*(den[r] for r, _ in hits))
+            xr = [0] * ncols
+            xr[fc] = q
+            xi = [0] * ncols
+            for r, p in hits:
+                s = q // den[r]
+                xr[p] = -re[r][fc] * s
+                if im is not None:
+                    xi[p] = -im[r][fc] * s
+            out_re.append(xr)
+            out_im.append(xi)
+            out_den.append(q)
+        return _canonical(out_re, None if im is None else out_im, out_den, d, ncols)
 
     def left_kernel(self) -> "Matrix":
         return self.transpose().right_kernel()
@@ -447,41 +573,21 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
+# -- the stored form -----------------------------------------------------------
+#
+# (re, im, den, d): row i holds the entries (re[i][j] + im[i][j]*s) / den[i]
+# with s = sqrt(-d); d is None for a rational matrix, and im is None when
+# every imaginary part is zero.  Rows are canonical: den[i] > 0 and
+# gcd(den[i], re[i], im[i]) = 1, so equal matrices have equal arrays and
+# den[i] is the lcm of the row's entry denominators.  A matrix without
+# entries is rational.  The arrays are never changed once stored; kernels
+# replace rows instead of writing into them.
+
 _RATIONAL_TYPES = frozenset((Fraction, int))
-
-
-def _is_rational(rows: Sequence[Sequence]) -> bool:
-    """Every entry is a Fraction or an int: the integer kernel applies."""
-    return _RATIONAL_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows)))
-
-
+_QUAD_TYPES = frozenset((QuadFieldElement,))
+_SCALAR_TYPES = _RATIONAL_TYPES | _QUAD_TYPES
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
-
-
-def _numerators(rows: Sequence[Sequence], den: int) -> list[list[int]]:
-    """The integers x * den of rational rows whose denominators divide den."""
-    if den == 1:
-        return [list(map(_NUMERATOR, r)) for r in rows]
-    return [[x.numerator * (den // x.denominator) for x in r] for r in rows]
-
-
-def _lift_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """Integer numerators of rational rows over one common denominator."""
-    den = lcm(*set(map(_DENOMINATOR, itertools.chain.from_iterable(rows))))
-    return _numerators(rows, den), den
-
-
-def _int_product(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]):
-    """Integer matrix product of the given rows with the given columns."""
-    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """row divided by the gcd of its entries (a zero row is returned as is)."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
 
 # Shared results for the small integers that dominate sparse matrices;
 # Fractions are immutable, so sharing them is safe.
@@ -489,26 +595,241 @@ _SMALL = {i: Fraction(i) for i in range(-16, 17)}
 _ZERO = _SMALL[0]
 
 
-def _int_matrix(rows: Sequence[Sequence[int]], ncols: int, dens=None) -> Matrix:
-    """Matrix of the canonical Fractions rows[i][j] / dens[i] (dens: all 1)."""
+def _stored(re, im, den, d, ncols: int) -> Matrix:
+    """Matrix holding the canonical arrays (re, im, den, d)."""
+    m = object.__new__(Matrix)
+    put = object.__setattr__
+    if not (re and ncols):
+        im = d = None
+    put(m, "_rows", None)
+    put(m, "_ints", (re, im, den, d))
+    put(m, "nrows", len(re))
+    put(m, "ncols", ncols)
+    return m
+
+
+def _canonical(re, im, den, d, ncols: int) -> Matrix:
+    """_stored after dividing each row by its content with den, den made positive.
+
+    The lists re, im and den are the caller's fresh ones and are updated.
+    """
+    for i, q in enumerate(den):
+        if q == 1:
+            continue
+        r = re[i]
+        s = None if im is None else im[i]
+        g = gcd(q, *r) if s is None else gcd(q, *r, *s)
+        if q < 0:
+            g = -g
+        if g != 1:
+            re[i] = [x // g for x in r]
+            if s is not None:
+                im[i] = [x // g for x in s]
+            den[i] = q // g
+    if im is not None and not any(map(any, im)):
+        im = None
+    return _stored(re, im, den, d, ncols)
+
+
+def _field(fields: set) -> int:
+    """The one d that the entries of an operation share."""
+    if len(fields) > 1:
+        d1, d2 = sorted(fields)[:2]
+        raise MixedDiscriminants(f"cannot mix d={d1} with d={d2}")
+    return next(iter(fields))
+
+
+def _join(*ds):
+    """The field of an operation on matrices over the given d (None: rational)."""
+    fields = {d for d in ds if d is not None}
+    return _field(fields) if fields else None
+
+
+def _lift(rows: Sequence[Sequence]) -> tuple:
+    """The stored form of rows of exact scalars (fractions are reduced, so each
+    row's lcm of denominators leaves it canonical)."""
+    entries = list(itertools.chain.from_iterable(rows))
+    types = set(map(type, entries))
+    if types <= _RATIONAL_TYPES:
+        re, den = [], []
+        for r in rows:
+            q = lcm(*map(_DENOMINATOR, r))
+            re.append(
+                list(map(_NUMERATOR, r))
+                if q == 1
+                else [x.numerator * (q // x.denominator) for x in r]
+            )
+            den.append(q)
+        return re, None, den, None
+    if not types <= _SCALAR_TYPES:
+        bad = ", ".join(sorted(t.__name__ for t in types - _SCALAR_TYPES))
+        raise TypeError(f"matrix entries of type {bad} are not exact scalars")
+    quad = QuadFieldElement
+    d = _field({x.d for x in entries if type(x) is quad})
+    re, im, den = [], [], []
+    for r in rows:
+        a = [x.a if type(x) is quad else x for x in r]
+        b = [x.b if type(x) is quad else 0 for x in r]
+        q = lcm(*map(_DENOMINATOR, a), *map(_DENOMINATOR, b))
+        re.append([x.numerator * (q // x.denominator) for x in a])
+        im.append([x.numerator * (q // x.denominator) for x in b])
+        den.append(q)
+    if not any(map(any, im)):
+        im = None
+    return re, im, den, d
+
+
+def _one_denominator(ints: tuple) -> tuple:
+    """(re, im, q): the arrays of a stored form scaled to one denominator q."""
+    re, im, den, _ = ints
+    q = lcm(*den)
+    if q == 1:
+        return re, im, 1
+    re = [[x * (q // t) for x in r] for r, t in zip(re, den)]
+    if im is not None:
+        im = [[x * (q // t) for x in r] for r, t in zip(im, den)]
+    return re, im, q
+
+
+def _scalars(re, im, den, d) -> tuple[tuple, ...]:
+    """The Fraction (d None) or QuadFieldElement entries of a stored form.
+
+    Most entries of a product or a reduced echelon form are small integers,
+    so the result shares one instance of each.
+    """
     small = _SMALL
-    return Matrix(
-        [
-            [small[x] if x in small else Fraction(x) for x in r]
-            if d == 1
-            else [Fraction(x, d) if x else _ZERO for x in r]
-            for r, d in zip(rows, dens or itertools.repeat(1))
-        ],
-        ncols,
+    if d is None:
+        return tuple(
+            tuple([small[x] if x in small else Fraction(x) for x in r])
+            if q == 1
+            else tuple([Fraction(x, q) if x else _ZERO for x in r])
+            for r, q in zip(re, den)
+        )
+    quad = QuadFieldElement
+    zero, one = quad(_ZERO, _ZERO, d), quad(small[1], _ZERO, d)
+    out = []
+    for r, i, q in zip(re, im or itertools.repeat(None), den):
+        ys = itertools.repeat(0) if i is None else i
+        out.append(
+            tuple(
+                [
+                    quad(Fraction(x, q) if x else _ZERO, Fraction(y, q), d)
+                    if y
+                    else zero
+                    if not x
+                    else one
+                    if x == q
+                    else quad(Fraction(x, q), _ZERO, d)
+                    for x, y in zip(r, ys)
+                ]
+            )
+        )
+    return tuple(out)
+
+
+def _entry(ints: tuple, i: int, j: int):
+    """The scalar in row i, column j of a stored form."""
+    re, im, den, d = ints
+    if d is None:
+        return Fraction(re[i][j], den[i])
+    return QuadFieldElement(
+        Fraction(re[i][j], den[i]), Fraction(0 if im is None else im[i][j], den[i]), d
     )
 
 
-def _int_mul(a_rows, b_rows, ncols: int) -> Matrix:
-    """Matrix product of rational matrices on integer numerators."""
-    a, da = _lift_rows(a_rows)
-    b, db = _lift_rows(b_rows)
-    cols = list(zip(*b)) or [()] * ncols
-    return _int_matrix(_int_product(a, cols), ncols, [da * db] * len(a))
+def _zero_like(mat: Matrix):
+    if mat._ints is not None:
+        d = mat._ints[3]
+        return _ZERO if d is None else QuadFieldElement(0, 0, d)
+    for x in mat.entries():
+        if isinstance(x, QuadFieldElement):
+            return QuadFieldElement(0, 0, x.d)
+    return Fraction(0)
+
+
+def _scaled(m: Matrix, c) -> Matrix:
+    """m times the rational scalar c."""
+    re, im, den, d = m._lifted()
+    p, q = c.numerator, c.denominator
+    re = [[p * x for x in r] for r in re]
+    im = None if im is None else [[p * x for x in r] for r in im]
+    return _canonical(re, im, [q * t for t in den], d, m.ncols)
+
+
+def _combine(a: Matrix, b: Matrix, sign: int, what: str) -> Matrix:
+    """a + sign * b, row by row over the lcm of the two denominators."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch in {what}")
+    ar, ai, ad, da = a._lifted()
+    br, bi, bd, db = b._lifted()
+    d = _join(da, db)
+    re, im, den = [], [], []
+    zeros = [[0] * a.ncols] * a.nrows
+    for i, (p, q) in enumerate(zip(ad, bd)):
+        t = lcm(p, q)
+        s, u = t // p, sign * (t // q)
+        re.append([s * x + u * y for x, y in zip(ar[i], br[i])])
+        im.append([s * x + u * y for x, y in zip((ai or zeros)[i], (bi or zeros)[i])])
+        den.append(t)
+    return _canonical(re, im, den, d, a.ncols)
+
+
+# -- kernels on the stored form ------------------------------------------------
+
+
+def _int_product(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]):
+    """Integer matrix product of the given rows with the given columns.
+
+    Each row meets the columns at its nonzero positions only: most entries
+    of the factors in chain builds are zero (echelon bases, the Gram
+    matrices of hyperbolic planes).
+    """
+    out = []
+    for r in rows:
+        nonzero = [k for k, x in enumerate(r) if x]
+        if len(nonzero) > 1:
+            pick, coeffs = itemgetter(*nonzero), [r[k] for k in nonzero]
+            out.append([sum(map(mul, coeffs, pick(c))) for c in cols])
+        elif nonzero:
+            k = nonzero[0]
+            out.append([r[k] * c[k] for c in cols])
+        else:
+            out.append([0] * len(cols))
+    return out
+
+
+def _mul(a: tuple, b: tuple, ncols: int) -> Matrix:
+    """Matrix product of two stored forms.
+
+    The second factor is put over one denominator q, so row i of the product
+    is the integer product over a's den[i] * q.  With s = sqrt(-d),
+    (ar + ai*s)(br + bi*s) = (ar*br - d*ai*bi) + (ar*bi + ai*br)*s; when both
+    factors have imaginary parts, each row [ar | ai] of the first meets the
+    column [br | -d*bi] for the real part and [bi | br] for the imaginary part.
+    """
+    ar, ai, ad, da = a
+    d = _join(da, b[3])
+    br, bi, q = _one_denominator(b)
+    cols = list(zip(*br)) or [()] * ncols
+    if ai is None or bi is None:
+        re = _int_product(ar, cols)
+        if bi is not None:
+            im = _int_product(ar, list(zip(*bi)))
+        else:
+            im = None if ai is None else _int_product(ai, cols)
+    else:
+        icols = list(zip(*bi))
+        rows = [r + i for r, i in zip(ar, ai)]
+        re_cols = [c + tuple(-d * x for x in i) for c, i in zip(cols, icols)]
+        re = _int_product(rows, re_cols)
+        im = _int_product(rows, [i + c for c, i in zip(cols, icols)])
+    return _canonical(re, im, [t * q for t in ad], d, ncols)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries (a zero row is returned as is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _int_eliminate(m: list[list[int]], ncols: int) -> list[int]:
@@ -540,25 +861,17 @@ def _int_eliminate(m: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _int_rref(rows: Sequence[Sequence], ncols: int) -> tuple[Matrix, tuple[int, ...]]:
-    """Matrix.rref of a rational matrix: each pivot row divided once, at the end."""
-    m = _lift_rows(rows)[0]
-    pivots = _int_eliminate(m, ncols)
-    dens = [m[i][p] for i, p in enumerate(pivots)] + [1] * (len(m) - len(pivots))
-    return _int_matrix(m, ncols, dens), tuple(pivots)
+def _int_det(m: list[list[int]], den: int) -> tuple[int, int]:
+    """(num, q) with num / q = det(m) / den, for a square integer matrix m.
 
-
-def _int_det(m: list[list[int]], lift: int) -> tuple[int, int]:
-    """(num, den) with num / den the determinant of the square matrix m / lift.
-
-    Fraction-free on the integer rows m (changed in place); rows already zero
-    in the pivot column are left alone.  det(m / lift) is det(m) * num / den
-    throughout: den collects lift (once per row) and the pivot that scales
+    Fraction-free on the integer rows m (changed in place); rows already
+    zero in the pivot column are left alone.  det(m_0) / den is
+    det(m) * num / q throughout: q collects den and the pivot that scales
     each updated row, num the row contents divided out and the sign of each
     swap; at the end m is triangular.
     """
     n = len(m)
-    num, den = 1, lift**n
+    num, q = 1, den
     for c in range(n):
         pr = next((i for i in range(c, n) if m[i][c]), None)
         if pr is None:
@@ -577,105 +890,9 @@ def _int_det(m: list[list[int]], lift: int) -> tuple[int, int]:
                 if g > 1:
                     row = [x // g for x in row]
                     num *= g
-                den *= pv
+                q *= pv
                 m[i] = row
-    return num, den
-
-
-# -- the pair kernel: matrices with QuadFieldElement entries ------------------
-#
-# Every entry is lifted to a pair (re, im) of integers over one common
-# denominator den, standing for (re + im*s) / den with s = sqrt(-d); Fraction
-# and int entries have im = 0.  A matrix whose imaginary parts are all zero
-# (most of them: Gram matrices, bases of rational subspaces) has im None and
-# runs through the rational kernel's integer elimination.
-
-_QUAD_TYPES = frozenset((QuadFieldElement,))
-_SCALAR_TYPES = _RATIONAL_TYPES | _QUAD_TYPES
-_A, _B, _D = attrgetter("a"), attrgetter("b"), attrgetter("d")
-
-
-def _lift_pairs(rows: Sequence[Sequence], fields: set):
-    """(re, im, den) of rows of scalars, im None when it would be all zero.
-
-    The d of every QuadFieldElement entry is added to ``fields``.
-    """
-    entries = list(itertools.chain.from_iterable(rows))
-    types = set(map(type, entries))
-    if types <= _QUAD_TYPES:
-        re = [list(map(_A, r)) for r in rows]
-        im = [list(map(_B, r)) for r in rows]
-        fields.update(map(_D, entries))
-    elif types <= _SCALAR_TYPES:
-        quad = QuadFieldElement
-        re = [[x.a if type(x) is quad else x for x in r] for r in rows]
-        im = [[x.b if type(x) is quad else 0 for x in r] for r in rows]
-        fields.update(x.d for x in entries if type(x) is quad)
-    else:
-        bad = ", ".join(sorted(t.__name__ for t in types - _SCALAR_TYPES))
-        raise TypeError(f"matrix entries of type {bad} are not exact scalars")
-    if not any(map(any, im)):
-        re, den = _lift_rows(re)
-        return re, None, den
-    den = lcm(*set(map(_DENOMINATOR, itertools.chain(*re, *im))))
-    return _numerators(re, den), _numerators(im, den), den
-
-
-def _field(fields: set) -> int:
-    """The one d that the entries of an operation share."""
-    if len(fields) > 1:
-        d1, d2 = sorted(fields)[:2]
-        raise MixedDiscriminants(f"cannot mix d={d1} with d={d2}")
-    return next(iter(fields))
-
-
-def _pair_matrix(re, im, ncols: int, dens: Sequence[int], d: int) -> Matrix:
-    """Matrix of the QuadFieldElements (re[i][j] + im[i][j]*s) / dens[i].
-
-    im None stands for zero imaginary parts.  Most entries of a product or a
-    reduced echelon form are 0 or 1, so the result shares one instance of
-    each (QuadFieldElements are immutable).
-    """
-    quad = QuadFieldElement
-    zero, one = quad(_ZERO, _ZERO, d), quad(_SMALL[1], _ZERO, d)
-    out = []
-    for r, i, n in zip(re, im or itertools.repeat(None), dens):
-        out.append(
-            [
-                (zero if not x else one if x == n else quad(Fraction(x, n), _ZERO, d))
-                if not y
-                else quad(Fraction(x, n) if x else _ZERO, Fraction(y, n), d)
-                for x, y in zip(r, itertools.repeat(0) if i is None else i)
-            ]
-        )
-    return Matrix(out, ncols)
-
-
-def _pair_mul(a_rows, b_rows, ncols: int) -> Matrix:
-    """Matrix product with QuadFieldElement entries, on integer pairs.
-
-    (ar + ai*s)(br + bi*s) = (ar*br - d*ai*bi) + (ar*bi + ai*br)*s; when both
-    factors have imaginary parts, each row [ar | ai] of the first meets the
-    column [br | -d*bi] for the real part and [bi | br] for the imaginary part.
-    """
-    fields = set()
-    ar, ai, da = _lift_pairs(a_rows, fields)
-    br, bi, db = _lift_pairs(b_rows, fields)
-    d = _field(fields)
-    cols = list(zip(*br)) or [()] * ncols
-    if ai is None or bi is None:
-        re = _int_product(ar, cols)
-        if bi is not None:
-            im = _int_product(ar, list(zip(*bi)))
-        else:
-            im = None if ai is None else _int_product(ai, cols)
-    else:
-        icols = list(zip(*bi))
-        rows = [r + i for r, i in zip(ar, ai)]
-        re_cols = [c + tuple(-d * x for x in i) for c, i in zip(cols, icols)]
-        re = _int_product(rows, re_cols)
-        im = _int_product(rows, [i + c for c, i in zip(cols, icols)])
-    return _pair_matrix(re, im, ncols, [da * db] * len(ar), d)
+    return num, q
 
 
 def _pair_update(p, x, f, y, d: int):
@@ -694,65 +911,41 @@ def _pair_update(p, x, f, y, d: int):
     return re, im, g
 
 
-def _pair_rref(rows: Sequence[Sequence], ncols: int) -> tuple[Matrix, tuple[int, ...]]:
-    """Matrix.rref with QuadFieldElement entries, computed on integer pairs.
+def _pair_eliminate(re: list, im: list, ncols: int, d: int) -> list[int]:
+    """_int_eliminate in Z[sqrt(-d)] on the rows re + im*s, in place.
 
-    The elimination of _int_eliminate in Z[sqrt(-d)]: with pivot p and f the
-    entry to clear, a row becomes p*row - f*pivot_row divided by its rational
-    content; each pivot row is divided by its pivot once, at the end, as
-    x*conj(p) / N(p).
+    With pivot p and f the entry to clear, a row becomes p*row - f*pivot_row
+    divided by its rational content.
     """
-    fields = set()
-    re, im, _ = _lift_pairs(rows, fields)
-    d = _field(fields)
     nrows = len(re)
-    if im is None:
-        pivots = _int_eliminate(re, ncols)
-        dens = [re[i][p] for i, p in enumerate(pivots)]
-    else:
-        pivots = []
-        for c in range(ncols):
-            r = len(pivots)
-            if r == nrows:
-                break
-            pr = next((i for i in range(r, nrows) if re[i][c] or im[i][c]), None)
-            if pr is None:
-                continue
-            re[r], re[pr] = re[pr], re[r]
-            im[r], im[pr] = im[pr], im[r]
-            prow = (re[r], im[r])
-            pv = (prow[0][c], prow[1][c])
-            for i in range(nrows):
-                f = (re[i][c], im[i][c])
-                if (f[0] or f[1]) and i != r:
-                    re[i], im[i], _ = _pair_update(pv, (re[i], im[i]), f, prow, d)
-            pivots.append(c)
-        dens = []
-        for i, c in enumerate(pivots):
-            xr, xi = re[i], im[i]
-            pr, pi = xr[c], xi[c]
-            re[i] = [a * pr + d * b * pi for a, b in zip(xr, xi)]
-            im[i] = [b * pr - a * pi for a, b in zip(xr, xi)]
-            dens.append(pr * pr + d * pi * pi)
-    # rows past the rank are zero
-    dens += [1] * (nrows - len(pivots))
-    return _pair_matrix(re, im, ncols, dens, d), tuple(pivots)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if re[i][c] or im[i][c]), None)
+        if pr is None:
+            continue
+        re[r], re[pr] = re[pr], re[r]
+        im[r], im[pr] = im[pr], im[r]
+        prow = (re[r], im[r])
+        pv = (prow[0][c], prow[1][c])
+        for i in range(nrows):
+            f = (re[i][c], im[i][c])
+            if (f[0] or f[1]) and i != r:
+                re[i], im[i], _ = _pair_update(pv, (re[i], im[i]), f, prow, d)
+        pivots.append(c)
+    return pivots
 
 
-def _pair_det(rows: Sequence[Sequence]) -> QuadFieldElement:
-    """Matrix.det with QuadFieldElement entries, fraction-free on integer pairs.
+def _pair_det(re: list, im: list, den: int, d: int) -> QuadFieldElement:
+    """Matrix.det on the rows (re + im*s) / den, fraction-free on integer pairs.
 
     As _int_det, with num a pair (nr, ni): scaling a row by the pivot p
-    multiplies num by conj(p) and den by N(p), so den stays an integer.
+    multiplies num by conj(p) and q by N(p), so q stays an integer.
     """
-    fields = set()
-    re, im, lift = _lift_pairs(rows, fields)
-    d = _field(fields)
-    if im is None:
-        num, den = _int_det(re, lift)
-        return QuadFieldElement(Fraction(num, den), _ZERO, d)
     n = len(re)
-    nr, ni, den = 1, 0, lift**n
+    nr, ni, q = 1, 0, den
     for c in range(n):
         pr = next((i for i in range(c, n) if re[i][c] or im[i][c]), None)
         if pr is None:
@@ -769,15 +962,27 @@ def _pair_det(rows: Sequence[Sequence]) -> QuadFieldElement:
             if f[0] or f[1]:
                 re[i], im[i], g = _pair_update(pv, (re[i], im[i]), f, prow, d)
                 nr, ni = g * (nr * p0 + d * ni * p1), g * (ni * p0 - nr * p1)
-                den *= p0 * p0 + d * p1 * p1
-    return QuadFieldElement(Fraction(nr, den), Fraction(ni, den), d)
+                q *= p0 * p0 + d * p1 * p1
+    return QuadFieldElement(Fraction(nr, q), Fraction(ni, q), d)
 
 
-def _zero_like(mat: Matrix):
-    for x in mat.entries():
-        if isinstance(x, QuadFieldElement):
-            return QuadFieldElement(0, 0, x.d)
-    return Fraction(0)
+def _in_field(m: Matrix, d: int | None) -> Matrix | None:
+    """m with its entries in Q (d None) or Q(sqrt(-d)), or None when they are not.
+
+    A matrix already holding only that field's arrays is returned as is;
+    None also when its entries are not exact scalars of one field.
+    """
+    ints = m._try_lifted()
+    if ints is None or ints[3] not in (None, d):
+        return None
+    if m._rows is None and ints[3] == d:
+        return m
+    return _stored(*ints[:3], d, m.ncols)
+
+
+def _stored_parts(m: Matrix) -> tuple | None:
+    """(re, im, den, d) of a matrix whose entries have not been built, else None."""
+    return m._ints if m._rows is None else None
 
 
 def rref_basis(mat: Matrix) -> Matrix:
@@ -787,7 +992,7 @@ def rref_basis(mat: Matrix) -> Matrix:
     by matrix equality.
     """
     red, pivots = mat.rref()
-    return Matrix(red.rows[: len(pivots)], mat.ncols)
+    return red.submatrix(rows=slice(len(pivots)))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -800,17 +1005,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _require_int_rows(mat: Matrix) -> list[list[int]]:
-    if not mat.is_integral():
+    """Fresh integer rows of a rational matrix with integral entries."""
+    re, _, den, d = mat._lifted()
+    if d is not None or any(q != 1 for q in den):
         raise ValueError("integer matrix required")
-    out = []
-    for r in mat.rows:
-        row = []
-        for x in r:
-            if isinstance(x, QuadFieldElement):
-                raise ValueError("integer matrix required")
-            row.append(int(Fraction(x)))
-        out.append(row)
-    return out
+    return [list(r) for r in re]
+
+
+def _integer_matrix(rows: list[list[int]], ncols: int) -> Matrix:
+    return _stored(rows, None, [1] * len(rows), None, ncols)
 
 
 def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
@@ -855,7 +1058,7 @@ def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
                 h[i] = [p - q * t for p, t in zip(h[i], h[r])]
                 u[i] = [p - q * t for p, t in zip(u[i], u[r])]
         r += 1
-    return _int_matrix(h, n), _int_matrix(u, m)
+    return _integer_matrix(h, n), _integer_matrix(u, m)
 
 
 def smith(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -956,7 +1159,7 @@ def smith(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             s[t] = [-x for x in s[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return _int_matrix(s, n), _int_matrix(u, m), _int_matrix(v, n)
+    return _integer_matrix(s, n), _integer_matrix(u, m), _integer_matrix(v, n)
 
 
 def descending_range(h: int) -> range:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -28,8 +29,8 @@ from .errors import (
 from .exact import (
     Matrix,
     QuadFieldElement,
-    _lift_pairs,
-    _lift_rows,
+    _in_field,
+    _one_denominator,
     as_fraction,
     rref_basis,
 )
@@ -56,24 +57,18 @@ class FormSpace:
         if self.kind == HERMITIAN:
             if self.d is None:
                 raise ValueError("hermitian spaces need the field parameter d")
-            object.__setattr__(
-                self, "gram", self.gram.map_entries(lambda x: self._coerce(x))
-            )
+            object.__setattr__(self, "gram", self.coerce_matrix(self.gram))
             if self.gram != self.gram.conj_transpose():
                 raise ValueError("hermitian Gram matrix must equal its adjoint")
         else:
             if self.d is not None:
                 raise ValueError("only hermitian spaces carry a field parameter")
-            object.__setattr__(
-                self, "gram", self.gram.map_entries(lambda x: self._coerce(x))
-            )
+            object.__setattr__(self, "gram", self.coerce_matrix(self.gram))
             if self.kind == SYMMETRIC and self.gram != self.gram.transpose():
                 raise ValueError("symmetric Gram matrix must equal its transpose")
-            if self.kind == ALTERNATING:
-                if self.gram != -self.gram.transpose():
-                    raise ValueError("alternating Gram matrix must be antisymmetric")
-                if any(self.gram[i, i] != 0 for i in range(self.dim)):
-                    raise ValueError("alternating Gram matrix needs zero diagonal")
+            # over Q, G = -G^T already forces a zero diagonal
+            if self.kind == ALTERNATING and self.gram != -self.gram.transpose():
+                raise ValueError("alternating Gram matrix must be antisymmetric")
         if self.dim and self.gram.det() == 0:
             raise ValueError("degenerate Gram matrix")
 
@@ -110,11 +105,14 @@ class FormSpace:
         return v
 
     def coerce_matrix(self, m: Matrix) -> Matrix:
+        """m over the space's field; a matrix already over it comes back as is."""
         if m.ncols != self.dim:
             raise DimensionMismatch(
                 f"{m.ncols}-column matrix in a space of dimension {self.dim}"
             )
-        return m.map_entries(self._coerce)
+        out = _in_field(m, self.d)
+        # entries of another field or of other types: _coerce converts or refuses
+        return m.map_entries(self._coerce) if out is None else out
 
     def pair(self, u: Sequence, v: Sequence):
         """Form value (u, v); linear in u, conjugate-linear in v."""
@@ -123,6 +121,17 @@ class FormSpace:
     def norm(self, v: Sequence) -> Fraction:
         """(v, v); rational even in the hermitian case."""
         return as_fraction(self.pair(v, v))
+
+    @cached_property
+    def _signature(self) -> "Signature":
+        """signature_of's counts, computed once per space."""
+        form, _ = integer_form(self)
+        pivots = _congruent_pivots(form)
+        plus = sum((p > 0) == (q > 0) for p, q in zip(pivots, [1] + pivots))
+        counts = (plus, len(pivots) - plus, len(form) - len(pivots))
+        if self.kind == HERMITIAN:
+            counts = tuple(c // 2 for c in counts)
+        return Signature(*counts)
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         return zero_subspace(a.space)
     stacked = Matrix.vstack(a.basis, -b.basis)
     coeffs = stacked.left_kernel()  # rows (x, y) with x*A == y*B
-    rows = Matrix([r[: a.dim] for r in coeffs.rows], a.dim) * a.basis
+    rows = coeffs.submatrix(cols=slice(a.dim)) * a.basis
     return canonical_subspace(a.space, rows)
 
 
@@ -216,9 +225,9 @@ def integer_form(space: FormSpace) -> tuple[list[list[int]], int]:
     h(v, v) * den = sum g_ij (a_i a_j + d b_i b_j) + 2d sum h_ij a_i b_j, a
     rational form in 2n variables; S is its symmetric integer matrix.
     """
+    g, h, den = _one_denominator(space.gram._lifted())
     if space.kind != HERMITIAN:
-        return _lift_rows(space.gram.rows)
-    g, h, den = _lift_pairs(space.gram.rows, set())
+        return [list(r) for r in g], den
     d, n = space.d, space.dim
     s = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
@@ -275,13 +284,7 @@ def signature_of(space: FormSpace) -> Signature:
     """
     if space.kind == ALTERNATING:
         raise AlternatingHasNoSignature("alternating forms have no signature")
-    form, _ = integer_form(space)
-    pivots = _congruent_pivots(form)
-    plus = sum((p > 0) == (q > 0) for p, q in zip(pivots, [1] + pivots))
-    counts = (plus, len(pivots) - plus, len(form) - len(pivots))
-    if space.kind == HERMITIAN:
-        counts = tuple(c // 2 for c in counts)
-    return Signature(*counts)
+    return space._signature
 
 
 def orthogonal_complement(space: FormSpace, s: Subspace) -> Subspace:
@@ -335,14 +338,14 @@ def extend_basis_rows(sub: Matrix, within: Matrix) -> Matrix:
 
     The rows of ``sub`` must be independent, as a canonical basis is.
     """
-    chosen: list[tuple] = []
+    chosen: list[int] = []
     current = sub
-    for row in within.rows:
-        stacked = Matrix.vstack(current, Matrix([row]))
+    for i in range(within.nrows):
+        stacked = Matrix.vstack(current, within.submatrix(rows=[i]))
         if rref_basis(stacked).nrows > current.nrows:
             current = stacked
-            chosen.append(row)
-    return Matrix(chosen, ncols=within.ncols)
+            chosen.append(i)
+    return within.submatrix(rows=chosen)
 
 
 @dataclass(frozen=True)
@@ -374,7 +377,7 @@ def subquotient(space: FormSpace, iso: Subspace) -> SubquotientData:
     full = Matrix.vstack(iso.basis, lift) if iso.dim else lift
     normal = full * full.conj_transpose()
     p_full = full.conj_transpose() * normal.inverse()
-    project = Matrix([r[iso.dim :] for r in p_full.rows], lift.nrows)
+    project = p_full.submatrix(cols=slice(iso.dim, None))
     return SubquotientData(space, iso, quotient, lift, project)
 
 

@@ -177,13 +177,8 @@ def _solve_pairing_conditions(space: FormSpace, conditions):
     The pairing is conjugate-linear in x, so the system is solved for
     conj(x) and conjugated back; for rational kinds this is a plain solve.
     """
-    rows = []
-    rhs = []
-    for a, c in conditions:
-        rows.append((Matrix([a]) * space.gram).rows[0])
-        rhs.append(conjugate_scalar(space._coerce(c)))
-    system = Matrix(rows, ncols=space.dim)
-    sol = system.solve(rhs)
+    system = Matrix([a for a, _ in conditions], ncols=space.dim) * space.gram
+    sol = system.solve([conjugate_scalar(space._coerce(c)) for _, c in conditions])
     if sol is None:
         return None
     return tuple(conjugate_scalar(x) for x in sol)

@@ -10,6 +10,7 @@ change-of-basis matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import AmbientMismatch, NotAnIsometry
 from .exact import Matrix
@@ -50,7 +51,7 @@ def containment_level(
         raise AmbientMismatch("lattices live in different form spaces")
     if n < 1:
         raise ValueError("the level N must be a positive integer")
-    scaled = lat.basis.map_entries(lambda x: x * n)
+    scaled = lat.basis * n
     n1 = minimal_multiplier(lat_prime.basis, scaled)
     n2 = minimal_multiplier(lat.basis, lat_prime.basis)
     return n1, n2, n1 * n2
@@ -77,5 +78,4 @@ def congruence_membership(gamma: Matrix, lat: FullLattice, n: int) -> bool:
     if action.inverse().denominator_lcm() != 1:
         return False
     difference = lat.basis * (gamma - Matrix.identity(space.dim)).transpose() * b_inv
-    scaled = difference.map_entries(lambda x: x / n)
-    return scaled.denominator_lcm() == 1
+    return (difference * Fraction(1, n)).is_integral()

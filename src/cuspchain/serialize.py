@@ -3,12 +3,20 @@
 Rationals serialize as reduced strings "p/q" (or "p" when q = 1); elements
 of Q(sqrt(-D)) as {"a": "p/q", "b": "p/q", "D": n}.  Emission sorts keys and
 uses a fixed layout, so equal values produce byte-identical documents.
+
+Matrices are read and written through their integer arrays.  A row of JSON
+integers, of strings "p" and "p/q" in ASCII digits, or of field elements
+over one D made of those, is parsed straight to integers.  A matrix with
+any other row is read entry by entry, strings by ``Fraction(str)``; the
+integer parse gives the same values, and leaves every error to that path.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any
 
 from .chains import (
@@ -20,7 +28,7 @@ from .chains import (
     VerificationReport,
 )
 from .errors import InputFormatError
-from .exact import Matrix, QuadFieldElement
+from .exact import Matrix, QuadFieldElement, _canonical, _stored_parts, is_squarefree
 from .forms import HERMITIAN, KINDS, FormSpace, Subspace
 
 CERTIFICATE_FORMAT = 1
@@ -75,18 +83,112 @@ def _fraction_from_json(obj) -> Fraction:
     raise InputFormatError(f"bad rational {obj!r}")
 
 
+def _ratio_to_json(n: int, q: int) -> str:
+    """fraction_to_json(Fraction(n, q)) for q > 0."""
+    if q != 1:
+        g = gcd(n, q)
+        n, q = n // g, q // g
+    return str(n) if q == 1 else f"{n}/{q}"
+
+
 def matrix_to_json(m: Matrix) -> list:
-    return [[scalar_to_json(x) for x in row] for row in m.rows]
+    parts = _stored_parts(m)
+    if parts is None:
+        return [[scalar_to_json(x) for x in row] for row in m.rows]
+    re, im, den, d = parts
+    if d is None:
+        return [[_ratio_to_json(x, q) for x in r] for r, q in zip(re, den)]
+    return [
+        [
+            {"a": _ratio_to_json(x, q), "b": _ratio_to_json(y, q), "D": d}
+            for x, y in zip(r, i or [0] * len(r))
+        ]
+        for r, i, q in zip(re, im or [None] * len(re), den)
+    ]
+
+
+# one or more "p" / "p/q" strings joined by ","
+_RATIOS = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
+
+
+def _ratios_from_json(entries: list) -> tuple[list[int], int] | None:
+    """(nums, q): the entries as nums / q, for JSON integers or strings "p" and
+    "p/q" in ASCII digits; None for any other entry, a zero q or a string
+    int() refuses.  Fraction(str) reads each accepted string as p/q too."""
+    if all(type(x) is int for x in entries):
+        return list(entries), 1
+    try:
+        text = ",".join(entries)
+    except TypeError:  # an entry that is not a string
+        return None
+    if not _RATIOS.fullmatch(text):
+        return None
+    try:  # int() fails on an entry that held a "," and past its digit limit
+        if "/" not in text:
+            return list(map(int, entries)), 1
+        parts = [x.partition("/") for x in entries]
+        nums = [int(p) for p, _, _ in parts]
+        dens = [int(q) if q else 1 for _, _, q in parts]
+    except ValueError:
+        return None
+    if 0 in dens:
+        return None
+    q = lcm(*dens)
+    return [n * (q // t) for n, t in zip(nums, dens)], q
+
+
+def _row_from_json(row: list) -> tuple | None:
+    """(re, im, q, D): a row of rationals (im and D None) or of field elements
+    over one D, as the entries (re + im*sqrt(-D)) / q; None for any other row."""
+    dicts = {type(x) is dict for x in row}
+    if dicts == {True, False}:  # field elements beside rationals: entry by entry
+        parts = [_row_from_json([x]) for x in row]
+        fields = {p[3] for p in parts if p is not None} - {None}
+        if None in parts or len(fields) != 1:
+            return None
+        q = lcm(*(p[2] for p in parts))
+        re = [p[0][0] * (q // p[2]) for p in parts]
+        im = [p[1][0] * (q // p[2]) if p[1] else 0 for p in parts]
+        return re, im, q, fields.pop()
+    if True not in dicts:
+        parsed = _ratios_from_json(row)
+        return None if parsed is None else (parsed[0], None, parsed[1], None)
+    fields = [x.get("D") for x in row]
+    a = _ratios_from_json([x.get("a") for x in row])
+    b = _ratios_from_json([x.get("b") for x in row])
+    if a is None or b is None or any(type(d) is not int for d in fields):
+        return None
+    d = fields[0]
+    if fields.count(d) != len(fields):
+        return None
+    q = lcm(a[1], b[1])
+    return [x * (q // a[1]) for x in a[0]], [x * (q // b[1]) for x in b[0]], q, d
 
 
 def matrix_from_json(obj, ncols: int | None = None) -> Matrix:
     if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
         raise InputFormatError("a matrix must be a list of rows")
-    rows = [[scalar_from_json(x) for x in r] for r in obj]
-    try:
-        return Matrix(rows, ncols=ncols if not rows else None)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    rows = [_row_from_json(r) for r in obj]
+    fields = {r[3] for r in rows if r is not None} - {None}
+    if (
+        not obj
+        or None in rows
+        or len(fields) > 1
+        or not all(map(is_squarefree, fields))
+    ):
+        # the entry-by-entry reading, which raises on the first bad entry
+        rows = [[scalar_from_json(x) for x in r] for r in obj]
+        try:
+            return Matrix(rows, ncols=ncols if not rows else None)
+        except ValueError as exc:
+            raise InputFormatError(str(exc)) from exc
+    width = len(obj[0])
+    if any(len(r) != width for r in obj):
+        raise InputFormatError("ragged matrix rows")
+    d = fields.pop() if fields else None
+    re = [r[0] for r in rows]
+    im = None if d is None else [r[1] or [0] * width for r in rows]
+    return _canonical(re, im, [r[2] for r in rows], d, width)
 
 
 def vector_to_json(v) -> list:
@@ -154,7 +256,14 @@ def certificate_to_json(cert: ChainCertificate) -> dict:
     }
 
 
-def certificate_from_json(obj) -> ChainCertificate:
+def certificate_from_json(obj, descents: int | None = None) -> ChainCertificate:
+    """The certificate obj encodes.
+
+    Boundary descents may nest at most ``descents`` deep below it, and at
+    most half its ambient dimension, since each descent quotients by an
+    isotropic subspace of dimension >= 1.  Deeper nesting is an input error,
+    so a hostile document cannot exhaust the stack.
+    """
     if not isinstance(obj, dict):
         raise InputFormatError("a certificate must be an object")
     if obj.get("format") != CERTIFICATE_FORMAT:
@@ -165,6 +274,7 @@ def certificate_from_json(obj) -> ChainCertificate:
     if not isinstance(kind, str):
         raise InputFormatError("certificate kind must be a string")
     space = form_space_from_json(obj.get("ambient"))
+    descents = space.dim // 2 if descents is None else min(descents, space.dim // 2)
     nodes = obj.get("nodes")
     links = obj.get("links")
     if not isinstance(nodes, list) or not isinstance(links, list):
@@ -173,25 +283,42 @@ def certificate_from_json(obj) -> ChainCertificate:
         ambient=space,
         kind=kind,
         nodes=tuple(subspace_from_json(n, space) for n in nodes),
-        links=tuple(link_from_json(l, space) for l in links),
+        links=tuple(link_from_json(l, space, descents) for l in links),
     )
 
 
+def _sub_certificate_from_json(obj, descents: int) -> ChainCertificate:
+    if descents < 1:
+        raise InputFormatError(
+            "boundary descents nest deeper than half the ambient dimension"
+        )
+    return certificate_from_json(obj, descents - 1)
+
+
 # Link field codecs by the names ``chains.LINK_TYPES`` declares: an encoder,
-# and a decoder of (JSON value, ambient space, fields decoded so far).
+# and a decoder of (JSON value, ambient space, fields decoded so far,
+# descents left).
 FIELD_CODECS = {
-    "subspace": (subspace_to_json, lambda obj, space, done: subspace_from_json(obj, space)),
+    "subspace": (
+        subspace_to_json,
+        lambda obj, space, done, left: subspace_from_json(obj, space),
+    ),
     "ambient_matrix": (
         matrix_to_json,
-        lambda obj, space, done: matrix_from_json(obj, ncols=space.dim),
+        lambda obj, space, done, left: matrix_from_json(obj, ncols=space.dim),
     ),
     "quotient_matrix": (
         matrix_to_json,
-        lambda obj, space, done: matrix_from_json(obj, ncols=done["sub"].ambient.dim),
+        lambda obj, space, done, left: matrix_from_json(
+            obj, ncols=done["sub"].ambient.dim
+        ),
     ),
-    "vector": (vector_to_json, lambda obj, space, done: vector_from_json(obj)),
-    "certificate": (certificate_to_json, lambda obj, space, done: certificate_from_json(obj)),
-    "leaf": (_leaf_to_json, lambda obj, space, done: _leaf_from_json(obj)),
+    "vector": (vector_to_json, lambda obj, space, done, left: vector_from_json(obj)),
+    "certificate": (
+        certificate_to_json,
+        lambda obj, space, done, left: _sub_certificate_from_json(obj, left),
+    ),
+    "leaf": (_leaf_to_json, lambda obj, space, done, left: _leaf_from_json(obj)),
 }
 
 
@@ -205,7 +332,10 @@ def link_to_json(link: Link) -> dict:
     return out
 
 
-def link_from_json(obj, space: FormSpace) -> Link:
+def link_from_json(obj, space: FormSpace, descents: int | None = None) -> Link:
+    """The link obj encodes; ``descents`` as in certificate_from_json, for space."""
+    if descents is None:
+        descents = space.dim // 2
     if not isinstance(obj, dict):
         raise InputFormatError("a link must be an object")
     tag = obj.get("type")
@@ -214,7 +344,7 @@ def link_from_json(obj, space: FormSpace) -> Link:
         raise InputFormatError(f"unknown link type {tag!r}")
     done: dict = {}
     for name, codec in LINK_TYPES[cls].fields:
-        done[name] = FIELD_CODECS[codec][1](obj.get(name), space, done)
+        done[name] = FIELD_CODECS[codec][1](obj.get(name), space, done, descents)
     return cls(**done)
 
 

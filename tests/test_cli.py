@@ -536,3 +536,59 @@ def test_hermitian_certificate_bytes_unchanged(tmp_path, capsys):
     digests = stdout_digests(tmp_path, capsys)
     assert {k: chain for k, (chain, _) in digests.items()} == HERMITIAN_GOLDEN
     assert {verify for _, verify in digests.values()} == {HERMITIAN_VERIFY_DIGEST}
+
+
+def test_deep_boundary_descent_is_input_error(tmp_path, capsys):
+    # 300 nested descents parse as JSON, but no certificate over a
+    # 4-dimensional space can descend more than twice
+    space = standard_symplectic(2)
+    node = serialize.subspace_to_json(line(space, unit_vector(space, 0)))
+    ambient = serialize.form_space_to_json(space)
+    cert = {"format": 1, "kind": "symplectic", "ambient": ambient,
+            "nodes": [node], "links": []}
+    for _ in range(300):
+        link = {"type": "boundary_descent", "sub": cert, "intersection": node,
+                "lift": [], "project": []}
+        cert = dict(cert, nodes=[node, node], links=[link])
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(cert), encoding="utf-8")
+    code, out, err = run(capsys, ["verify", "--cert", str(cert_file)])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "InputFormatError",
+        "detail": "boundary descents nest deeper than half the ambient dimension",
+    }
+
+
+def test_demo_order_failed_self_check_is_named(tmp_path, capsys, monkeypatch):
+    from cuspchain import embeddings
+
+    never = lambda self, mats: (False,) * len(mats)
+    monkeypatch.setattr(embeddings.MatrixLattice, "contains_each", never)
+    lattice_file = write(
+        tmp_path / "lat.json",
+        {"matrices": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
+                      [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]]},
+    )
+    code, out, err = run(capsys, ["demo", "order", "--lattice", lattice_file])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "PostconditionFailed",
+        "detail": "order does not contain the identity",
+    }
+
+
+def test_analyze_eliminates_once(tmp_path, capsys, monkeypatch):
+    from cuspchain import forms
+    from cuspchain.exact import Matrix
+
+    calls = []
+    pivots = forms._congruent_pivots
+    counted = lambda s: calls.append(1) or pivots(s)
+    monkeypatch.setattr(forms, "_congruent_pivots", counted)
+    space = forms.FormSpace("symmetric", Matrix([[1, 0, 0], [0, 1, 0], [0, 0, -3]]))
+    space_file = write(tmp_path / "space.json", serialize.form_space_to_json(space))
+    code, out, _ = run(capsys, ["analyze", "--space", space_file, "--max-height", "2"])
+    assert code == 0
+    assert json.loads(out)["signature"] == [2, 1, 0]
+    assert len(calls) == 1

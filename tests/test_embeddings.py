@@ -313,6 +313,27 @@ class TestOrders:
         assert order.contains(Matrix([[0, 2], [0, 0]]))
         assert abs(order.vec_basis().det()) == 2  # index 2 in M2(Z)
 
+    def test_batched_membership_matches_solving(self):
+        lattice = MatrixLattice(
+            (Matrix([[1, 1], [0, 0]]), Matrix([[0, 2], [0, 0]]),
+             Matrix([[0, 0], [3, 1]]), Matrix([[0, 0], [0, 2]]))
+        )
+        rng = random.Random(5)
+        mats = [
+            Matrix([[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2])) for _ in "ab"]
+                    for _ in "cd"])
+            for _ in range(60)
+        ]
+
+        def solved(m):  # coordinates in the basis by one linear solve
+            coords = lattice.vec_basis().transpose().solve([*m.entries()])
+            return all(c.denominator == 1 for c in coords)
+
+        expected = tuple(map(solved, mats))
+        assert lattice.contains_each(mats) == expected
+        assert any(expected) and not all(expected)
+        assert [lattice.contains(m) for m in mats] == list(expected)
+
     def test_homothety_invariance(self):
         a = order_of_lattice(lattice_from_positions([1, 1, 1, 2]))
         scaled = MatrixLattice(
@@ -390,7 +411,7 @@ from cuspchain.embeddings import SL2Element, MatrixLattice, order_of_lattice
 from cuspchain.exact import Matrix
 
 embeddings.preserves_form = lambda *args: False
-MatrixLattice.contains = lambda self, m: False
+MatrixLattice.contains_each = lambda self, mats: (False,) * len(mats)
 lattice = MatrixLattice(tuple(
     Matrix([[int(k == 0), int(k == 1)], [int(k == 2), int(k == 3)]]) for k in range(4)
 ))

@@ -1,5 +1,6 @@
 """Exact scalar and matrix kernels: normal forms, canonical bases, solving."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -666,3 +667,95 @@ class TestPairKernelMixedDiscriminants:
         for d in (2, 3):
             q = Matrix.column([QuadFieldElement(0, 1, d), QuadFieldElement(2, 0, d)])
             assert (r * q).rows == ((QuadFieldElement(1, 1, d),),)
+
+
+# -- one matrix in its three forms ----------------------------------------------
+#
+# A matrix built from entries keeps them as given; one produced by an
+# operation or parsed from JSON holds integer arrays and builds its entries
+# on first access, by the entry-type rule above.  Everything but the types
+# of those built entries must not depend on the form.
+
+
+def three_forms(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    from cuspchain import serialize
+
+    produced = m * Matrix.identity(m.ncols)
+    parsed = serialize.matrix_from_json(serialize.matrix_to_json(m), ncols=m.ncols)
+    return m, produced, parsed
+
+
+def quad_field(m: Matrix):
+    return next((x.d for x in m.entries() if isinstance(x, QuadFieldElement)), None)
+
+
+def any_matrix(shape=None):
+    nrows, ncols = shape or (None, None)
+    return st.one_of(
+        rational_matrices(nrows, ncols),
+        discriminants.flatmap(lambda d: hermitian_matrices(d, nrows, ncols)),
+    )
+
+
+def same_matrix(a: Matrix, b: Matrix) -> bool:
+    return a.shape == b.shape and a == b and b == a and hash(a) == hash(b)
+
+
+class TestStoredForm:
+    @settings(max_examples=120, deadline=None)
+    @given(any_matrix())
+    def test_forms_agree(self, m):
+        d = quad_field(m)
+        given_rows = m.rows
+        forms = three_forms(m)
+        for x in forms:
+            assert same_matrix(x, m)
+            assert x.rows == given_rows
+            assert same_matrix(x.transpose(), m.transpose())
+            assert same_matrix(x.conj_transpose(), m.conj_transpose())
+            assert same_matrix(Matrix.vstack(x, m), Matrix.vstack(m, m))
+            assert same_matrix(Matrix.hstack(m, x), Matrix.hstack(m, m))
+            assert same_matrix(-x, -m)
+            assert x.is_zero() == m.is_zero()
+            assert x.is_integral() == m.is_integral()
+            assert x.denominator_lcm() == m.denominator_lcm()
+        # entries as given, then the entry-type rule for the stored forms
+        assert all(a is b for a, b in zip(m.entries(), itertools.chain(*given_rows)))
+        for x in forms[1:]:
+            if d is None:
+                assert all_fractions(x.entries())
+            else:
+                assert all(is_quad(y, d) for y in x.entries())
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_matrix())
+    def test_unequal_values_stay_unequal(self, m):
+        if m.nrows and m.ncols:
+            rows = [[0] * m.ncols for _ in range(m.nrows)]
+            rows[-1][-1] = Fraction(1, 3)
+            other = m + Matrix(rows)
+            for x, y in itertools.product(three_forms(m), three_forms(other)):
+                assert x != y and y != x
+
+    def test_zero_sized_shapes_are_rational(self):
+        q = QuadFieldElement(1, 1, 7)
+        tall = Matrix([[q], [q]]).submatrix(cols=slice(0))
+        assert tall.shape == (2, 0) and tall == Matrix([[], []])
+        assert tall.right_kernel().shape == (0, 0)
+        kernel = Matrix([[q, 1]]).submatrix(rows=[]).right_kernel()
+        assert kernel == Matrix.identity(2) and all_fractions(kernel.entries())
+
+    def test_negative_pivots_and_mixed_denominators(self):
+        m = Matrix([[Fraction(-1, 2), Fraction(2, 3)], [Fraction(-3), Fraction(5, 6)]])
+        red, pivots = m.rref()
+        assert pivots == (0, 1) and red == Matrix.identity(2)
+        assert m.inverse() * m == Matrix.identity(2)
+        assert m.denominator_lcm() == 6 and (m * 6).is_integral()
+        assert (m * 6).rows == ((-3, 4), (-18, 5))
+
+    def test_entries_as_given(self):
+        m = Matrix([[1, 2]])
+        assert m.rows == ((1, 2),) and type(m.rows[0][0]) is int
+        assert m.transpose().rows == ((1,), (2,))
+        m.rank()  # the first arithmetic lifts; the entries stay as given
+        assert type(m.rows[0][0]) is int and m[0, 1] == 2

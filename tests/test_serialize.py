@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspchain import serialize
 from cuspchain.chains import (
@@ -156,3 +158,85 @@ def test_report_round_trip():
     encoded = serialize.report_to_json(report)
     assert serialize.report_from_json(encoded) == report
     assert encoded["ok"] is True
+
+
+# -- the integer parse of matrix entries ------------------------------------------
+#
+# matrix_from_json reads "p" / "p/q" strings and JSON integers straight to
+# integers and leaves every other entry to scalar_from_json, which reads
+# strings with Fraction(str).  Both must give the same value or the same error.
+
+
+def read_entry(read, obj):
+    try:
+        return "value", read(obj)
+    except InputFormatError as exc:
+        return "error", str(exc)
+
+
+def fast_entry(obj):
+    return serialize.matrix_from_json([[obj]]).rows[0][0]
+
+
+HOSTILE = [
+    "1/0", "2/4", "-0", "+3", "1.5", "1e3", " 7 ", "1_000", "٣", "1,2", "1/2,3",
+    "-5/-3", "3/", "/3", "", "0/0", "0007/0010", "７", True, False, 3.0, None, [1],
+    "9" * 4000, -(10**4000), "1/" + "7" * 4000, "9" * 5000,
+]
+
+
+@pytest.mark.parametrize("obj", HOSTILE, ids=range(len(HOSTILE)))
+def test_hostile_entries_read_as_before(obj):
+    expected = read_entry(serialize.scalar_from_json, obj)
+    assert read_entry(fast_entry, obj) == expected
+    quad = {"a": obj, "b": "1", "D": 2}
+    got = read_entry(fast_entry, quad)
+    assert got == read_entry(serialize.scalar_from_json, quad)
+    if expected[0] == "value":
+        assert type(got[1]) is QuadFieldElement and got[1].a == expected[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.from_regex(r"\A-?[0-9]{1,40}(/[0-9]{1,40})?\Z"),
+        st.text(max_size=12),
+        st.integers(),
+    )
+)
+def test_entries_read_as_fraction_reads_them(obj):
+    expected = read_entry(serialize.scalar_from_json, obj)
+    assert read_entry(fast_entry, obj) == expected
+    if isinstance(obj, str) and expected[0] == "value":
+        assert expected[1] == Fraction(obj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.one_of(st.sampled_from(HOSTILE[:14]), st.integers(-9, 9)),
+                 min_size=2, max_size=2),
+        min_size=1, max_size=3,
+    )
+)
+def test_matrices_read_as_before(rows):
+    def entrywise(obj):
+        return Matrix([[serialize.scalar_from_json(x) for x in r] for r in obj])
+
+    expected = read_entry(entrywise, rows)
+    got = read_entry(serialize.matrix_from_json, rows)
+    assert got[0] == expected[0]
+    if got[0] == "error":
+        assert got == expected
+    else:
+        assert got[1] == expected[1] and got[1].rows == expected[1].rows
+
+
+def test_mixed_fields_read_entry_by_entry():
+    rows = [[{"a": "1", "b": "1", "D": 2}, {"a": "1", "b": "1", "D": 3}]]
+    m = serialize.matrix_from_json(rows)
+    assert [x.d for x in m.entries()] == [2, 3]
+    with pytest.raises(InputFormatError, match="bad field element"):
+        serialize.matrix_from_json([[{"a": "1", "b": "1", "D": 4}]])
+    with pytest.raises(InputFormatError, match="ragged"):
+        serialize.matrix_from_json([["1", "2"], ["3"]])
