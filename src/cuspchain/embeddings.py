@@ -4,7 +4,9 @@ Contains the trace-zero 2x2 model of the signature (2, 1) quadric with its
 SL2 conjugation action, the rational Veronese and Segre parametrizations,
 the SL2 x SL2 action on 2U, the hermitian structure on M2(Q) by left
 multiplication of sqrt(-D), and right-order arithmetic for full lattices in
-M2(Q).
+M2(Q).  The right orders work on vec(X) = (x00, x01, x10, x11): left
+multiplication by a matrix is one 4x4 Kronecker block acting on vec, so the
+stability system and the checks of an order are a few stacked products.
 
 Matrices of linear maps act on column coordinate vectors.
 """
@@ -17,7 +19,15 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import NotContained, NotDeterminantOne, _ensure
-from .exact import Matrix, QuadFieldElement, _in_field, hnf, smith
+from .exact import (
+    Matrix,
+    QuadFieldElement,
+    _canonical,
+    _in_field,
+    _one_denominator,
+    hnf,
+    smith,
+)
 from .forms import HERMITIAN, SYMMETRIC, FormSpace, preserves_form
 
 
@@ -243,14 +253,66 @@ def sl2_su11_image(d: int, g: SL2Element) -> Matrix:
 
 
 # right orders of full lattices in M2(Q) -------------------------------------
+#
+# With vec(M) = (m00, m01, m10, m11) as a row, left multiplication by bm is
+# vec(bm * X) = vec(X) * R(bm), where R(bm) is the Kronecker product bm^T (x) I2:
+# row k of R(bm) is vec(bm * E_k) for the k-th unit matrix E_k.
 
 
-def _vec(m: Matrix) -> tuple:
-    return (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+def _vec_rows(mats: Sequence[Matrix]) -> Matrix:
+    """The rows vec(m) of rational 2x2 matrices, built from their integers."""
+    re, den = [], []
+    for m in mats:
+        ((a, b), (c, d)), _, q = _one_denominator(m._lifted())
+        re.append([a, b, c, d])
+        den.append(q)
+    return _canonical(re, None, den, None, 4)
 
 
-def _unvec(row: Sequence) -> Matrix:
-    return Matrix([[row[0], row[1]], [row[2], row[3]]])
+def _unvec_rows(vecs: Matrix) -> tuple[Matrix, ...]:
+    """The 2x2 matrices whose vec are the rows of a rational matrix."""
+    re, _, den, _ = vecs._lifted()
+    return tuple(
+        _canonical([r[:2], r[2:]], None, [q, q], None, 2) for r, q in zip(re, den)
+    )
+
+
+def _left_multiplications(mats: Sequence[Matrix]) -> Matrix:
+    """The 4x4 blocks R(m) of the given rational 2x2 matrices, stacked.
+
+    R(m) = [[a, 0, c, 0], [0, a, 0, c], [b, 0, d, 0], [0, b, 0, d]] for
+    m = [[a, b], [c, d]], built from the integers of m over one denominator.
+    """
+    re, den = [], []
+    for m in mats:
+        ((a, b), (c, d)), _, q = _one_denominator(m._lifted())
+        re += [[a, 0, c, 0], [0, a, 0, c], [b, 0, d, 0], [0, b, 0, d]]
+        den += [q] * 4
+    return _canonical(re, None, den, None, 4)
+
+
+def _side_by_side(m: Matrix) -> Matrix:
+    """The consecutive 4-row blocks of m, stacked side by side."""
+    return Matrix.hstack(
+        *(m.submatrix(rows=slice(i, i + 4)) for i in range(0, m.nrows, 4))
+    )
+
+
+def _integral_parts(coords: Matrix, width: int = 0) -> tuple[bool, ...]:
+    """Integrality of each row of a rational matrix, or of each block of
+    ``width`` columns.
+
+    Read off the stored integers: a row is integral when its denominator is
+    one, an entry when its row's denominator divides it.
+    """
+    re, _, den, _ = coords._lifted()
+    if not width:
+        return tuple(q == 1 for q in den)
+    rows = [(r, q) for r, q in zip(re, den) if q != 1]
+    return tuple(
+        all(x % q == 0 for r, q in rows for x in r[c : c + width])
+        for c in range(0, coords.ncols, width)
+    )
 
 
 @dataclass(frozen=True)
@@ -270,7 +332,7 @@ class MatrixLattice:
             raise ValueError("matrix lattice basis is not full rank")
 
     def vec_basis(self) -> Matrix:
-        return Matrix([_vec(m) for m in self.basis])
+        return _vec_rows(self.basis)
 
     @cached_property
     def _dual(self) -> Matrix:
@@ -281,15 +343,26 @@ class MatrixLattice:
         return self.contains_each([m])[0]
 
     def contains_each(self, mats: Sequence[Matrix]) -> tuple[bool, ...]:
-        """Membership of each matrix, read off one product with _dual."""
-        coords = Matrix([_vec(m) for m in mats], 4) * self._dual
-        return tuple(coords.submatrix(rows=[i]).is_integral() for i in range(len(mats)))
+        """Membership of each matrix, read off one product with _dual.
+
+        Raises ValueError for a matrix that is not rational.
+        """
+        return _integral_parts(_vec_rows([_rational(m) for m in mats]) * self._dual)
 
 
 def _rational(m: Matrix) -> Matrix:
-    """m with Fraction entries; entries of other types go through Fraction()."""
+    """m with Fraction entries; entries of other types go through Fraction().
+
+    Raises ValueError for an entry that is not rational, such as a field
+    element.
+    """
     out = _in_field(m, None)
-    return m.map_entries(Fraction) if out is None else out
+    if out is not None:
+        return out
+    try:
+        return m.map_entries(Fraction)
+    except TypeError as exc:
+        raise ValueError("matrix lattice entries must be rational") from exc
 
 
 def _canonical_lattice_rows(rows: Matrix) -> Matrix:
@@ -302,23 +375,16 @@ def _canonical_lattice_rows(rows: Matrix) -> Matrix:
 def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
     """The right order { X in M2(Q) : lattice * X inside lattice }.
 
-    Solved exactly: stability under each basis element is a lattice-valued
-    linear condition on vec(X); the intersection is extracted through the
-    Smith normal form.  The result contains the identity, is closed under
-    multiplication and stabilizes the lattice (all checked, with one product
-    per lattice).
+    Solved exactly: X is in the order when vec(X) * R(l) * B^-1 is integral
+    for each basis element l, with B = vec_basis() and R(l) the Kronecker
+    form of left multiplication by l.  The four R(l) * B^-1, side by side,
+    are one 4x16 system; its solutions are extracted through the Smith
+    normal form.  The result contains the identity, is closed under
+    multiplication and stabilizes the lattice, all checked on a few products
+    of the same form.
     """
-    b_inv = lattice._dual
-    blocks = []
-    for bm in lattice.basis:
-        # columns of r: vec(bm * E_k) for the four unit matrices E_k
-        cols = []
-        for k in range(4):
-            unit = _unvec([Fraction(1) if i == k else Fraction(0) for i in range(4)])
-            cols.append(_vec(bm * unit))
-        r = Matrix(cols).transpose()
-        blocks.append(r.transpose() * b_inv)
-    stacked = Matrix.hstack(*blocks)  # x * stacked must be integral
+    # column block m of vec(X) * stacked holds the coordinates of l_m * X
+    stacked = _side_by_side(_left_multiplications(lattice.basis) * lattice._dual)
     denom = stacked.denominator_lcm()
     s, u, _ = smith(stacked * denom)
     # With S = U * ints * V, the rows x with x * ints in denom * Z^16 are
@@ -332,17 +398,19 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
         ]
     )
     basis_rows = _canonical_lattice_rows(scale_rows * u)
-    order = MatrixLattice(tuple(_unvec(r) for r in basis_rows.rows))
-    products = [x * y for x in order.basis for y in order.basis]
-    moved = [lm * x for x in order.basis for lm in lattice.basis]
-    in_order = order.contains_each([I2] + products)
-    in_lattice = lattice.contains_each(moved)
-    _ensure(in_order[0], "order does not contain the identity")
-    for i in range(4):  # the products x_i * y, then lm * x_i, for each x_i in turn
-        closed = all(in_order[1 + 4 * i : 5 + 4 * i])
-        _ensure(closed, "order must be multiplicatively closed")
-        stable = all(in_lattice[4 * i : 4 * i + 4])
-        _ensure(stable, "order does not stabilize the lattice")
+    order = MatrixLattice(_unvec_rows(basis_rows))
+    vecs, o_inv = order.vec_basis(), order._dual
+    identity = _integral_parts(_vec_rows([I2]) * o_inv)[0]
+    # column block i of the first: the coordinates of x_i * y for y in the
+    # order's basis; row i of the second: those of l_m * x_i for each l_m
+    closed = _integral_parts(
+        vecs * _side_by_side(_left_multiplications(order.basis) * o_inv), 4
+    )
+    stable = _integral_parts(vecs * stacked)
+    _ensure(identity, "order does not contain the identity")
+    for i in range(4):
+        _ensure(closed[i], "order must be multiplicatively closed")
+        _ensure(stable[i], "order does not stabilize the lattice")
     return order
 
 

@@ -336,16 +336,14 @@ def coords_in_rows(basis: Matrix, v: Sequence) -> tuple | None:
 def extend_basis_rows(sub: Matrix, within: Matrix) -> Matrix:
     """Rows of ``within`` extending span(sub) to span(within), greedily.
 
-    The rows of ``sub`` must be independent, as a canonical basis is.
+    The rows of ``sub`` must be independent, as a canonical basis is.  A row
+    is taken when it is independent of ``sub`` and of the rows before it,
+    which makes it a pivot column of the reduced echelon form of all the
+    rows written as columns.
     """
-    chosen: list[int] = []
-    current = sub
-    for i in range(within.nrows):
-        stacked = Matrix.vstack(current, within.submatrix(rows=[i]))
-        if rref_basis(stacked).nrows > current.nrows:
-            current = stacked
-            chosen.append(i)
-    return within.submatrix(rows=chosen)
+    _, pivots = Matrix.vstack(sub, within).transpose().rref()
+    k = sub.nrows
+    return within.submatrix(rows=[c - k for c in pivots if c >= k])
 
 
 @dataclass(frozen=True)

@@ -404,6 +404,21 @@ def test_demo_order(tmp_path, capsys):
     assert len(payload["order"]) == 4
 
 
+def test_demo_order_field_element_is_input_error(tmp_path, capsys):
+    root_two = {"a": "1", "b": "1", "D": 2}
+    lattice_file = write(
+        tmp_path / "lat.json",
+        {"matrices": [[[root_two, "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
+                      [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]]},
+    )
+    code, out, err = run(capsys, ["demo", "order", "--lattice", lattice_file])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "InputFormatError",
+        "detail": "matrix lattice entries must be rational",
+    }
+
+
 def test_level_command(tmp_path, capsys):
     from cuspchain.forms import hyperbolic_plane
 
@@ -563,8 +578,8 @@ def test_deep_boundary_descent_is_input_error(tmp_path, capsys):
 def test_demo_order_failed_self_check_is_named(tmp_path, capsys, monkeypatch):
     from cuspchain import embeddings
 
-    never = lambda self, mats: (False,) * len(mats)
-    monkeypatch.setattr(embeddings.MatrixLattice, "contains_each", never)
+    never = lambda coords, width=0: (False,) * coords.nrows
+    monkeypatch.setattr(embeddings, "_integral_parts", never)
     lattice_file = write(
         tmp_path / "lat.json",
         {"matrices": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],

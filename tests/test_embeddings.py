@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-
+from cuspchain import embeddings
 from cuspchain.embeddings import (
     E12,
     E21,
@@ -25,8 +27,8 @@ from cuspchain.embeddings import (
     trace_zero_space,
     veronese_point,
 )
-from cuspchain.errors import NotContained, NotDeterminantOne
-from cuspchain.exact import Matrix, QuadFieldElement
+from cuspchain.errors import NotContained, NotDeterminantOne, PostconditionFailed
+from cuspchain.exact import Matrix, QuadFieldElement, hnf, smith
 from cuspchain.forms import Signature, preserves_form, signature_of, standard_2u
 from cuspchain.levels import FullLattice, congruence_membership
 
@@ -343,6 +345,124 @@ class TestOrders:
         assert a.vec_basis() == b.vec_basis()
 
 
+UNITS = [Matrix([[int(k == 0), int(k == 1)], [int(k == 2), int(k == 3)]]) for k in range(4)]
+
+
+def vec(m):
+    return (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+
+
+def reference_order_rows(lattice):
+    """The right order's vec basis, solved with one 2x2 product per unit matrix.
+
+    Each basis element bm gives the block whose rows are vec(bm * E_k) * B^-1;
+    the solutions of the 4x16 system come from the Smith form, canonical by HNF.
+    """
+    b_inv = lattice.vec_basis().inverse()
+    blocks = [Matrix([vec(bm * e) for e in UNITS]) * b_inv for bm in lattice.basis]
+    stacked = Matrix.hstack(*blocks)
+    denom = stacked.denominator_lcm()
+    s, u, _ = smith(stacked * denom)
+    scale_rows = Matrix(
+        [[denom / s[i, i] if i == j else 0 for j in range(4)] for i in range(4)]
+    )
+    rows = scale_rows * u
+    scale = rows.denominator_lcm()
+    h, _ = hnf(rows * scale)
+    return h * Fraction(1, scale)
+
+
+small_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=1, max_value=6),
+)
+
+
+@st.composite
+def unimodular(draw):
+    """A 4x4 integer matrix of determinant +-1: a few row additions and swaps."""
+    rows = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        elif draw(st.booleans()):
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            c = draw(st.integers(min_value=-2, max_value=2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Matrix(rows)
+
+
+@st.composite
+def matrix_lattices(draw):
+    """Full lattices with vec basis U1 * diag(s) * U2: the scaled unit
+    matrices, mixed by small unimodular U1 and U2, with s_i = p/q, q <= 6."""
+    nonzero = st.integers(min_value=1, max_value=6).map(Fraction)
+    scales = [
+        draw(nonzero) * draw(st.sampled_from([1, -1])) / draw(st.integers(1, 6))
+        for _ in range(4)
+    ]
+    diag = Matrix([[scales[i] if i == j else 0 for j in range(4)] for i in range(4)])
+    rows = draw(unimodular()) * diag * draw(unimodular())
+    return MatrixLattice(tuple(Matrix([r[:2], r[2:]]) for r in rows.rows))
+
+
+class TestKroneckerOrders:
+    @settings(max_examples=120, deadline=None)
+    @given(matrix_lattices())
+    def test_matches_reference_solution(self, lattice):
+        assert order_of_lattice(lattice).vec_basis() == reference_order_rows(lattice)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.lists(small_fractions, min_size=2, max_size=2), min_size=2,
+                 max_size=2),
+        st.lists(st.lists(small_fractions, min_size=2, max_size=2), min_size=2,
+                 max_size=2),
+    )
+    def test_left_multiplication_is_kronecker_block(self, bm, x):
+        bm, x = Matrix(bm), Matrix(x)
+        block = embeddings._left_multiplications([bm])
+        assert embeddings._vec_rows([bm * x]) == embeddings._vec_rows([x]) * block
+        assert block == Matrix([vec(bm * e) for e in UNITS])
+
+    def failing_only(self, monkeypatch, which):
+        """Patch the membership reader so that only one check reads False."""
+        real = embeddings._integral_parts
+
+        def reader(coords, width=0):
+            kind = "identity" if coords.nrows == 1 else "closure" if width else "stability"
+            out = real(coords, width)
+            return (False,) * len(out) if kind == which else out
+
+        monkeypatch.setattr(embeddings, "_integral_parts", reader)
+        return lattice_from_positions([1, 1, 1, 2])
+
+    def test_identity_check(self, monkeypatch):
+        lattice = self.failing_only(monkeypatch, "identity")
+        with pytest.raises(PostconditionFailed, match="^order does not contain the identity$"):
+            order_of_lattice(lattice)
+
+    def test_closure_check(self, monkeypatch):
+        lattice = self.failing_only(monkeypatch, "closure")
+        with pytest.raises(PostconditionFailed, match="^order must be multiplicatively closed$"):
+            order_of_lattice(lattice)
+
+    def test_stability_check(self, monkeypatch):
+        lattice = self.failing_only(monkeypatch, "stability")
+        with pytest.raises(PostconditionFailed, match="^order does not stabilize the lattice$"):
+            order_of_lattice(lattice)
+
+    def test_field_elements_are_refused(self):
+        root = QuadFieldElement(0, 1, 2)
+        with pytest.raises(ValueError, match="rational"):
+            MatrixLattice((I2 * root, E12, E21, Matrix([[0, 0], [0, 1]])))
+        with pytest.raises(ValueError, match="rational"):
+            lattice_from_positions([1, 1, 1, 1]).contains(I2 * root)
+
+
 class TestOrderContainmentScale:
     def max_order(self):
         return lattice_from_positions([1, 1, 1, 1])
@@ -411,7 +531,7 @@ from cuspchain.embeddings import SL2Element, MatrixLattice, order_of_lattice
 from cuspchain.exact import Matrix
 
 embeddings.preserves_form = lambda *args: False
-MatrixLattice.contains_each = lambda self, mats: (False,) * len(mats)
+embeddings._integral_parts = lambda coords, width=0: (False,) * coords.nrows
 lattice = MatrixLattice(tuple(
     Matrix([[int(k == 0), int(k == 1)], [int(k == 2), int(k == 3)]]) for k in range(4)
 ))

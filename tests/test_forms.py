@@ -8,13 +8,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuspchain.errors import AlternatingHasNoSignature, NotIsotropic, NotNested
-from cuspchain.exact import Matrix, QuadFieldElement, as_fraction, conjugate_scalar
+from cuspchain.exact import (
+    Matrix,
+    QuadFieldElement,
+    as_fraction,
+    conjugate_scalar,
+    rref_basis,
+)
 from cuspchain.forms import (
     FormSpace,
     Signature,
     Subspace,
     canonical_subspace,
     _congruent_pivots,
+    extend_basis_rows,
     hyperbolic_plane,
     integer_form,
     is_perfect_pairing,
@@ -466,3 +473,50 @@ class TestAgainstEntrywiseReference:
         # every pivot is a leading minor of P * G * P^T: Hadamard's bound
         form, _ = integer_form(space)
         assert max(abs(p).bit_length() for p in _congruent_pivots(form)) <= n * 32
+
+
+def greedy_extension(sub: Matrix, within: Matrix) -> Matrix:
+    """Reference: take each row of within that raises the rank, one rref each."""
+    chosen, current = [], sub
+    for i in range(within.nrows):
+        stacked = Matrix.vstack(current, within.submatrix(rows=[i]))
+        if rref_basis(stacked).nrows > current.nrows:
+            current = stacked
+            chosen.append(i)
+    return within.submatrix(rows=chosen)
+
+
+@st.composite
+def extension_problems(draw):
+    """(sub, within): independent rows of sub, then rows of within that
+    repeat, scale and combine each other (dependent rows), over Q or Q(sqrt(-d)).
+    """
+    d = draw(st.sampled_from([None, 1, 2, 3, 7]))
+    n = draw(st.integers(min_value=1, max_value=5))
+    if d is None:
+        entry = mixed_fractions
+    else:
+        entry = st.builds(QuadFieldElement, mixed_fractions, mixed_fractions, st.just(d))
+    vector = st.lists(entry, min_size=n, max_size=n)
+    sub = rref_basis(Matrix(draw(st.lists(vector, max_size=n)), n))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        how = draw(st.sampled_from(["new", "zero", "copy", "combine"]))
+        if how == "new" or not rows:
+            rows.append(draw(vector))
+        elif how == "zero":
+            rows.append([x * 0 for x in rows[0]])
+        else:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            c = draw(entry) if how == "combine" else 1
+            rows.append([x + c * y for x, y in zip(rows[i], rows[j])])
+    if sub.nrows and draw(st.booleans()):
+        rows.insert(0, list(sub.rows[0]))  # a row already in span(sub)
+    return sub, Matrix(rows, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_problems())
+def test_extend_basis_rows_matches_greedy_loop(problem):
+    sub, within = problem
+    assert extend_basis_rows(sub, within) == greedy_extension(sub, within)
