@@ -23,7 +23,6 @@ from .exact import (
     Matrix,
     QuadFieldElement,
     _canonical,
-    _in_field,
     _one_denominator,
     hnf,
     smith,
@@ -263,7 +262,7 @@ def _vec_rows(mats: Sequence[Matrix]) -> Matrix:
     """The rows vec(m) of rational 2x2 matrices, built from their integers."""
     re, den = [], []
     for m in mats:
-        ((a, b), (c, d)), _, q = _one_denominator(m._lifted())
+        ((a, b), (c, d)), _, q = _one_denominator(m._ints)
         re.append([a, b, c, d])
         den.append(q)
     return _canonical(re, None, den, None, 4)
@@ -271,7 +270,7 @@ def _vec_rows(mats: Sequence[Matrix]) -> Matrix:
 
 def _unvec_rows(vecs: Matrix) -> tuple[Matrix, ...]:
     """The 2x2 matrices whose vec are the rows of a rational matrix."""
-    re, _, den, _ = vecs._lifted()
+    re, _, den, _ = vecs._ints
     return tuple(
         _canonical([r[:2], r[2:]], None, [q, q], None, 2) for r, q in zip(re, den)
     )
@@ -285,7 +284,7 @@ def _left_multiplications(mats: Sequence[Matrix]) -> Matrix:
     """
     re, den = [], []
     for m in mats:
-        ((a, b), (c, d)), _, q = _one_denominator(m._lifted())
+        ((a, b), (c, d)), _, q = _one_denominator(m._ints)
         re += [[a, 0, c, 0], [0, a, 0, c], [b, 0, d, 0], [0, b, 0, d]]
         den += [q] * 4
     return _canonical(re, None, den, None, 4)
@@ -305,7 +304,7 @@ def _integral_parts(coords: Matrix, width: int = 0) -> tuple[bool, ...]:
     Read off the stored integers: a row is integral when its denominator is
     one, an entry when its row's denominator divides it.
     """
-    re, _, den, _ = coords._lifted()
+    re, _, den, _ = coords._ints
     if not width:
         return tuple(q == 1 for q in den)
     rows = [(r, q) for r, q in zip(re, den) if q != 1]
@@ -351,18 +350,10 @@ class MatrixLattice:
 
 
 def _rational(m: Matrix) -> Matrix:
-    """m with Fraction entries; entries of other types go through Fraction().
-
-    Raises ValueError for an entry that is not rational, such as a field
-    element.
-    """
-    out = _in_field(m, None)
-    if out is not None:
-        return out
-    try:
-        return m.map_entries(Fraction)
-    except TypeError as exc:
-        raise ValueError("matrix lattice entries must be rational") from exc
+    """m, which must be a rational matrix; ValueError for a field element entry."""
+    if m._ints[3] is not None:
+        raise ValueError("matrix lattice entries must be rational")
+    return m
 
 
 def _canonical_lattice_rows(rows: Matrix) -> Matrix:

@@ -4,20 +4,21 @@ Everything here is immutable and deterministic: the same input produces a
 bit-identical output, with no rounding anywhere.  Rationals are stdlib
 ``fractions.Fraction``; imaginary quadratic scalars are ``QuadFieldElement``.
 
-A :class:`Matrix` keeps its entries as integers.  Row i holds integer pairs
-``(re, im)`` over a positive denominator ``den[i]``, standing for
-``(re + im*sqrt(-d)) / den[i]``; a rational matrix has no ``d`` and no
-imaginary parts.  Each row is reduced (``den[i]`` shares no factor with all
-of the row's integers), so equal matrices hold equal integers.
+A :class:`Matrix` holds its entries as integers, and nothing else.  Row i
+holds integer pairs ``(re, im)`` over a positive denominator ``den[i]``,
+standing for ``(re + im*sqrt(-d)) / den[i]``; a rational matrix has no ``d``
+and no imaginary parts.  Each row is reduced (``den[i]`` shares no factor
+with all of the row's integers), so equal matrices hold equal integers.
 
-* A matrix built from rows keeps the entries as given and lifts them to
-  integers on its first arithmetic, once.
+* A matrix built from rows lifts them to integers at once; entries that are
+  not exact scalars raise ``TypeError``, two values of ``d``
+  :class:`MixedDiscriminants`.
 * Products, row reduction (and so rank, inverse, solving and kernels),
-  determinants, transposes, conjugates and stacking run on the integers and
-  give a matrix that holds only integers.  Its ``rows`` are built on first
-  access: ``Fraction`` entries for a rational matrix, ``QuadFieldElement``
-  entries in every position otherwise.  An operation meeting two values of
-  ``d`` raises :class:`MixedDiscriminants`.
+  determinants, transposes, conjugates and stacking run on the integers.
+  A matrix's ``rows`` are built from them on first access: ``Fraction``
+  entries for a rational matrix, ``QuadFieldElement`` entries in every
+  position otherwise.  An operation meeting two values of ``d`` raises
+  :class:`MixedDiscriminants`.
 
 Products multiply in ``Z`` or ``Z[sqrt(-d)]``.  Elimination is
 fraction-free: each updated row is divided by its rational content, and
@@ -36,7 +37,9 @@ from typing import Iterable, Sequence
 
 from .errors import MixedDiscriminants
 
-Rational = Fraction
+# The largest field parameter d accepted: squarefreeness is decided by trial
+# division, which has to stay fast on untrusted input.
+_D_BOUND = 2**32
 
 _SQUAREFREE_CACHE: set[int] = set()
 
@@ -58,6 +61,17 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+def _is_field(d) -> bool:
+    """d is a squarefree integer in [1, _D_BOUND], bounded before trial division."""
+    return isinstance(d, int) and 0 < d <= _D_BOUND and is_squarefree(d)
+
+
+def _check_field(d) -> None:
+    if not _is_field(d):
+        bound = " at most 2**32" if isinstance(d, int) and d > _D_BOUND else ""
+        raise ValueError(f"d must be a positive squarefree integer{bound}, got {d!r}")
+
+
 class QuadFieldElement:
     """Element a + b*sqrt(-d) of the imaginary quadratic field Q(sqrt(-d)).
 
@@ -71,8 +85,7 @@ class QuadFieldElement:
     def __init__(self, a, b=0, d: int | None = None):
         if d is None:
             raise ValueError("QuadFieldElement requires a field parameter d")
-        if not isinstance(d, int) or not is_squarefree(d):
-            raise ValueError(f"d must be a positive squarefree integer, got {d!r}")
+        _check_field(d)
         object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
         object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
         object.__setattr__(self, "d", d)
@@ -175,9 +188,6 @@ class QuadFieldElement:
         return f"{self.a}+{self.b}*sqrt(-{self.d})"
 
 
-Scalar = Fraction | QuadFieldElement
-
-
 def conjugate_scalar(x):
     """Complex conjugation; the identity on rationals."""
     if isinstance(x, QuadFieldElement):
@@ -196,13 +206,11 @@ class Matrix:
     """Immutable rectangular matrix with exact entries.
 
     Entries are rationals (Fractions or ints) or QuadFieldElements of one
-    field.  A matrix holds its entries in one of two forms (see the module
-    docstring): the entries as given, for a matrix built from rows, or
-    integer arrays, for a matrix produced by an operation.  ``rows`` builds
-    the entries of the second form once, on first access.  Products, rref
-    and det: a rational matrix gives Fractions, a matrix with a
-    QuadFieldElement entry gives QuadFieldElements in every entry.  They
-    refuse entries of any other type with a TypeError.
+    field, lifted to integer arrays when the matrix is built (see the module
+    docstring); entries of any other type raise TypeError, and entries over
+    two fields MixedDiscriminants.  ``rows`` builds the entries from the
+    arrays once, on first access: Fractions for a rational matrix,
+    QuadFieldElements in every entry otherwise.
     Zero-row matrices are allowed and must state their column count.
     """
 
@@ -220,8 +228,8 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_ints", _lift(rows))
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
 
@@ -250,9 +258,7 @@ class Matrix:
         for m in mats:
             if m.ncols != ncols:
                 raise ValueError("vstack column mismatch")
-        if all(m._ints is None for m in mats):
-            return cls([r for m in mats for r in m._rows], ncols)
-        parts = [m._lifted() for m in mats]
+        parts = [m._ints for m in mats]
         d = _join(*(p[3] for p in parts))
         re = [r for p in parts for r in p[0]]
         im = None
@@ -267,13 +273,10 @@ class Matrix:
             if m.nrows != nrows:
                 raise ValueError("hstack row mismatch")
         ncols = sum(m.ncols for m in mats)
-        if all(m._ints is None for m in mats):
-            rows = [sum((m._rows[i] for m in mats), ()) for i in range(nrows)]
-            return cls(rows, ncols)
         # each row over the lcm of its pieces' denominators, which keeps it
         # canonical: every prime power of the lcm is the full power of some
         # piece's denominator, whose numerators it leaves coprime to that prime
-        parts = [m._lifted() for m in mats]
+        parts = [m._ints for m in mats]
         d = _join(*(p[3] for p in parts))
         has_im = any(p[1] is not None for p in parts)
         re, im, den = [], [] if has_im else None, []
@@ -307,10 +310,7 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        rows = self._rows
-        if rows is None:
-            rows = self.rows
-        return rows[i][j]
+        return self.rows[i][j]
 
     def row(self, i: int) -> tuple:
         return self.rows[i]
@@ -328,48 +328,31 @@ class Matrix:
         """The given rows (a slice or indices, in that order) and column slice."""
         index = range(self.nrows)[rows] if isinstance(rows, slice) else rows
         ncols = len(range(self.ncols)[cols])
-        if self._ints is None:
-            return Matrix([self._rows[i][cols] for i in index], ncols)
         re, im, den, d = self._ints
         im = None if im is None else [im[i][cols] for i in index]
         sub_re, sub_den = [re[i][cols] for i in index], [den[i] for i in index]
-        if ncols == self.ncols:
-            return _stored(sub_re, im, sub_den, d, ncols)
-        return _canonical(sub_re, im, sub_den, d, ncols)
+        if ncols < self.ncols:
+            return _canonical(sub_re, im, sub_den, d, ncols)
+        if im is not None and not any(map(any, im)):
+            im = None  # only rows without imaginary parts were kept
+        return _stored(sub_re, im, sub_den, d, ncols)
 
     # -- algebra -----------------------------------------------------------
-
-    def _lifted(self) -> tuple:
-        """(re, im, den, d) of the entries; a matrix built from rows lifts once."""
-        ints = self._ints
-        if ints is None:
-            ints = _lift(self._rows)
-            object.__setattr__(self, "_ints", ints)
-        return ints
-
-    def _try_lifted(self) -> tuple | None:
-        """_lifted, or None for entries that are not exact scalars of one field."""
-        try:
-            return self._lifted()
-        except (TypeError, MixedDiscriminants):
-            return None
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
-        if self._ints is None and other._ints is None:
-            return self._rows == other._rows
-        a, b = self._try_lifted(), other._try_lifted()
-        if a is None or b is None or (a[3] and b[3] and a[3] != b[3]):
-            # entries outside the kernels, or two fields: compare entry by entry
-            return self.rows == other.rows
-        # rows are canonical, so equal values have equal arrays
-        return a[2] == b[2] and a[0] == b[0] and a[1] == b[1]
+        (ar, ai, ad, da), (br, bi, bd, db) = self._ints, other._ints
+        # rows are canonical, so equal values have equal arrays; a rational
+        # matrix equals a matrix over a field whose entries are all rational
+        return (da is None or db is None or da == db) and (ad, ar, ai) == (bd, br, bi)
 
     def __hash__(self):
-        return hash((self.rows, self.ncols))
+        re, im, den, _ = self._ints
+        im = None if im is None else tuple(map(tuple, im))
+        return hash((tuple(map(tuple, re)), im, tuple(den), self.ncols))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return _combine(self, other, 1, "addition")
@@ -378,7 +361,7 @@ class Matrix:
         return _combine(self, other, -1, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        re, im, den, d = self._lifted()
+        re, im, den, d = self._ints
         im = None if im is None else [[-x for x in r] for r in im]
         return _stored([[-x for x in r] for r in re], im, den, d, self.ncols)
 
@@ -388,22 +371,15 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.shape} by {other.shape} matrices"
                 )
-            return _mul(self._lifted(), other._lifted(), other.ncols)
-        if type(other) in _RATIONAL_TYPES:
-            return _scaled(self, other)
-        return Matrix([[x * other for x in r] for r in self.rows], self.ncols)
+            return _mul(self._ints, other._ints, other.ncols)
+        return self.__rmul__(other)  # scalars commute with matrices
 
     def __rmul__(self, other):
-        if type(other) in _RATIONAL_TYPES:
+        if type(other) in _SCALAR_TYPES:
             return _scaled(self, other)
-        return Matrix([[other * x for x in r] for r in self.rows], self.ncols)
+        return NotImplemented
 
     def transpose(self) -> "Matrix":
-        if self._ints is None:
-            rows = self._rows
-            return Matrix(
-                [tuple(r[j] for r in rows) for j in range(self.ncols)], len(rows)
-            )
         re, im, q = _one_denominator(self._ints)
         if self.nrows:
             re = [list(c) for c in zip(*re)]
@@ -415,9 +391,9 @@ class Matrix:
         return _stored(*out) if q == 1 else _canonical(*out)
 
     def conjugate(self) -> "Matrix":
-        re, im, den, d = self._lifted()
+        re, im, den, d = self._ints
         if im is None:
-            return self if self._rows is None else _stored(re, im, den, d, self.ncols)
+            return self
         return _stored(re, [[-x for x in r] for r in im], den, d, self.ncols)
 
     def conj_transpose(self) -> "Matrix":
@@ -427,35 +403,15 @@ class Matrix:
         return Matrix([[fn(x) for x in r] for r in self.rows], self.ncols)
 
     def is_zero(self) -> bool:
-        if self._ints is None:
-            return all(x == 0 for x in self.entries())
         re, im, _, _ = self._ints
         return im is None and not any(map(any, re))
 
     def is_integral(self) -> bool:
         """Every entry has denominator 1 (componentwise for quad entries)."""
-        if self._ints is not None:
-            return all(q == 1 for q in self._ints[2])
-        for x in self.entries():
-            if isinstance(x, QuadFieldElement):
-                if x.a.denominator != 1 or x.b.denominator != 1:
-                    return False
-            elif Fraction(x).denominator != 1:
-                return False
-        return True
+        return all(q == 1 for q in self._ints[2])
 
     def denominator_lcm(self) -> int:
-        if self._ints is not None:
-            return lcm(*self._ints[2])
-        out = 1
-        for x in self.entries():
-            if isinstance(x, QuadFieldElement):
-                for q in (x.a, x.b):
-                    out = out * q.denominator // gcd(out, q.denominator)
-            else:
-                q = Fraction(x)
-                out = out * q.denominator // gcd(out, q.denominator)
-        return out
+        return lcm(*self._ints[2])
 
     # -- elimination -------------------------------------------------------
 
@@ -467,7 +423,7 @@ class Matrix:
         leaves the form unchanged, so each row's numerators are eliminated
         without its denominator.
         """
-        re, im, _, d = self._lifted()
+        re, im, _, d = self._ints
         ncols = self.ncols
         re = list(re)
         if im is None:
@@ -496,7 +452,7 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         if self.nrows == 0:
             return Fraction(1)
-        re, im, den, d = self._lifted()
+        re, im, den, d = self._ints
         if im is None:
             num, q = _int_det(list(re), prod(den))
             if d is None:
@@ -738,21 +694,33 @@ def _entry(ints: tuple, i: int, j: int):
 
 
 def _zero_like(mat: Matrix):
-    if mat._ints is not None:
-        d = mat._ints[3]
-        return _ZERO if d is None else QuadFieldElement(0, 0, d)
-    for x in mat.entries():
-        if isinstance(x, QuadFieldElement):
-            return QuadFieldElement(0, 0, x.d)
-    return Fraction(0)
+    d = mat._ints[3]
+    return _ZERO if d is None else QuadFieldElement(0, 0, d)
 
 
 def _scaled(m: Matrix, c) -> Matrix:
-    """m times the rational scalar c."""
-    re, im, den, d = m._lifted()
-    p, q = c.numerator, c.denominator
-    re = [[p * x for x in r] for r in re]
-    im = None if im is None else [[p * x for x in r] for r in im]
+    """m times the scalar c, a rational or a QuadFieldElement.
+
+    With c = (cr + ci*s) / q and s = sqrt(-d), row i becomes
+    ((cr*re - d*ci*im) + (ci*re + cr*im)*s) / (q*den[i]).
+    """
+    re, im, den, d = m._ints
+    if type(c) is QuadFieldElement:
+        d = _join(d, c.d)
+        q = lcm(c.a.denominator, c.b.denominator)
+        cr = c.a.numerator * (q // c.a.denominator)
+        ci = c.b.numerator * (q // c.b.denominator)
+    else:
+        cr, ci, q = c.numerator, 0, c.denominator
+    if ci:
+        im = im or [[0] * m.ncols] * m.nrows
+        re, im = (
+            [[cr * x - d * ci * y for x, y in zip(r, i)] for r, i in zip(re, im)],
+            [[ci * x + cr * y for x, y in zip(r, i)] for r, i in zip(re, im)],
+        )
+    else:
+        re = [[cr * x for x in r] for r in re]
+        im = None if im is None else [[cr * x for x in r] for r in im]
     return _canonical(re, im, [q * t for t in den], d, m.ncols)
 
 
@@ -760,8 +728,8 @@ def _combine(a: Matrix, b: Matrix, sign: int, what: str) -> Matrix:
     """a + sign * b, row by row over the lcm of the two denominators."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch in {what}")
-    ar, ai, ad, da = a._lifted()
-    br, bi, bd, db = b._lifted()
+    ar, ai, ad, da = a._ints
+    br, bi, bd, db = b._ints
     d = _join(da, db)
     re, im, den = [], [], []
     zeros = [[0] * a.ncols] * a.nrows
@@ -967,22 +935,14 @@ def _pair_det(re: list, im: list, den: int, d: int) -> QuadFieldElement:
 
 
 def _in_field(m: Matrix, d: int | None) -> Matrix | None:
-    """m with its entries in Q (d None) or Q(sqrt(-d)), or None when they are not.
+    """m over Q (d None) or Q(sqrt(-d)), or None when it is over another field.
 
-    A matrix already holding only that field's arrays is returned as is;
-    None also when its entries are not exact scalars of one field.
+    A matrix already over that field is returned as is.
     """
-    ints = m._try_lifted()
-    if ints is None or ints[3] not in (None, d):
-        return None
-    if m._rows is None and ints[3] == d:
+    re, im, den, field = m._ints
+    if field == d:
         return m
-    return _stored(*ints[:3], d, m.ncols)
-
-
-def _stored_parts(m: Matrix) -> tuple | None:
-    """(re, im, den, d) of a matrix whose entries have not been built, else None."""
-    return m._ints if m._rows is None else None
+    return _stored(re, im, den, d, m.ncols) if field is None else None
 
 
 def rref_basis(mat: Matrix) -> Matrix:
@@ -1004,9 +964,56 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+# Unimodular steps on lists of integer rows, applied alike to each of mats
+# (a normal form and its transforms).  With g = gcd(a, b) = x*a + y*b, the
+# xgcd step [[x, y], [-b/g, a/g]] takes (a, b) to (g, 0).
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int, int]:
+    """(x, y, a/g, b/g) of the xgcd step on (a, b)."""
+    g, x, y = _xgcd(a, b)
+    return x, y, a // g, b // g
+
+
+def _bezout_rows(mats, i: int, k: int, a: int, b: int) -> None:
+    """Rows i and k become x*r_i + y*r_k and (-b*r_i + a*r_k)/g."""
+    x, y, aa, bb = _bezout(a, b)
+    for m in mats:
+        p, q = m[i], m[k]
+        m[i] = [x * s + y * t for s, t in zip(p, q)]
+        m[k] = [-bb * s + aa * t for s, t in zip(p, q)]
+
+
+def _bezout_cols(mats, j: int, k: int, a: int, b: int) -> None:
+    """_bezout_rows on columns j and k."""
+    x, y, aa, bb = _bezout(a, b)
+    for m in mats:
+        for row in m:
+            s, t = row[j], row[k]
+            row[j], row[k] = x * s + y * t, -bb * s + aa * t
+
+
+def _sub_rows(mats, i: int, k: int, q: int) -> None:
+    """Row i becomes r_i - q*r_k."""
+    for m in mats:
+        m[i] = [s - q * t for s, t in zip(m[i], m[k])]
+
+
+def _sub_cols(mats, j: int, k: int, q: int) -> None:
+    """Column j becomes c_j - q*c_k."""
+    for m in mats:
+        for row in m:
+            row[j] -= q * row[k]
+
+
+def _negate_row(mats, i: int) -> None:
+    for m in mats:
+        m[i] = [-x for x in m[i]]
+
+
 def _require_int_rows(mat: Matrix) -> list[list[int]]:
     """Fresh integer rows of a rational matrix with integral entries."""
-    re, _, den, d = mat._lifted()
+    re, _, den, d = mat._ints
     if d is not None or any(q != 1 for q in den):
         raise ValueError("integer matrix required")
     return [list(r) for r in re]
@@ -1036,27 +1043,14 @@ def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
             h[r], h[pr] = h[pr], h[r]
             u[r], u[pr] = u[pr], u[r]
         for i in range(r + 1, m):
-            if h[i][c] == 0:
-                continue
-            a, b = h[r][c], h[i][c]
-            g, x, y = _xgcd(a, b)
-            aa, bb = a // g, b // g
-            h[r], h[i] = (
-                [x * p + y * q for p, q in zip(h[r], h[i])],
-                [-bb * p + aa * q for p, q in zip(h[r], h[i])],
-            )
-            u[r], u[i] = (
-                [x * p + y * q for p, q in zip(u[r], u[i])],
-                [-bb * p + aa * q for p, q in zip(u[r], u[i])],
-            )
+            if h[i][c] != 0:
+                _bezout_rows((h, u), r, i, h[r][c], h[i][c])
         if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
+            _negate_row((h, u), r)
         for i in range(r):
             q = h[i][c] // h[r][c]
             if q:
-                h[i] = [p - q * t for p, t in zip(h[i], h[r])]
-                u[i] = [p - q * t for p, t in zip(u[i], u[r])]
+                _sub_rows((h, u), i, r, q)
         r += 1
     return _integer_matrix(h, n), _integer_matrix(u, m)
 
@@ -1076,38 +1070,16 @@ def smith(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         # zero s[i][t]; the xgcd branch strictly shrinks |pivot|
         a, b = s[t][t], s[i][t]
         if b % a == 0:
-            q = b // a
-            s[i] = [p - q * r for p, r in zip(s[i], s[t])]
-            u[i] = [p - q * r for p, r in zip(u[i], u[t])]
+            _sub_rows((s, u), i, t, b // a)
         else:
-            g, x, y = _xgcd(a, b)
-            aa, bb = a // g, b // g
-            s[t], s[i] = (
-                [x * p + y * q for p, q in zip(s[t], s[i])],
-                [-bb * p + aa * q for p, q in zip(s[t], s[i])],
-            )
-            u[t], u[i] = (
-                [x * p + y * q for p, q in zip(u[t], u[i])],
-                [-bb * p + aa * q for p, q in zip(u[t], u[i])],
-            )
+            _bezout_rows((s, u), t, i, a, b)
 
     def clear_col_entry(j):
         a, b = s[t][t], s[t][j]
         if b % a == 0:
-            q = b // a
-            for row in s:
-                row[j] = row[j] - q * row[t]
-            for row in v:
-                row[j] = row[j] - q * row[t]
+            _sub_cols((s, v), j, t, b // a)
         else:
-            g, x, y = _xgcd(a, b)
-            aa, bb = a // g, b // g
-            for row in s:
-                p, q = row[t], row[j]
-                row[t], row[j] = x * p + y * q, -bb * p + aa * q
-            for row in v:
-                p, q = row[t], row[j]
-                row[t], row[j] = x * p + y * q, -bb * p + aa * q
+            _bezout_cols((s, v), t, j, a, b)
 
     t = 0
     bound = min(m, n)
@@ -1153,11 +1125,9 @@ def smith(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                     break
             if bad is None:
                 break
-            s[t] = [p + q for p, q in zip(s[t], s[bad])]
-            u[t] = [p + q for p, q in zip(u[t], u[bad])]
+            _sub_rows((s, u), t, bad, -1)
         if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+            _negate_row((s, u), t)
         t += 1
     return _integer_matrix(s, n), _integer_matrix(u, m), _integer_matrix(v, n)
 

@@ -29,6 +29,7 @@ from .errors import (
 from .exact import (
     Matrix,
     QuadFieldElement,
+    _check_field,
     _in_field,
     _one_denominator,
     as_fraction,
@@ -57,6 +58,7 @@ class FormSpace:
         if self.kind == HERMITIAN:
             if self.d is None:
                 raise ValueError("hermitian spaces need the field parameter d")
+            _check_field(self.d)
             object.__setattr__(self, "gram", self.coerce_matrix(self.gram))
             if self.gram != self.gram.conj_transpose():
                 raise ValueError("hermitian Gram matrix must equal its adjoint")
@@ -105,14 +107,20 @@ class FormSpace:
         return v
 
     def coerce_matrix(self, m: Matrix) -> Matrix:
-        """m over the space's field; a matrix already over it comes back as is."""
+        """m over the space's field; a matrix already over it comes back as is.
+
+        Raises ValueError for a matrix over another field.
+        """
         if m.ncols != self.dim:
             raise DimensionMismatch(
                 f"{m.ncols}-column matrix in a space of dimension {self.dim}"
             )
         out = _in_field(m, self.d)
-        # entries of another field or of other types: _coerce converts or refuses
-        return m.map_entries(self._coerce) if out is None else out
+        if out is not None:
+            return out
+        if self.kind == HERMITIAN:
+            raise ValueError(f"entry over d={m._ints[3]} in a space over d={self.d}")
+        raise ValueError("imaginary entry in a rational form space")
 
     def pair(self, u: Sequence, v: Sequence):
         """Form value (u, v); linear in u, conjugate-linear in v."""
@@ -225,7 +233,7 @@ def integer_form(space: FormSpace) -> tuple[list[list[int]], int]:
     h(v, v) * den = sum g_ij (a_i a_j + d b_i b_j) + 2d sum h_ij a_i b_j, a
     rational form in 2n variables; S is its symmetric integer matrix.
     """
-    g, h, den = _one_denominator(space.gram._lifted())
+    g, h, den = _one_denominator(space.gram._ints)
     if space.kind != HERMITIAN:
         return [list(r) for r in g], den
     d, n = space.d, space.dim

@@ -9,6 +9,7 @@ integers, of strings "p" and "p/q" in ASCII digits, or of field elements
 over one D made of those, is parsed straight to integers.  A matrix with
 any other row is read entry by entry, strings by ``Fraction(str)``; the
 integer parse gives the same values, and leaves every error to that path.
+A matrix whose entries lie over two values of D is an input error.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .chains import (
     ManinDrinfeldLeaf,
     VerificationReport,
 )
-from .errors import InputFormatError
-from .exact import Matrix, QuadFieldElement, _canonical, _stored_parts, is_squarefree
+from .errors import InputFormatError, MixedDiscriminants
+from .exact import Matrix, QuadFieldElement, _canonical, _is_field
 from .forms import HERMITIAN, KINDS, FormSpace, Subspace
 
 CERTIFICATE_FORMAT = 1
@@ -92,10 +93,7 @@ def _ratio_to_json(n: int, q: int) -> str:
 
 
 def matrix_to_json(m: Matrix) -> list:
-    parts = _stored_parts(m)
-    if parts is None:
-        return [[scalar_to_json(x) for x in row] for row in m.rows]
-    re, im, den, d = parts
+    re, im, den, d = m._ints
     if d is None:
         return [[_ratio_to_json(x, q) for x in r] for r, q in zip(re, den)]
     return [
@@ -174,13 +172,13 @@ def matrix_from_json(obj, ncols: int | None = None) -> Matrix:
         not obj
         or None in rows
         or len(fields) > 1
-        or not all(map(is_squarefree, fields))
+        or not all(map(_is_field, fields))
     ):
         # the entry-by-entry reading, which raises on the first bad entry
         rows = [[scalar_from_json(x) for x in r] for r in obj]
         try:
             return Matrix(rows, ncols=ncols if not rows else None)
-        except ValueError as exc:
+        except (MixedDiscriminants, ValueError) as exc:
             raise InputFormatError(str(exc)) from exc
     width = len(obj[0])
     if any(len(r) != width for r in obj):

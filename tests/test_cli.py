@@ -1,17 +1,25 @@
 """Command-line surface: exit codes, canonical output, chain/verify round trip."""
 
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cuspchain
-from cuspchain import serialize
+from cuspchain import chains, serialize
 from cuspchain.cli import main
 from cuspchain.forms import line, standard_symplectic, unit_vector
 
@@ -607,3 +615,105 @@ def test_analyze_eliminates_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["signature"] == [2, 1, 0]
     assert len(calls) == 1
+
+
+# -- field parameters and mixed fields in input ---------------------------------
+
+
+def test_field_parameter_past_the_bound_is_refused_at_once(tmp_path, capsys):
+    # 10**14 + 31 is squarefree; deciding that by trial division takes seconds
+    space_file = write(
+        tmp_path / "space.json",
+        {"kind": "hermitian", "gram": [["1", "0"], ["0", "-1"]], "D": 10**14 + 31},
+    )
+    for argv in (
+        ["analyze", "--space", space_file],
+        ["demo", "hermitian-m2", "--D", str(10**14 + 31)],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputFormatError"
+        assert "2**32" in json.loads(err)["detail"]
+
+
+def unitary_descent_certificate() -> dict:
+    space = unitary_test_space(3, 2)
+    cert = chains.build_chain_unitary(
+        space, standard_isotropic(space, 2, "e"), standard_isotropic(space, 2, "f")
+    )
+    return serialize.certificate_to_json(cert)
+
+
+def test_mixed_fields_in_a_witness_are_an_input_error(tmp_path, capsys):
+    payload = unitary_descent_certificate()
+    lift = payload["links"][0]["lift"]
+    lift[0][0] = {"a": "1", "b": "1", "D": 7}
+    cert = write(tmp_path / "cert.json", payload)
+    code, out, err = run(capsys, ["verify", "--cert", cert])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "InputFormatError",
+        "detail": "cannot mix d=3 with d=7",
+    }
+    # a witness over one other field still parses, and fails verification
+    for row in lift:
+        for x in row:
+            x["D"] = 7
+    cert = write(tmp_path / "cert.json", payload)
+    code, out, err = run(capsys, ["verify", "--cert", cert])
+    assert code == 1 and err == ""
+    assert json.loads(out)["failures"][0] == {
+        "link": 0,
+        "condition": "link-error",
+        "detail": "ValueError: entry over d=7 in a space over d=3",
+    }
+
+
+# -- verify on mutated certificates ------------------------------------------------
+
+
+@functools.cache
+def fuzz_certificates() -> tuple[dict, ...]:
+    space = standard_symplectic(2)
+    symplectic = chains.build_chain_symplectic(
+        space, standard_isotropic(space, 2, "e"), standard_isotropic(space, 2, "f")
+    )
+    return serialize.certificate_to_json(symplectic), unitary_descent_certificate()
+
+
+def json_paths(obj, prefix=()):
+    """The path of every value inside obj, as dict keys and list indices."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
+
+
+DELETE = object()
+MUTATIONS = [None, 5, 1.5, True, "x", [], {}, {"a": "1", "b": "1", "D": 7}, DELETE]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_survives_one_mutated_value(tmp_path_factory, data):
+    cert = copy.deepcopy(data.draw(st.sampled_from(fuzz_certificates())))
+    *head, last = data.draw(st.sampled_from(list(json_paths(cert))))
+    parent = functools.reduce(operator.getitem, head, cert)
+    value = data.draw(st.sampled_from(MUTATIONS))
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    path = tmp_path_factory.getbasetemp() / "mutated-cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--cert", str(path)])
+    assert code in (0, 1, 2)
+    if out.getvalue():
+        assert err.getvalue() == ""
+    else:
+        assert set(json.loads(err.getvalue())) == {"error", "detail"}

@@ -3,13 +3,21 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspchain.errors import MixedDiscriminants
-from cuspchain.exact import Matrix, QuadFieldElement, hnf, rref_basis, smith
+from cuspchain.exact import (
+    Matrix,
+    QuadFieldElement,
+    conjugate_scalar,
+    hnf,
+    rref_basis,
+    smith,
+)
 
 from support import oracle_hnf, oracle_invariant_factors
 
@@ -129,7 +137,8 @@ small_rationals = st.one_of(
 
 
 @st.composite
-def rational_matrices(draw, nrows=None, ncols=None):
+def rational_rows(draw, nrows=None, ncols=None):
+    """(rows, ncols): plain rows of ints and Fractions, as drawn."""
     m = draw(st.integers(min_value=0, max_value=5)) if nrows is None else nrows
     n = draw(st.integers(min_value=0, max_value=5)) if ncols is None else ncols
     rows = draw(
@@ -142,7 +151,11 @@ def rational_matrices(draw, nrows=None, ncols=None):
         i, j, k = (draw(st.integers(min_value=0, max_value=m - 1)) for _ in range(3))
         c1, c2 = draw(small_rationals), draw(small_rationals)
         rows[i] = [c1 * x + c2 * y for x, y in zip(rows[j], rows[k])]
-    return Matrix(rows, n)
+    return rows, n
+
+
+def rational_matrices(nrows=None, ncols=None):
+    return rational_rows(nrows, ncols).map(lambda drawn: Matrix(*drawn))
 
 
 def embed(m: Matrix, d: int) -> Matrix:
@@ -376,7 +389,8 @@ class TestCanonicalBasis:
 # The reference is the entry-wise elimination Matrix used for matrices with
 # QuadFieldElement entries before they ran on integer pairs, kept here
 # verbatim as an oracle: every scalar operation is a Fraction or
-# QuadFieldElement operation.
+# QuadFieldElement operation.  It takes and returns plain rows: a Matrix
+# lifts its entries when built, which would rewrite the reference's types.
 
 
 def ref_dot(row, col):
@@ -389,14 +403,14 @@ def ref_dot(row, col):
     return total
 
 
-def ref_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = [b.col(j) for j in range(b.ncols)]
-    return Matrix([[ref_dot(r, c) for c in cols] for r in a.rows], b.ncols)
+def ref_mul(a: list, b: list, ncols: int) -> list:
+    cols = [[r[j] for r in b] for j in range(ncols)]
+    return [[ref_dot(r, c) for c in cols] for r in a]
 
 
-def ref_rref(a: Matrix):
-    m = [list(r) for r in a.rows]
-    nrows, ncols = len(m), a.ncols
+def ref_rref(a: list, ncols: int):
+    m = [list(r) for r in a]
+    nrows = len(m)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -414,14 +428,14 @@ def ref_rref(a: Matrix):
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return Matrix(m, ncols), tuple(pivots)
+    return m, tuple(pivots)
 
 
-def ref_det(a: Matrix):
-    n = a.nrows
+def ref_det(a: list):
+    n = len(a)
     if n == 0:
         return Fraction(1)
-    m = [list(r) for r in a.rows]
+    m = [list(r) for r in a]
     det = None
     sign = 1
     for c in range(n):
@@ -440,49 +454,49 @@ def ref_det(a: Matrix):
     return det if sign == 1 else -det
 
 
-def ref_zero(a: Matrix):
-    for x in a.entries():
+def ref_zero(a: list):
+    for x in itertools.chain(*a):
         if isinstance(x, QuadFieldElement):
             return QuadFieldElement(0, 0, x.d)
     return Fraction(0)
 
 
-def ref_inverse(a: Matrix) -> Matrix:
-    n = a.nrows
-    aug = Matrix.hstack(a, Matrix.identity(n)) if n else Matrix([], 0)
-    red, pivots = ref_rref(aug)
+def ref_inverse(a: list) -> list:
+    n = len(a)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(a)]
+    red, pivots = ref_rref(aug, 2 * n)
     if tuple(range(n)) != pivots[:n] or len(pivots) != n:
         raise ZeroDivisionError("matrix is singular")
-    return Matrix([r[n:] for r in red.rows], n)
+    return [r[n:] for r in red]
 
 
-def ref_solve(a: Matrix, rhs):
+def ref_solve(a: list, ncols: int, rhs):
     rhs = tuple(rhs)
-    if a.nrows == 0:
-        return tuple([ref_zero(a)] * a.ncols)
-    aug = Matrix.hstack(a, Matrix.column(rhs))
-    red, pivots = ref_rref(aug)
-    if a.ncols in pivots:
+    if not a:
+        return tuple([ref_zero(a)] * ncols)
+    aug = [list(r) + [y] for r, y in zip(a, rhs)]
+    red, pivots = ref_rref(aug, ncols + 1)
+    if ncols in pivots:
         return None
-    x = [ref_zero(aug)] * a.ncols
+    x = [ref_zero(aug)] * ncols
     for r, p in enumerate(pivots):
-        x[p] = red.rows[r][a.ncols]
+        x[p] = red[r][ncols]
     return tuple(x)
 
 
-def ref_right_kernel(a: Matrix) -> Matrix:
-    red, pivots = ref_rref(a)
-    free = [c for c in range(a.ncols) if c not in pivots]
+def ref_right_kernel(a: list, ncols: int) -> list:
+    red, pivots = ref_rref(a, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
     zero = ref_zero(a)
     one = zero + 1
     rows = []
     for fc in free:
-        x = [zero] * a.ncols
+        x = [zero] * ncols
         x[fc] = one
         for r, p in enumerate(pivots):
-            x[p] = -red.rows[r][fc]
+            x[p] = -red[r][fc]
         rows.append(x)
-    return Matrix(rows, a.ncols)
+    return rows
 
 
 # Rule for entry types: an operation that meets a QuadFieldElement returns
@@ -508,11 +522,11 @@ small_fractions = small_rationals.map(Fraction)
 
 
 @st.composite
-def hermitian_matrices(draw, d, nrows=None, ncols=None, uniform=None):
-    """Matrices over Q(sqrt(-d)); mixed ones also carry Fraction/int entries.
+def hermitian_rows(draw, d, nrows=None, ncols=None, uniform=None):
+    """(rows, ncols) over Q(sqrt(-d)); mixed rows also carry Fraction entries.
 
     Every matrix with entries has a QuadFieldElement, so the pair kernel
-    applies; rank deficiency is planted as in rational_matrices.
+    applies; rank deficiency is planted as in rational_rows.
     """
     m = draw(st.integers(min_value=0, max_value=5)) if nrows is None else nrows
     n = draw(st.integers(min_value=0, max_value=5)) if ncols is None else ncols
@@ -527,7 +541,7 @@ def hermitian_matrices(draw, d, nrows=None, ncols=None, uniform=None):
         i, j, k = (draw(st.integers(min_value=0, max_value=m - 1)) for _ in range(3))
         c1, c2 = draw(quad_entries(d)), draw(entry)
         rows[i] = [c1 * x + c2 * y for x, y in zip(rows[j], rows[k])]
-    return Matrix(rows, n)
+    return rows, n
 
 
 def is_quad(x, d) -> bool:
@@ -539,8 +553,9 @@ def is_quad(x, d) -> bool:
     )
 
 
-def all_quad(*mats) -> bool:
-    return all(type(x) is QuadFieldElement for m in mats for x in m.entries())
+def all_quad(*row_lists) -> bool:
+    rows = itertools.chain(*row_lists)
+    return all(type(x) is QuadFieldElement for x in itertools.chain(*rows))
 
 
 def same_as_reference(result, reference, d, uniform):
@@ -558,46 +573,50 @@ class TestPairKernelAgainstEntrywise:
     def test_product(self, data, d):
         m, k, n = data.draw(st.tuples(*[st.integers(min_value=0, max_value=5)] * 3))
         if data.draw(st.booleans()):
-            a = data.draw(hermitian_matrices(d, m, k))
-            either = st.one_of(hermitian_matrices(d, k, n), rational_matrices(k, n))
-            b = data.draw(either)
+            a, _ = data.draw(hermitian_rows(d, m, k))
+            b, _ = data.draw(st.one_of(hermitian_rows(d, k, n), rational_rows(k, n)))
         else:
-            a = data.draw(rational_matrices(m, k))
-            b = data.draw(hermitian_matrices(d, k, n))
-        prod, ref = a * b, ref_mul(a, b)
-        assert prod.shape == ref.shape
+            a, _ = data.draw(rational_rows(m, k))
+            b, _ = data.draw(hermitian_rows(d, k, n))
+        prod, ref = Matrix(a, k) * Matrix(b, n), ref_mul(a, b, n)
+        ref_entries = list(itertools.chain(*ref))
+        assert prod.shape == (len(ref), n)
         if k == 0:
             # no entry to meet: the rational kernel's Fraction zeros, as before
-            assert list(prod.entries()) == list(ref.entries())
-            assert all_fractions(prod.entries()) and all_fractions(ref.entries())
+            assert list(prod.entries()) == ref_entries
+            assert all_fractions(prod.entries()) and all_fractions(ref_entries)
         else:
-            same_as_reference(prod.entries(), ref.entries(), d, all_quad(a, b))
+            same_as_reference(prod.entries(), ref_entries, d, all_quad(a, b))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), discriminants)
     def test_rref_and_kernel(self, data, d):
-        a = data.draw(hermitian_matrices(d))
-        uniform = all_quad(a)
+        rows, n = data.draw(hermitian_rows(d))
+        a, uniform = Matrix(rows, n), all_quad(rows)
         red, pivots = a.rref()
-        ref_red, ref_pivots = ref_rref(a)
-        assert pivots == ref_pivots and red.shape == ref_red.shape
-        same_as_reference(red.entries(), ref_red.entries(), d, uniform)
-        assert rref_basis(a) == Matrix(ref_red.rows[: len(ref_pivots)], a.ncols)
+        ref_red, ref_pivots = ref_rref(rows, n)
+        assert pivots == ref_pivots and red.shape == (len(ref_red), n)
+        same_as_reference(red.entries(), itertools.chain(*ref_red), d, uniform)
+        assert rref_basis(a) == Matrix(ref_red[: len(ref_pivots)], n)
         assert a.rank() == len(ref_pivots)
-        kernel, ref_kernel = a.right_kernel(), ref_right_kernel(a)
-        assert kernel.shape == ref_kernel.shape
-        if a.nrows:
-            same_as_reference(kernel.entries(), ref_kernel.entries(), d, uniform)
+        kernel, ref_kernel = a.right_kernel(), ref_right_kernel(rows, n)
+        assert kernel.shape == (len(ref_kernel), n)
+        if rows:
+            same_as_reference(
+                kernel.entries(), itertools.chain(*ref_kernel), d, uniform
+            )
         else:
             # no entries: the kernel is the identity in Fractions, as before
-            assert kernel == ref_kernel and all_fractions(kernel.entries())
+            assert all_fractions(itertools.chain(*ref_kernel))
+            assert kernel == Matrix(ref_kernel, n) and all_fractions(kernel.entries())
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), discriminants)
     def test_det_and_inverse(self, data, d):
         n = data.draw(st.integers(min_value=0, max_value=5))
-        a = data.draw(hermitian_matrices(d, n, n))
-        det, ref = a.det(), ref_det(a)
+        rows, _ = data.draw(hermitian_rows(d, n, n))
+        a = Matrix(rows, n)
+        det, ref = a.det(), ref_det(rows)
         assert det == ref
         if n == 0:
             assert type(det) is Fraction and type(ref) is Fraction
@@ -607,42 +626,42 @@ class TestPairKernelAgainstEntrywise:
             with pytest.raises(ZeroDivisionError):
                 a.inverse()
             with pytest.raises(ZeroDivisionError):
-                ref_inverse(a)
+                ref_inverse(rows)
         else:
-            inv, ref_inv = a.inverse(), ref_inverse(a)
-            same_as_reference(inv.entries(), ref_inv.entries(), d, all_quad(a))
+            inv, ref_inv = a.inverse(), ref_inverse(rows)
+            same_as_reference(
+                inv.entries(), itertools.chain(*ref_inv), d, all_quad(rows)
+            )
             assert a * inv == Matrix.identity(n)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), discriminants)
     def test_solve(self, data, d):
-        a = data.draw(hermitian_matrices(d))
+        rows, n = data.draw(hermitian_rows(d))
         entry = st.one_of(small_fractions, quad_entries(d))
-        rhs = data.draw(st.lists(entry, min_size=a.nrows, max_size=a.nrows))
-        x, ref = a.solve(rhs), ref_solve(a, rhs)
+        rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        x, ref = Matrix(rows, n).solve(rhs), ref_solve(rows, n, rhs)
         if ref is None:
             assert x is None
-        elif a.nrows == 0:
+        elif not rows:
             assert x == ref and all_fractions(x) and all_fractions(ref)
         else:
-            uniform = all_quad(a, Matrix.column(rhs))
-            same_as_reference(x, ref, d, uniform)
+            same_as_reference(x, ref, d, all_quad(rows, [rhs]))
 
     def test_untouched_rows_become_quad(self):
         # the entry-wise path kept this Fraction row; the rule makes it quad
         q = lambda a, b=0: QuadFieldElement(a, b, 2)
-        a = Matrix([[q(1, 1), q(2)], [Fraction(0), Fraction(0)]])
-        red, pivots = a.rref()
-        ref_red, _ = ref_rref(a)
-        assert pivots == (0,) and red == ref_red
-        assert all_fractions(ref_red.rows[1])
+        rows = [[q(1, 1), q(2)], [Fraction(0), Fraction(0)]]
+        red, pivots = Matrix(rows).rref()
+        ref_red, _ = ref_rref(rows, 2)
+        assert pivots == (0,) and red == Matrix(ref_red)
+        assert all_fractions(ref_red[1])
         assert all(is_quad(x, 2) for x in red.entries())
 
     def test_int_entries_stay_exact(self):
         q = QuadFieldElement(0, 0, 1)
-        a = Matrix([[q, 1]])
-        assert type(ref_rref(a)[0].rows[0][1]) is float
-        assert a.rref()[0].rows == ((q, QuadFieldElement(1, 0, 1)),)
+        assert type(ref_rref([[q, 1]], 2)[0][0][1]) is float
+        assert Matrix([[q, 1]]).rref()[0].rows == ((q, QuadFieldElement(1, 0, 1)),)
         assert Matrix([[q + 1, 2], [3, 4]]).inverse() == Matrix(
             [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
         ).map_entries(lambda x: QuadFieldElement(x, 0, 1))
@@ -656,11 +675,13 @@ class TestPairKernelMixedDiscriminants:
         with pytest.raises(MixedDiscriminants):
             a * b
         with pytest.raises(MixedDiscriminants):
-            Matrix([[x2, 1], [1, x3]]).rref()
+            Matrix.vstack(a, b)
         with pytest.raises(MixedDiscriminants):
-            Matrix([[x2, 1], [1, x3]]).det()
-        with pytest.raises(MixedDiscriminants):
-            Matrix([[x2, 0], [0, Fraction(1)], [x3, 1]]).rank()
+            a * x3
+        # entries over two fields are refused when the matrix is built
+        for rows in ([[x2, 1], [1, x3]], [[x2, 0], [0, Fraction(1)], [x3, 1]]):
+            with pytest.raises(MixedDiscriminants):
+                Matrix(rows)
 
     def test_rational_operand_joins_either_field(self):
         r = Matrix([[1, Fraction(1, 2)]])
@@ -669,31 +690,40 @@ class TestPairKernelMixedDiscriminants:
             assert (r * q).rows == ((QuadFieldElement(1, 1, d),),)
 
 
-# -- one matrix in its three forms ----------------------------------------------
+# -- one matrix, built or parsed ------------------------------------------------
 #
-# A matrix built from entries keeps them as given; one produced by an
-# operation or parsed from JSON holds integer arrays and builds its entries
-# on first access, by the entry-type rule above.  Everything but the types
-# of those built entries must not depend on the form.
+# A matrix built from entries and one parsed from JSON both hold integer
+# arrays and build their entries on first access, by the entry-type rule
+# above.  Neither may differ from the entries as drawn, except in the types
+# of the built entries.
 
 
-def three_forms(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def two_forms(rows: list, ncols: int) -> tuple[Matrix, Matrix]:
     from cuspchain import serialize
 
-    produced = m * Matrix.identity(m.ncols)
-    parsed = serialize.matrix_from_json(serialize.matrix_to_json(m), ncols=m.ncols)
-    return m, produced, parsed
+    text = [[serialize.scalar_to_json(x) for x in r] for r in rows]
+    return Matrix(rows, ncols), serialize.matrix_from_json(text, ncols=ncols)
 
 
-def quad_field(m: Matrix):
-    return next((x.d for x in m.entries() if isinstance(x, QuadFieldElement)), None)
+def quad_field(rows: list):
+    return next(
+        (x.d for x in itertools.chain(*rows) if isinstance(x, QuadFieldElement)), None
+    )
 
 
-def any_matrix(shape=None):
+def entry_denominators(rows: list):
+    for x in itertools.chain(*rows):
+        if isinstance(x, QuadFieldElement):
+            yield from (x.a.denominator, x.b.denominator)
+        else:
+            yield Fraction(x).denominator
+
+
+def any_rows(shape=None):
     nrows, ncols = shape or (None, None)
     return st.one_of(
-        rational_matrices(nrows, ncols),
-        discriminants.flatmap(lambda d: hermitian_matrices(d, nrows, ncols)),
+        rational_rows(nrows, ncols),
+        discriminants.flatmap(lambda d: hermitian_rows(d, nrows, ncols)),
     )
 
 
@@ -703,38 +733,39 @@ def same_matrix(a: Matrix, b: Matrix) -> bool:
 
 class TestStoredForm:
     @settings(max_examples=120, deadline=None)
-    @given(any_matrix())
-    def test_forms_agree(self, m):
-        d = quad_field(m)
-        given_rows = m.rows
-        forms = three_forms(m)
-        for x in forms:
-            assert same_matrix(x, m)
-            assert x.rows == given_rows
-            assert same_matrix(x.transpose(), m.transpose())
-            assert same_matrix(x.conj_transpose(), m.conj_transpose())
-            assert same_matrix(Matrix.vstack(x, m), Matrix.vstack(m, m))
-            assert same_matrix(Matrix.hstack(m, x), Matrix.hstack(m, m))
-            assert same_matrix(-x, -m)
-            assert x.is_zero() == m.is_zero()
-            assert x.is_integral() == m.is_integral()
-            assert x.denominator_lcm() == m.denominator_lcm()
-        # entries as given, then the entry-type rule for the stored forms
-        assert all(a is b for a, b in zip(m.entries(), itertools.chain(*given_rows)))
-        for x in forms[1:]:
+    @given(any_rows())
+    def test_forms_agree(self, drawn):
+        rows, n = drawn
+        d = quad_field(rows)
+        cols = [[r[j] for r in rows] for j in range(n)]
+        dens = list(entry_denominators(rows))
+        built, parsed = two_forms(rows, n)
+        assert same_matrix(built, parsed)
+        for x in (built, parsed):
+            assert x.shape == (len(rows), n) and x.rows == tuple(map(tuple, rows))
             if d is None:
                 assert all_fractions(x.entries())
             else:
                 assert all(is_quad(y, d) for y in x.entries())
+            assert same_matrix(x.transpose(), Matrix(cols, len(rows)))
+            conj = [[conjugate_scalar(y) for y in c] for c in cols]
+            assert same_matrix(x.conj_transpose(), Matrix(conj, len(rows)))
+            assert same_matrix(Matrix.vstack(x, built), Matrix(rows + rows, n))
+            doubled = Matrix([r * 2 for r in rows], 2 * n)
+            assert same_matrix(Matrix.hstack(x, built), doubled)
+            assert same_matrix(-x, Matrix([[-y for y in r] for r in rows], n))
+            assert x.is_zero() == all(y == 0 for y in itertools.chain(*rows))
+            assert x.is_integral() == all(q == 1 for q in dens)
+            assert x.denominator_lcm() == lcm(*dens)
 
     @settings(max_examples=60, deadline=None)
-    @given(any_matrix())
-    def test_unequal_values_stay_unequal(self, m):
-        if m.nrows and m.ncols:
-            rows = [[0] * m.ncols for _ in range(m.nrows)]
-            rows[-1][-1] = Fraction(1, 3)
-            other = m + Matrix(rows)
-            for x, y in itertools.product(three_forms(m), three_forms(other)):
+    @given(any_rows())
+    def test_unequal_values_stay_unequal(self, drawn):
+        rows, n = drawn
+        if rows and n:
+            other = [list(r) for r in rows]
+            other[-1][-1] += Fraction(1, 3)
+            for x, y in itertools.product(two_forms(rows, n), two_forms(other, n)):
                 assert x != y and y != x
 
     def test_zero_sized_shapes_are_rational(self):
@@ -753,9 +784,49 @@ class TestStoredForm:
         assert m.denominator_lcm() == 6 and (m * 6).is_integral()
         assert (m * 6).rows == ((-3, 4), (-18, 5))
 
-    def test_entries_as_given(self):
+    def test_entries_are_checked_when_built(self):
+        for bad in (1.5, "1", True, None):
+            with pytest.raises(TypeError):
+                Matrix([[1, bad]])
         m = Matrix([[1, 2]])
-        assert m.rows == ((1, 2),) and type(m.rows[0][0]) is int
-        assert m.transpose().rows == ((1,), (2,))
-        m.rank()  # the first arithmetic lifts; the entries stay as given
-        assert type(m.rows[0][0]) is int and m[0, 1] == 2
+        assert m.rows == ((1, 2),) and all_fractions(m.entries())
+
+    def test_rational_matrix_equals_its_embedding(self):
+        r = Matrix([[1, Fraction(1, 2)], [0, 3]])
+        for d in (2, 3):
+            assert same_matrix(r, embed(r, d))
+        assert embed(r, 2) != embed(r, 3)
+
+    def test_rows_kept_without_imaginary_parts(self):
+        q = lambda a, b=0: QuadFieldElement(a, b, 3)
+        m = Matrix([[q(0, 1), q(2)], [q(0), q(0)], [q(5), q(4)]])
+        assert m.submatrix(rows=[1]).is_zero()
+        assert same_matrix(m.submatrix(rows=[2]), Matrix([[5, 4]]))
+
+
+scalars = st.one_of(small_rationals, discriminants.flatmap(quad_entries))
+
+
+class TestScalarProduct:
+    @settings(max_examples=100, deadline=None)
+    @given(any_rows().map(lambda drawn: Matrix(*drawn)), scalars)
+    def test_against_entrywise(self, m, c):
+        try:
+            ref = m.map_entries(lambda x: x * c)
+        except MixedDiscriminants:
+            with pytest.raises(MixedDiscriminants):
+                m * c
+            with pytest.raises(MixedDiscriminants):
+                c * m
+            return
+        for prod in (m * c, c * m):
+            assert same_matrix(prod, ref) and prod.rows == ref.rows
+            assert [type(x) for x in prod.entries()] == [type(x) for x in ref.entries()]
+
+    def test_other_operands_are_refused(self):
+        m = Matrix([[1, 2]])
+        for other in (1.5, True, "x", None):
+            with pytest.raises(TypeError):
+                m * other
+            with pytest.raises(TypeError):
+                other * m

@@ -56,6 +56,27 @@ def test_form_space_validation():
         FormSpace("hermitian", Matrix([[1]]))  # missing d
 
 
+@pytest.mark.parametrize("d", [4, 0, -3, 2**32 + 15, 10**14 + 31, 3.0])
+def test_field_parameter_is_checked_for_any_gram(d):
+    # the empty Gram matrix has no determinant entry to check d by
+    for gram in (Matrix([], ncols=0), Matrix([[1, 0], [0, -1]])):
+        with pytest.raises(ValueError, match="squarefree"):
+            FormSpace("hermitian", gram, d)
+
+
+def test_coerce_matrix_refuses_other_fields():
+    q = lambda d: QuadFieldElement(1, 1, d)
+    herm = standard_hermitian_hyperbolic(3)
+    with pytest.raises(ValueError, match="entry over d=7 in a space over d=3"):
+        herm.coerce_matrix(Matrix([[q(7), 1]]))
+    with pytest.raises(ValueError, match="imaginary entry in a rational form space"):
+        hyperbolic_plane().coerce_matrix(Matrix([[q(7), 1]]))
+    rational = Matrix([[1, Fraction(1, 2)]])
+    assert herm.coerce_matrix(rational) == rational
+    assert all(x.d == 3 for x in herm.coerce_matrix(rational).entries())
+    assert hyperbolic_plane().coerce_matrix(rational) is rational
+
+
 def test_hermitian_gram_must_be_self_adjoint():
     i = QuadFieldElement(0, 1, 3)
     with pytest.raises(ValueError):

@@ -232,11 +232,26 @@ def test_matrices_read_as_before(rows):
         assert got[1] == expected[1] and got[1].rows == expected[1].rows
 
 
-def test_mixed_fields_read_entry_by_entry():
-    rows = [[{"a": "1", "b": "1", "D": 2}, {"a": "1", "b": "1", "D": 3}]]
-    m = serialize.matrix_from_json(rows)
-    assert [x.d for x in m.entries()] == [2, 3]
+def test_mixed_fields_are_an_input_error():
+    q = lambda d: {"a": "1", "b": "1", "D": d}
+    mixed = {
+        "cannot mix d=2 with d=3": ([[q(2), q(3)]], [[q(3)], [q(2)]]),
+        "cannot mix d=3 with d=7": ([[q(7), "1"], ["2", q(3)]],),
+    }
+    for detail, cases in mixed.items():
+        for rows in cases:
+            with pytest.raises(InputFormatError, match=detail):
+                serialize.matrix_from_json(rows)
     with pytest.raises(InputFormatError, match="bad field element"):
         serialize.matrix_from_json([[{"a": "1", "b": "1", "D": 4}]])
     with pytest.raises(InputFormatError, match="ragged"):
         serialize.matrix_from_json([["1", "2"], ["3"]])
+
+
+def test_field_parameter_is_bounded_before_trial_division():
+    # 10**14 + 31 is squarefree, but deciding it by trial division takes seconds
+    big = 10**14 + 31
+    with pytest.raises(InputFormatError, match="2\\*\\*32"):
+        serialize.matrix_from_json([[{"a": "1", "b": "1", "D": big}]])
+    with pytest.raises(InputFormatError, match="2\\*\\*32"):
+        serialize.form_space_from_json({"kind": "hermitian", "gram": [["1"]], "D": big})
