@@ -75,10 +75,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"bad rational {text!r}") from exc
+    return serialize._fraction_from_json(text)
 
 
 class _MissingFlags(InputFormatError):

@@ -1,15 +1,20 @@
 """Canonical JSON input/output for every public data type.
 
 Rationals serialize as reduced strings "p/q" (or "p" when q = 1); elements
-of Q(sqrt(-D)) as {"a": "p/q", "b": "p/q", "D": n}.  Emission sorts keys and
-uses a fixed layout, so equal values produce byte-identical documents.
+of Q(sqrt(-D)) as {"a": "p/q", "b": "p/q", "D": n}.  Emission
+(``dumps_canonical``) sorts keys, indents by two spaces and escapes strings
+to ASCII as ``json.dumps`` does, so equal values produce byte-identical
+documents.  Its own small emitter writes the text, because ``json.dumps``
+serves ``indent`` only from its pure-Python encoder.
 
 Matrices are read and written through their integer arrays.  A row of JSON
 integers, of strings "p" and "p/q" in ASCII digits, or of field elements
 over one D made of those, is parsed straight to integers.  A matrix with
 any other row is read entry by entry, strings by ``Fraction(str)``; the
 integer parse gives the same values, and leaves every error to that path.
-A matrix whose entries lie over two values of D is an input error.
+A string rational in exponent notation ("1e3") is refused, since
+``Fraction(str)`` would expand its exponent in time and memory that grow
+with it.  A matrix whose entries lie over two values of D is an input error.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from typing import Any
 
@@ -77,6 +83,8 @@ def _fraction_from_json(obj) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
+        if "e" in obj or "E" in obj:  # Fraction(str) would expand the exponent
+            raise InputFormatError(f"bad rational {obj!r}")
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
@@ -95,7 +103,10 @@ def _ratio_to_json(n: int, q: int) -> str:
 def matrix_to_json(m: Matrix) -> list:
     re, im, den, d = m._ints
     if d is None:
-        return [[_ratio_to_json(x, q) for x in r] for r, q in zip(re, den)]
+        return [
+            list(map(str, r)) if q == 1 else [_ratio_to_json(x, q) for x in r]
+            for r, q in zip(re, den)
+        ]
     return [
         [
             {"a": _ratio_to_json(x, q), "b": _ratio_to_json(y, q), "D": d}
@@ -367,5 +378,48 @@ def report_from_json(obj) -> VerificationReport:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, one newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, one newline.
+
+    The text is the one ``json.dumps`` writes with sorted keys and an indent
+    of 2, and a newline, for every value whose dict keys are strings.
+    """
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(obj, nl: str, out: list[str]) -> None:
+    """Append obj's canonical text to out; nl is the newline and indent of
+    obj's own line, which its items are written one level below."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out += (sep, _quote(key), ": ")
+            _emit(obj[key], inner, out)
+            sep = "," + inner
+        out += (nl, "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:
+            out += ("[", inner, ("," + inner).join(map(_quote, obj)), nl, "]")
+        except TypeError:  # an item that is not a string
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _emit(item, inner, out)
+                sep = "," + inner
+            out += (nl, "]")
+    elif type(obj) is int:
+        out.append(repr(obj))
+    else:  # None, bools, floats: the C encoder writes them as the indent one does
+        out.append(json.dumps(obj))

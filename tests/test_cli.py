@@ -226,6 +226,25 @@ def test_malformed_space_rejected(tmp_path, capsys):
     assert json.loads(err)["error"] == "InputFormatError"
 
 
+def test_exponent_notation_is_refused_at_once(tmp_path, capsys):
+    # Fraction(str) would expand the exponent: about 33 s for this gram
+    space_file = write(
+        tmp_path / "space.json",
+        {"kind": "symmetric", "gram": [["1e30000000", "0"], ["0", "-1"]]},
+    )
+    for argv in (
+        ["analyze", "--space", space_file],
+        ["demo", "veronese", "--tau", "1e30000000"],
+        ["demo", "segre", "--tau1", "1", "--tau2", "2E30000000"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputFormatError"
+        assert "bad rational" in json.loads(err)["detail"]
+
+
 def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     deep = "[" * 5000 + "]" * 5000
     cert = tmp_path / "cert.json"
@@ -452,6 +471,66 @@ def test_level_command(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out) == {"N1": 2, "N2": 3, "Nprime": 6}
+
+
+def test_every_command_writes_canonical_json(symplectic_files, tmp_path, capsys):
+    from cuspchain.forms import hyperbolic_plane, quadratic_2u_perp_diagonal
+
+    orth = quadratic_2u_perp_diagonal([-2])
+    herm = unitary_test_space(3, 2)
+    chain_inputs = [
+        (symplectic_files["space"], symplectic_files["i1"], symplectic_files["i2"])
+    ]
+    for name, space, i1, i2 in (
+        ("orth", orth, line(orth, unit_vector(orth, 0)),
+         line(orth, unit_vector(orth, 2))),
+        ("herm", herm, standard_isotropic(herm, 2, "e"),
+         standard_isotropic(herm, 2, "f")),
+    ):
+        chain_inputs.append(tuple(
+            write(tmp_path / f"{name}.{part}.json", doc)
+            for part, doc in (
+                ("space", serialize.form_space_to_json(space)),
+                ("i1", serialize.subspace_to_json(i1)),
+                ("i2", serialize.subspace_to_json(i2)),
+            )
+        ))
+    plane = write(tmp_path / "plane.json", serialize.form_space_to_json(hyperbolic_plane()))
+    lattice = write(tmp_path / "a.json", {"basis": [["1", "0"], ["0", "1"]]})
+    lattice_prime = write(tmp_path / "b.json", {"basis": [["1", "0"], ["0", "3"]]})
+    order = write(
+        tmp_path / "order.json",
+        {"matrices": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
+                      [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "2"]]]},
+    )
+    texts = []
+    for k, (space, i1, i2) in enumerate(chain_inputs):
+        code, cert, err = run(capsys, ["chain", "--space", space, "--i1", i1, "--i2", i2])
+        assert code == 0 and err == ""
+        cert_file = tmp_path / f"cert{k}.json"
+        cert_file.write_text(cert, encoding="utf-8")
+        code, report, err = run(capsys, ["verify", "--cert", str(cert_file)])
+        assert code == 0 and err == ""
+        texts += [cert, report]
+    for argv in (
+        ["analyze", "--space", chain_inputs[1][0]],
+        ["isotropic", "--space", symplectic_files["space"]],
+        ["level", "--space", plane, "--lattice", lattice,
+         "--lattice-prime", lattice_prime, "--N", "2"],
+        ["demo", "trace-zero"],
+        ["demo", "veronese", "--tau", "1/2"],
+        ["demo", "segre", "--tau1", "2", "--tau2", "1/3"],
+        ["demo", "hermitian-m2", "--D", "3"],
+        ["demo", "order", "--lattice", order],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and out and err == "", argv
+        texts.append(out)
+    code, out, err = run(capsys, ["analyze", "--space", str(tmp_path / "missing.json")])
+    assert code == 2 and out == "" and err
+    texts.append(err)
+    for text in texts:
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 # -- golden bytes of hermitian certificates -----------------------------------

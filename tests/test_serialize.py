@@ -1,5 +1,6 @@
 """JSON round trips and canonical emission."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from support import (
     random_orthogonal_isometry,
     standard_isotropic,
     transform_subspace,
+    unitary_test_space,
 )
 
 
@@ -141,6 +143,57 @@ def test_certificate_canonical_bytes():
     b = serialize.dumps_canonical(serialize.certificate_to_json(cert))
     assert a == b
     assert a.endswith("\n")
+
+
+def json_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    st.text(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda items: st.one_of(
+        st.lists(items, max_size=4),
+        st.lists(st.one_of(st.text(max_size=4), items), max_size=4),
+        st.dictionaries(st.text(max_size=6), items, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_text_is_json_dumps_text(value):
+    assert serialize.dumps_canonical(value) == json_text(value)
+
+
+def test_canonical_text_of_documents_is_json_dumps_text():
+    from cuspchain.chains import verify_certificate
+
+    symplectic = next(certificate_samples())
+    herm = unitary_test_space(3, 2)
+    unitary = build_chain_unitary(
+        herm, standard_isotropic(herm, 2, "e"), standard_isotropic(herm, 2, "f")
+    )
+    report = serialize.report_to_json(verify_certificate(symplectic))
+    report["failures"].append(
+        {"link": 0, "condition": "link-error", "detail": "ValueError: √−3 \x00 \"q\""}
+    )
+    documents = [
+        serialize.certificate_to_json(symplectic),
+        serialize.certificate_to_json(unitary),
+        serialize.report_to_json(verify_certificate(unitary)),
+        report,
+        {"error": "InputFormatError", "detail": "bad rational '1e3' ∉ ℚ\t"},
+    ]
+    for doc in documents:
+        assert serialize.dumps_canonical(doc) == json_text(doc)
 
 
 def test_certificate_format_guard():

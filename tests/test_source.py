@@ -1,7 +1,11 @@
-"""Source rules: no correctness check lives in an ``assert``.
+"""Source rules of the package.
 
-``python -O`` strips ``assert`` statements, so every check in the package is
-an explicit test that raises.
+No correctness check lives in an ``assert``: ``python -O`` strips ``assert``
+statements, so every check in the package is an explicit test that raises.
+
+JSON text is written in one place, ``serialize.dumps_canonical``: no other
+module calls ``json.dump`` or ``json.dumps``, and no module passes
+``indent=``, which would put json's pure-Python encoder back in.
 """
 
 import ast
@@ -20,4 +24,35 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES
+    assert found == []
+
+
+def test_json_text_is_written_only_by_serialize():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "serialize.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("dump", "dumps")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and {a.name for a in node.names} & {"dump", "dumps"}
+        )
+    ]
+    assert found == []
+
+
+def test_no_source_passes_indent():
+    found = [
+        f"{path.name}:{number}"
+        for path in SOURCES
+        for number, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "indent=" in text
+    ]
     assert found == []
