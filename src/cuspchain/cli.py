@@ -9,14 +9,11 @@ codes: 0 success or verified, 1 verification failed, 2 input error,
 
 from __future__ import annotations
 
-import argparse
-import functools
-import itertools
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import chains, embeddings, levels, serialize
 from .errors import (
@@ -25,7 +22,7 @@ from .errors import (
     PostconditionFailed,
     SearchExhausted,
 )
-from .forms import ALTERNATING, FormSpace, Subspace, signature_of
+from .forms import ALTERNATING, FormSpace, signature_of, standard_2u
 from .isotropic import SearchConfig, find_isotropic_vector
 from .serialize import dumps_canonical
 
@@ -57,188 +54,6 @@ def _load_space(path: str) -> FormSpace:
     return serialize.form_space_from_json(_load_json(path))
 
 
-def _load_subspace(path: str, space: FormSpace) -> Subspace:
-    return serialize.subspace_from_json(_load_json(path), space)
-
-
-def _search_config(args) -> SearchConfig:
-    try:
-        return SearchConfig(max_height=args.max_height)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
-
-
-def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-height", type=int, default=50, help="hard cap on search height"
-    )
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return serialize._fraction_from_json(text)
-
-
-class _MissingFlags(InputFormatError):
-    """Required flags are missing; raised before unknown flags are reported."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports bad command lines as input errors instead of exiting.
-
-    argparse looks for missing required flags before it reports unknown
-    ones, so the unknown flags are named in that message as well.
-    """
-
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        try:
-            return super().parse_known_args(args, namespace)
-        except _MissingFlags as exc:
-            unknown = self._unknown_options(args)
-            prefix = f"unrecognized arguments: {' '.join(unknown)}; " if unknown else ""
-            raise InputFormatError(prefix + str(exc)) from None
-
-    def error(self, message):
-        if message.startswith("the following arguments are required"):
-            raise _MissingFlags(message)
-        raise InputFormatError(message)
-
-    def _unknown_options(self, args: list[str]) -> list[str]:
-        """Flags among args that this parser matches to none of its own."""
-        known = self._option_string_actions
-        out = []
-        for arg in itertools.takewhile(lambda a: a != "--", args):
-            name = arg.split("=", 1)[0]
-            if len(arg) < 2 or arg[0] != "-" or " " in arg or _NEGATIVE.match(arg):
-                continue  # argparse reads these as values
-            if name in known or (
-                name.startswith("--") and any(o.startswith(name) for o in known)
-            ):
-                continue  # an option or an abbreviation of one
-            out.append(arg)
-        return out
-
-
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cuspchain",
-        description=(
-            "Build and verify equivalence-chain certificates between "
-            "isotropic subspaces of quadratic, symplectic and hermitian "
-            "form spaces."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="kind, signature and an isotropic vector")
-    p.add_argument("--space", required=True)
-    _add_search_flags(p)
-
-    p = sub.add_parser("isotropic", help="bounded isotropic vector search")
-    p.add_argument("--space", required=True)
-    _add_search_flags(p)
-
-    p = sub.add_parser("chain", help="build a certificate joining two cusp data")
-    p.add_argument("--space", required=True)
-    p.add_argument("--i1", required=True)
-    p.add_argument("--i2", required=True)
-    p.add_argument("--out", help="write the certificate here instead of stdout")
-    _add_search_flags(p)
-
-    p = sub.add_parser("verify", help="independently verify a certificate")
-    p.add_argument("--cert", required=True)
-
-    p = sub.add_parser("level", help="lattice-sandwich level computation")
-    p.add_argument("--space", required=True)
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--lattice-prime", required=True)
-    p.add_argument("--N", type=int, required=True)
-
-    demo = sub.add_parser("demo", help="explicit model demonstrations")
-    demo_sub = demo.add_subparsers(dest="demo_command", required=True)
-    demo_sub.add_parser("trace-zero")
-    q = demo_sub.add_parser("veronese")
-    q.add_argument("--tau", required=True)
-    q = demo_sub.add_parser("segre")
-    q.add_argument("--tau1", required=True)
-    q.add_argument("--tau2", required=True)
-    q = demo_sub.add_parser("hermitian-m2")
-    q.add_argument("--D", type=int, required=True)
-    q = demo_sub.add_parser("order")
-    q.add_argument("--lattice", required=True)
-    return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built once: parsing leaves no state in it."""
-    return build_parser()
-
-
-def _cmd_analyze(args) -> tuple[dict, int]:
-    space = _load_space(args.space)
-    cfg = _search_config(args)
-    if space.kind == ALTERNATING:
-        signature = None
-    else:
-        signature = list(signature_of(space).as_tuple())
-    vector = find_isotropic_vector(space, cfg)
-    return (
-        {
-            "kind": space.kind,
-            "dim": space.dim,
-            "signature": signature,
-            "isotropic": serialize.vector_to_json(vector) if vector else None,
-        },
-        EXIT_OK,
-    )
-
-
-def _cmd_isotropic(args) -> tuple[dict, int]:
-    space = _load_space(args.space)
-    cfg = _search_config(args)
-    vector = find_isotropic_vector(space, cfg)
-    return (
-        {
-            "found": vector is not None,
-            "vector": serialize.vector_to_json(vector) if vector else None,
-            "max_height": cfg.max_height,
-        },
-        EXIT_OK,
-    )
-
-
-def _cmd_chain(args) -> tuple[dict, int]:
-    space = _load_space(args.space)
-    i1 = _load_subspace(args.i1, space)
-    i2 = _load_subspace(args.i2, space)
-    cfg = _search_config(args)
-    cert = BUILDERS[space.kind](space, i1, i2, cfg)
-    return serialize.certificate_to_json(cert), EXIT_OK
-
-
-def _cmd_verify(args) -> tuple[dict, int]:
-    cert = serialize.certificate_from_json(_load_json(args.cert))
-    report = chains.verify_certificate(cert)
-    return (
-        serialize.report_to_json(report),
-        EXIT_OK if report.ok else EXIT_VERIFY_FAILED,
-    )
-
-
-def _cmd_level(args) -> tuple[dict, int]:
-    space = _load_space(args.space)
-    lat = _load_lattice(args.lattice, space)
-    lat_prime = _load_lattice(args.lattice_prime, space)
-    if args.N < 1:
-        raise InputFormatError("--N must be a positive integer")
-    n1, n2, nprime = levels.containment_level(lat, lat_prime, args.N)
-    return {"N1": n1, "N2": n2, "Nprime": nprime}, EXIT_OK
-
-
 def _load_lattice(path: str, space: FormSpace) -> levels.FullLattice:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "basis" not in obj:
@@ -250,98 +65,283 @@ def _load_lattice(path: str, space: FormSpace) -> levels.FullLattice:
         raise InputFormatError(f"{path}: {exc}") from exc
 
 
-def _cmd_demo(args) -> tuple[dict, int]:
-    if args.demo_command == "trace-zero":
-        space, labels = embeddings.trace_zero_space()
-        return (
-            {
-                "space": serialize.form_space_to_json(space),
-                "basis": list(labels),
-                "signature": list(signature_of(space).as_tuple()),
-            },
-            EXIT_OK,
-        )
-    if args.demo_command == "veronese":
-        tau = _parse_fraction(args.tau)
-        point = embeddings.veronese_point(tau)
-        space, _ = embeddings.trace_zero_space()
-        return (
-            {
-                "tau": serialize.fraction_to_json(tau),
-                "point": serialize.vector_to_json(point),
-                "norm": serialize.fraction_to_json(space.norm(point)),
-            },
-            EXIT_OK,
-        )
-    if args.demo_command == "segre":
-        from .forms import standard_2u
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be a positive integer, not {value}")
+    return value
 
-        tau1 = _parse_fraction(args.tau1)
-        tau2 = _parse_fraction(args.tau2)
-        point = embeddings.segre_point(tau1, tau2)
-        return (
-            {
-                "tau1": serialize.fraction_to_json(tau1),
-                "tau2": serialize.fraction_to_json(tau2),
-                "point": serialize.vector_to_json(point),
-                "norm": serialize.fraction_to_json(standard_2u().norm(point)),
-            },
-            EXIT_OK,
+
+def _cmd_analyze(space: str, max_height: int) -> tuple[dict, int]:
+    space = _load_space(space)
+    signature = None if space.kind == ALTERNATING else _signature(space)
+    vector = find_isotropic_vector(space, SearchConfig(max_height))
+    return {
+        "kind": space.kind,
+        "dim": space.dim,
+        "signature": signature,
+        "isotropic": serialize.vector_to_json(vector) if vector else None,
+    }, EXIT_OK
+
+
+def _cmd_isotropic(space: str, max_height: int) -> tuple[dict, int]:
+    vector = find_isotropic_vector(_load_space(space), SearchConfig(max_height))
+    return {
+        "found": vector is not None,
+        "vector": serialize.vector_to_json(vector) if vector else None,
+        "max_height": max_height,
+    }, EXIT_OK
+
+
+def _cmd_chain(space: str, i1: str, i2: str, max_height: int) -> tuple[dict, int]:
+    space = _load_space(space)
+    i1 = serialize.subspace_from_json(_load_json(i1), space)
+    i2 = serialize.subspace_from_json(_load_json(i2), space)
+    cert = BUILDERS[space.kind](space, i1, i2, SearchConfig(max_height))
+    return serialize.certificate_to_json(cert), EXIT_OK
+
+
+def _cmd_verify(cert: str) -> tuple[dict, int]:
+    cert = serialize.certificate_from_json(_load_json(cert))
+    report = chains.verify_certificate(cert)
+    code = EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    return serialize.report_to_json(report), code
+
+
+def _cmd_level(
+    space: str, lattice: str, lattice_prime: str, N: int
+) -> tuple[dict, int]:
+    space = _load_space(space)
+    lat = _load_lattice(lattice, space)
+    lat_prime = _load_lattice(lattice_prime, space)
+    n1, n2, nprime = levels.containment_level(lat, lat_prime, N)
+    return {"N1": n1, "N2": n2, "Nprime": nprime}, EXIT_OK
+
+
+def _signature(space: FormSpace) -> list[int]:
+    return list(signature_of(space).as_tuple())
+
+
+def _space_demo(space: FormSpace, basis) -> tuple[dict, int]:
+    return {
+        "space": serialize.form_space_to_json(space),
+        "basis": list(basis),
+        "signature": _signature(space),
+    }, EXIT_OK
+
+
+def _demo_trace_zero() -> tuple[dict, int]:
+    return _space_demo(*embeddings.trace_zero_space())
+
+
+def _demo_veronese(tau: Fraction) -> tuple[dict, int]:
+    point = embeddings.veronese_point(tau)
+    space, _ = embeddings.trace_zero_space()
+    return {
+        "tau": serialize.fraction_to_json(tau),
+        "point": serialize.vector_to_json(point),
+        "norm": serialize.fraction_to_json(space.norm(point)),
+    }, EXIT_OK
+
+
+def _demo_segre(tau1: Fraction, tau2: Fraction) -> tuple[dict, int]:
+    point = embeddings.segre_point(tau1, tau2)
+    return {
+        "tau1": serialize.fraction_to_json(tau1),
+        "tau2": serialize.fraction_to_json(tau2),
+        "point": serialize.vector_to_json(point),
+        "norm": serialize.fraction_to_json(standard_2u().norm(point)),
+    }, EXIT_OK
+
+
+def _demo_hermitian_m2(D: int) -> tuple[dict, int]:
+    try:
+        space, _ = embeddings.hermitian_m2_space(D)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
+    return _space_demo(space, ["I", "e12"])
+
+
+def _demo_order(lattice: str) -> tuple[dict, int]:
+    obj = _load_json(lattice)
+    if not isinstance(obj, dict) or "matrices" not in obj:
+        raise InputFormatError("an order demo input needs a matrices list")
+    mats = obj["matrices"]
+    if not isinstance(mats, list) or len(mats) != 4:
+        raise InputFormatError("exactly four 2x2 matrices are required")
+    try:
+        lattice = embeddings.MatrixLattice(
+            tuple(serialize.matrix_from_json(m) for m in mats)
         )
-    if args.demo_command == "hermitian-m2":
-        if args.D < 1:
-            raise InputFormatError("--D must be a positive integer")
+        order = embeddings.order_of_lattice(lattice)
+    except PostconditionFailed:
+        raise  # a failed self-check of the program, not bad input
+    except (CuspChainError, ValueError) as exc:
+        raise InputFormatError(str(exc)) from exc
+    return {"order": [serialize.matrix_to_json(m) for m in order.basis]}, EXIT_OK
+
+
+# -- the command table ---------------------------------------------------------
+
+REQUIRED = object()  # the default of a flag that must be given
+
+
+class Flag(NamedTuple):
+    """``--name VALUE``; ``type`` turns the text into the handler's argument."""
+
+    name: str
+    help: str
+    type: Callable[[str], object] = str
+    default: object = REQUIRED
+
+
+class Command(NamedTuple):
+    """A command: ``handler`` takes one keyword argument per flag."""
+
+    help: str
+    handler: Callable[..., tuple[dict, int]]
+    flags: tuple[Flag, ...] = ()
+
+
+class Group(NamedTuple):
+    """Commands chosen by the next word of the command line."""
+
+    help: str
+    commands: dict[str, Command | Group]
+
+
+_SPACE = Flag("space", "form space (JSON file)")
+_MAX_HEIGHT = Flag("max-height", "hard cap on search height", _positive_int, 50)
+_RATIONAL = serialize._fraction_from_json
+
+COMMANDS = Group(
+    "Build and verify equivalence-chain certificates between isotropic "
+    "subspaces of quadratic, symplectic and hermitian form spaces.",
+    {
+        "analyze": Command("kind, signature and an isotropic vector", _cmd_analyze,
+                           (_SPACE, _MAX_HEIGHT)),
+        "isotropic": Command("bounded isotropic vector search", _cmd_isotropic,
+                             (_SPACE, _MAX_HEIGHT)),
+        "chain": Command("build a certificate joining two cusp data", _cmd_chain, (
+            _SPACE,
+            Flag("i1", "first isotropic subspace (JSON file)"),
+            Flag("i2", "second isotropic subspace (JSON file)"),
+            Flag("out", "write the certificate here instead of stdout", default=None),
+            _MAX_HEIGHT,
+        )),
+        "verify": Command("independently verify a certificate", _cmd_verify,
+                          (Flag("cert", "certificate (JSON file)"),)),
+        "level": Command("lattice-sandwich level computation", _cmd_level, (
+            _SPACE,
+            Flag("lattice", "lattice L (JSON file)"),
+            Flag("lattice-prime", "lattice L' (JSON file)"),
+            Flag("N", "level", _positive_int),
+        )),
+        "demo": Group("explicit model demonstrations", {
+            "trace-zero": Command("the trace-zero quadratic space", _demo_trace_zero),
+            "veronese": Command("the Veronese point of tau", _demo_veronese,
+                                (Flag("tau", "rational parameter", _RATIONAL),)),
+            "segre": Command("the Segre point of (tau1, tau2)", _demo_segre, (
+                Flag("tau1", "first rational parameter", _RATIONAL),
+                Flag("tau2", "second rational parameter", _RATIONAL),
+            )),
+            "hermitian-m2": Command(
+                "the hermitian space on M2(Q) for Q(sqrt(-D))", _demo_hermitian_m2,
+                (Flag("D", "squarefree field parameter", _positive_int),)),
+            "order": Command("the right order of a lattice in M2(Q)", _demo_order,
+                             (Flag("lattice", "four 2x2 matrices (JSON file)"),)),
+        }),
+    },
+)
+
+
+def _flag_name(word: str, names) -> str | None:
+    """The flag (or "help") ``word`` names, exactly or as a unique prefix."""
+    if word == "-h":
+        return "help"
+    if not word.startswith("--") or word == "--":
+        return None
+    key = word[2:]
+    if key in names or key == "help":
+        return key
+    hits = [name for name in (*names, "help") if name.startswith(key)]
+    if len(hits) > 1:
+        choices = ", ".join("--" + hit for hit in hits)
+        raise InputFormatError(f"ambiguous option: {word} could match {choices}")
+    return hits[0] if hits else None
+
+
+def _read(argv) -> tuple[Command, dict]:
+    """The command an argument list names and its handler's keyword arguments.
+
+    Values are taken verbatim, so ``--tau -3/4`` works.  ``-h``/``--help``
+    prints the help of the command reached and raises ``SystemExit(0)``.
+    """
+    row, words, rest = COMMANDS, ["cuspchain"], iter(argv)
+    while isinstance(row, Group):
+        word = next(rest, None)
+        if word is not None and _flag_name(word, ()) == "help":
+            _print_help(words, row)
+        if word not in row.commands:
+            what = "no command" if word is None else f"unknown command {word!r}"
+            choices = ", ".join(row.commands)
+            raise InputFormatError(f"{' '.join(words)}: {what}; choose from {choices}")
+        row = row.commands[word]
+        words.append(word)
+    flags = {flag.name: flag for flag in row.flags}
+    given, unknown = {}, []
+    for arg in rest:
+        word, eq, value = arg.partition("=")
+        name = _flag_name(word, flags)
+        if name == "help":
+            if eq:
+                raise InputFormatError(f"{word} takes no value")
+            _print_help(words, row)
+        if name is None:
+            unknown.append(arg)
+            continue
+        if not eq and (value := next(rest, None)) is None:
+            raise InputFormatError(f"--{name} needs a value")
+        if name in given:
+            raise InputFormatError(f"--{name} is given more than once")
         try:
-            space, _ = embeddings.hermitian_m2_space(args.D)
-        except ValueError as exc:
-            raise InputFormatError(str(exc)) from exc
-        return (
-            {
-                "space": serialize.form_space_to_json(space),
-                "basis": ["I", "e12"],
-                "signature": list(signature_of(space).as_tuple()),
-            },
-            EXIT_OK,
-        )
-    if args.demo_command == "order":
-        obj = _load_json(args.lattice)
-        if not isinstance(obj, dict) or "matrices" not in obj:
-            raise InputFormatError("an order demo input needs a matrices list")
-        mats = obj["matrices"]
-        if not isinstance(mats, list) or len(mats) != 4:
-            raise InputFormatError("exactly four 2x2 matrices are required")
-        try:
-            lattice = embeddings.MatrixLattice(
-                tuple(serialize.matrix_from_json(m) for m in mats)
-            )
-            order = embeddings.order_of_lattice(lattice)
-        except PostconditionFailed:
-            raise  # a failed self-check of the program, not bad input
-        except (CuspChainError, ValueError) as exc:
-            raise InputFormatError(str(exc)) from exc
-        return (
-            {
-                "order": [serialize.matrix_to_json(m) for m in order.basis],
-            },
-            EXIT_OK,
-        )
-    raise InputFormatError(f"unknown demo {args.demo_command!r}")
+            given[name] = flags[name].type(value)
+        except (InputFormatError, ValueError) as exc:
+            raise InputFormatError(f"--{name}: {exc}") from exc
+    if unknown:
+        raise InputFormatError(f"unrecognized arguments: {' '.join(unknown)}")
+    missing = [n for n, f in flags.items() if f.default is REQUIRED and n not in given]
+    if missing:
+        raise InputFormatError(f"missing required flags: --{', --'.join(missing)}")
+    return row, {n.replace("-", "_"): given.get(n, f.default) for n, f in flags.items()}
 
 
-COMMANDS = {
-    "analyze": _cmd_analyze,
-    "isotropic": _cmd_isotropic,
-    "chain": _cmd_chain,
-    "verify": _cmd_verify,
-    "level": _cmd_level,
-    "demo": _cmd_demo,
-}
+def _print_help(words: list[str], row: Command | Group):
+    """Write the help of one table row to stdout and raise SystemExit(0)."""
+    if isinstance(row, Group):
+        entries = [(name, sub.help) for name, sub in row.commands.items()]
+    else:
+        entries = []
+        for f in row.flags:
+            left = f"--{f.name} {f.name.upper()}"
+            if f.default is REQUIRED:
+                entries.append((left, f.help))
+            else:
+                default = "" if f.default is None else f" (default {f.default})"
+                entries.append((f"[{left}]", f.help + default))
+    entries.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in entries) + 2
+    lines = [f"{' '.join(words)}: {row.help}", ""]
+    lines += [f"  {left:<{width}}{text}" for left, text in entries]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        payload, code = COMMANDS[args.command](args)
+        command, kwargs = _read(sys.argv[1:] if argv is None else argv)
+        out_path = kwargs.pop("out", None)
+        payload, code = command.handler(**kwargs)
     except SearchExhausted as exc:
         _emit_error(exc)
         return EXIT_SEARCH_EXHAUSTED
@@ -349,7 +349,6 @@ def main(argv=None) -> int:
         _emit_error(exc)
         return EXIT_INPUT_ERROR
     text = dumps_canonical(payload)
-    out_path = getattr(args, "out", None)
     if out_path:
         try:
             Path(out_path).write_text(text, encoding="utf-8")

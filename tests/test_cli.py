@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import cuspchain
 from cuspchain import chains, serialize
-from cuspchain.cli import main
+from cuspchain.cli import COMMANDS, Group, main
 from cuspchain.forms import line, standard_symplectic, unit_vector
 
 from support import (
@@ -311,6 +311,13 @@ def test_bad_search_bounds_rejected(symplectic_files, capsys):
         ["isotropic", "--space", "s.json", "--max-height", "many"],
         ["no-such-command"],
         [],
+        ["chain", "--space", "s.json", "--i", "a.json", "--i2", "b.json"],
+        ["verify", "--cert", "a.json", "--cert", "b.json"],
+        ["verify", "--cert"],
+        ["demo"],
+        ["demo", "nope"],
+        ["level", "--space", "s.json", "--lattice", "a.json",
+         "--lattice-prime", "b.json", "--N", "x"],
     ],
 )
 def test_bad_command_line_is_input_error(argv, capsys):
@@ -378,6 +385,32 @@ def test_help_still_exits_zero(capsys):
     assert "--max-height" in capsys.readouterr().out
 
 
+def table_rows(group=COMMANDS, words=()):
+    """(command words, row) for every group and command of the table."""
+    yield words, group
+    for name, row in group.commands.items():
+        if isinstance(row, Group):
+            yield from table_rows(row, (*words, name))
+        else:
+            yield (*words, name), row
+
+
+@pytest.mark.parametrize(
+    "words,row", list(table_rows()), ids=[" ".join(w) or "-" for w, _ in table_rows()]
+)
+def test_help_lists_every_flag_of_each_row(words, row, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and row.help in out
+    if isinstance(row, Group):
+        names = list(row.commands)
+    else:
+        names = [f"--{flag.name}" for flag in row.flags]
+    assert all(name in out for name in names), (names, out)
+
+
 def test_demo_trace_zero(capsys):
     code, out, _ = run(capsys, ["demo", "trace-zero"])
     assert code == 0
@@ -403,6 +436,18 @@ def test_demo_veronese_and_segre(capsys):
     payload = json.loads(out)
     assert payload["point"] == ["1", "-2/3", "2", "1/3"]
     assert payload["norm"] == "0"
+
+
+def test_negative_rational_values_are_taken_verbatim(capsys):
+    code, out, err = run(capsys, ["demo", "veronese", "--tau", "-3/4"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["point"] == ["1", "-9/16", "-3/4"]
+    assert payload["norm"] == "0"
+    assert run(capsys, ["demo", "veronese", "--tau=-3/4"]) == (0, out, "")
+    code, out, err = run(capsys, ["demo", "segre", "--tau1", "-2", "--tau2", "-1/3"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["norm"] == "0"
 
 
 def test_demo_hermitian_m2(capsys):
@@ -446,31 +491,55 @@ def test_demo_order_field_element_is_input_error(tmp_path, capsys):
     }
 
 
-def test_level_command(tmp_path, capsys):
+@pytest.fixture
+def level_files(tmp_path):
     from cuspchain.forms import hyperbolic_plane
 
-    space_file = write(
-        tmp_path / "space.json",
-        serialize.form_space_to_json(hyperbolic_plane()),
-    )
-    lat = write(tmp_path / "a.json", {"basis": [["1", "0"], ["0", "1"]]})
-    lat_prime = write(tmp_path / "b.json", {"basis": [["1", "0"], ["0", "3"]]})
+    return {
+        "space": write(
+            tmp_path / "space.json",
+            serialize.form_space_to_json(hyperbolic_plane()),
+        ),
+        "lattice": write(tmp_path / "a.json", {"basis": [["1", "0"], ["0", "1"]]}),
+        "lattice_prime": write(
+            tmp_path / "b.json", {"basis": [["1", "0"], ["0", "3"]]}
+        ),
+    }
+
+
+def test_level_command(level_files, capsys):
+    f = level_files
     code, out, _ = run(
         capsys,
         [
             "level",
             "--space",
-            space_file,
+            f["space"],
             "--lattice",
-            lat,
+            f["lattice"],
             "--lattice-prime",
-            lat_prime,
+            f["lattice_prime"],
             "--N",
             "2",
         ],
     )
     assert code == 0
     assert json.loads(out) == {"N1": 2, "N2": 3, "Nprime": 6}
+
+
+def test_accepted_spellings_give_identical_bytes(symplectic_files, level_files, capsys):
+    analyze = ["analyze", "--space", symplectic_files["space"]]
+    full = run(capsys, analyze + ["--max-height", "3"])
+    assert full[0] == 0 and full[1]
+    for spelling in (["--max=3"], ["--max", "3"], ["--max-height=3"]):
+        assert run(capsys, analyze + spelling) == full, spelling
+    f = level_files
+    level = ["level", "--space", f["space"], "--lattice", f["lattice"], "--N", "2"]
+    full = run(capsys, level + ["--lattice-prime", f["lattice_prime"]])
+    assert full[0] == 0 and full[1]
+    for spelling in (["--lattice-p", f["lattice_prime"]],
+                     [f"--lattice-p={f['lattice_prime']}"]):
+        assert run(capsys, level + spelling) == full, spelling
 
 
 def test_every_command_writes_canonical_json(symplectic_files, tmp_path, capsys):

@@ -6,6 +6,9 @@ statements, so every check in the package is an explicit test that raises.
 JSON text is written in one place, ``serialize.dumps_canonical``: no other
 module calls ``json.dump`` or ``json.dumps``, and no module passes
 ``indent=``, which would put json's pure-Python encoder back in.
+
+Command lines are read from the ``cli.COMMANDS`` table: no module imports
+``argparse``, whose parser costs more per command than most commands' work.
 """
 
 import ast
@@ -55,4 +58,22 @@ def test_no_source_passes_indent():
         for number, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if "indent=" in text
     ]
+    assert found == []
+
+
+def test_package_does_not_import_argparse():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (
+            isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "argparse" for a in node.names)
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "argparse"
+        )
+    ]
+    assert SOURCES
     assert found == []
