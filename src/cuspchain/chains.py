@@ -259,9 +259,11 @@ def build_chain_symplectic(
     i2: Subspace,
     cfg: SearchConfig = DEFAULT_SEARCH,
 ) -> ChainCertificate:
-    """Certificate joining two isotropic subspaces of a symplectic space."""
+    """Certificate joining two isotropic subspaces of a symplectic space.
+
+    It never searches; ``cfg`` keeps the signature all builders share."""
     a, b = _check_endpoints(space, SYMPLECTIC, i1, i2)
-    nodes, links = _build_su_chain(space, SYMPLECTIC, a, b, cfg)
+    nodes, links = _build_su_chain(space, SYMPLECTIC, a, b)
     return ChainCertificate(space, SYMPLECTIC, tuple(nodes), tuple(links))
 
 
@@ -271,18 +273,20 @@ def build_chain_unitary(
     i2: Subspace,
     cfg: SearchConfig = DEFAULT_SEARCH,
 ) -> ChainCertificate:
-    """Certificate joining two isotropic K-subspaces of a hermitian space."""
+    """Certificate joining two isotropic K-subspaces of a hermitian space.
+
+    It never searches; ``cfg`` keeps the signature all builders share."""
     a, b = _check_endpoints(space, UNITARY, i1, i2)
     sig = signature_of(space)
     if sig.plus > sig.minus:
         raise SignatureUnsupported(
             f"need signature (p, q) with p <= q, got {sig.as_tuple()}"
         )
-    nodes, links = _build_su_chain(space, UNITARY, a, b, cfg)
+    nodes, links = _build_su_chain(space, UNITARY, a, b)
     return ChainCertificate(space, UNITARY, tuple(nodes), tuple(links))
 
 
-def _build_su_chain(space, kind, a, b, cfg):
+def _build_su_chain(space, kind, a, b):
     """Shared symplectic/unitary recursion over the three pairing cases."""
     if a == b:
         return [a], []
@@ -291,7 +295,7 @@ def _build_su_chain(space, kind, a, b, cfg):
         data = subquotient(space, meet)
         a_q = push_subspace(data, a)
         b_q = push_subspace(data, b)
-        sub_nodes, sub_links = _build_su_chain(data.quotient, kind, a_q, b_q, cfg)
+        sub_nodes, sub_links = _build_su_chain(data.quotient, kind, a_q, b_q)
         sub = ChainCertificate(data.quotient, kind, tuple(sub_nodes), tuple(sub_links))
         link = BoundaryDescent(
             intersection=meet, sub=sub, lift=data.lift, project=data.project
@@ -306,8 +310,8 @@ def _build_su_chain(space, kind, a, b, cfg):
         j1 = canonical_subspace(space, a.basis.submatrix(rows=[0]))
         j1_perp_b = pairing_kernel(space, j1, b)
         third = subspace_sum(j1, j1_perp_b)
-        left_nodes, left_links = _build_su_chain(space, kind, a, third, cfg)
-        right_nodes, right_links = _build_su_chain(space, kind, third, b, cfg)
+        left_nodes, left_links = _build_su_chain(space, kind, a, third)
+        right_nodes, right_links = _build_su_chain(space, kind, third, b)
         return left_nodes + right_nodes[1:], left_links + right_links
     # trivial intersection, imperfect pairing: route through J0-based cusps
     j1, k1, j2, k2 = split_off_kernels(space, a, b)
@@ -324,11 +328,11 @@ def _build_su_chain(space, kind, a, b, cfg):
         j0 = canonical_subspace(space, j0_local.basis * comp.basis)
         mid3 = subspace_sum(j0, k2)
         mid4 = subspace_sum(j0, k1)
-    nodes, links = _build_su_chain(space, kind, a, mid3, cfg)
+    nodes, links = _build_su_chain(space, kind, a, mid3)
     if mid3 != mid4:
-        middle_nodes, middle_links = _build_su_chain(space, kind, mid3, mid4, cfg)
+        middle_nodes, middle_links = _build_su_chain(space, kind, mid3, mid4)
         nodes, links = nodes + middle_nodes[1:], links + middle_links
-    tail_nodes, tail_links = _build_su_chain(space, kind, mid4, b, cfg)
+    tail_nodes, tail_links = _build_su_chain(space, kind, mid4, b)
     return nodes + tail_nodes[1:], links + tail_links
 
 

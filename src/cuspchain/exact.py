@@ -15,10 +15,10 @@ with all of the row's integers), so equal matrices hold equal integers.
   :class:`MixedDiscriminants`.
 * Products, row reduction (and so rank, inverse, solving and kernels),
   determinants, transposes, conjugates and stacking run on the integers.
-  A matrix's ``rows`` are built from them on first access: ``Fraction``
-  entries for a rational matrix, ``QuadFieldElement`` entries in every
-  position otherwise.  An operation meeting two values of ``d`` raises
-  :class:`MixedDiscriminants`.
+  Entries are computed from them on each read (``rows``, ``m[i, j]``) and
+  never stored: ``Fraction`` entries for a rational matrix,
+  ``QuadFieldElement`` entries in every position otherwise.  An operation
+  meeting two values of ``d`` raises :class:`MixedDiscriminants`.
 
 Products multiply in ``Z`` or ``Z[sqrt(-d)]``.  Elimination is
 fraction-free: each updated row is divided by its rational content, and
@@ -208,13 +208,14 @@ class Matrix:
     Entries are rationals (Fractions or ints) or QuadFieldElements of one
     field, lifted to integer arrays when the matrix is built (see the module
     docstring); entries of any other type raise TypeError, and entries over
-    two fields MixedDiscriminants.  ``rows`` builds the entries from the
-    arrays once, on first access: Fractions for a rational matrix,
-    QuadFieldElements in every entry otherwise.
+    two fields MixedDiscriminants.  The arrays and the shape are all a
+    matrix stores: ``rows`` and ``m[i, j]`` compute entries from the arrays
+    on each read, Fractions for a rational matrix, QuadFieldElements in
+    every entry otherwise.
     Zero-row matrices are allowed and must state their column count.
     """
 
-    __slots__ = ("_rows", "_ints", "nrows", "ncols")
+    __slots__ = ("_ints", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         rows = tuple(tuple(r) for r in rows)
@@ -228,7 +229,6 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_ints", _lift(rows))
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
@@ -298,11 +298,10 @@ class Matrix:
 
     @property
     def rows(self) -> tuple[tuple, ...]:
-        rows = self._rows
-        if rows is None:
-            rows = _scalars(*self._ints)
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        ints, cols = self._ints, range(self.ncols)
+        return tuple(
+            tuple([_entry(ints, i, j) for j in cols]) for i in range(self.nrows)
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -310,13 +309,10 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
+        return _entry(self._ints, i, j)
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
+        return tuple(self[i, j] for i in range(self.nrows))
 
     def entries(self):
         for r in self.rows:
@@ -545,10 +541,7 @@ _SCALAR_TYPES = _RATIONAL_TYPES | _QUAD_TYPES
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
 
-# Shared results for the small integers that dominate sparse matrices;
-# Fractions are immutable, so sharing them is safe.
-_SMALL = {i: Fraction(i) for i in range(-16, 17)}
-_ZERO = _SMALL[0]
+_ZERO = Fraction(0)
 
 
 def _stored(re, im, den, d, ncols: int) -> Matrix:
@@ -557,7 +550,6 @@ def _stored(re, im, den, d, ncols: int) -> Matrix:
     put = object.__setattr__
     if not (re and ncols):
         im = d = None
-    put(m, "_rows", None)
     put(m, "_ints", (re, im, den, d))
     put(m, "nrows", len(re))
     put(m, "ncols", ncols)
@@ -645,42 +637,6 @@ def _one_denominator(ints: tuple) -> tuple:
     if im is not None:
         im = [[x * (q // t) for x in r] for r, t in zip(im, den)]
     return re, im, q
-
-
-def _scalars(re, im, den, d) -> tuple[tuple, ...]:
-    """The Fraction (d None) or QuadFieldElement entries of a stored form.
-
-    Most entries of a product or a reduced echelon form are small integers,
-    so the result shares one instance of each.
-    """
-    small = _SMALL
-    if d is None:
-        return tuple(
-            tuple([small[x] if x in small else Fraction(x) for x in r])
-            if q == 1
-            else tuple([Fraction(x, q) if x else _ZERO for x in r])
-            for r, q in zip(re, den)
-        )
-    quad = QuadFieldElement
-    zero, one = quad(_ZERO, _ZERO, d), quad(small[1], _ZERO, d)
-    out = []
-    for r, i, q in zip(re, im or itertools.repeat(None), den):
-        ys = itertools.repeat(0) if i is None else i
-        out.append(
-            tuple(
-                [
-                    quad(Fraction(x, q) if x else _ZERO, Fraction(y, q), d)
-                    if y
-                    else zero
-                    if not x
-                    else one
-                    if x == q
-                    else quad(Fraction(x, q), _ZERO, d)
-                    for x, y in zip(r, ys)
-                ]
-            )
-        )
-    return tuple(out)
 
 
 def _entry(ints: tuple, i: int, j: int):

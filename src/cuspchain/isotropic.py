@@ -157,18 +157,7 @@ def hyperbolic_complete(space: FormSpace, v) -> tuple:
         raise VectorInRadical("zero vector cannot be completed")
     if space.pair(v, v) != 0:
         raise VectorNotIsotropic("hyperbolic completion needs an isotropic vector")
-    w0 = _solve_pairing_conditions(space, [(v, 1)])
-    if w0 is None:
-        raise VectorInRadical("vector pairs to zero with the whole space")
-    if space.kind == ALTERNATING:
-        return w0
-    half_norm = space.norm(w0) / 2
-    w = tuple(x - half_norm * y for x, y in zip(w0, v))
-    _ensure(
-        space.pair(v, w) == 1 and space.pair(w, w) == 0,
-        "hyperbolic partner is not isotropic with (v, w) = 1",
-    )
-    return w
+    return dual_isotropic_basis(space, Matrix([v]))[0]
 
 
 def _solve_pairing_conditions(space: FormSpace, conditions):

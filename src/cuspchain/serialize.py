@@ -367,14 +367,25 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
+_FAILURE_FIELDS = {"link": int, "condition": str, "detail": str}
+
+
 def report_from_json(obj) -> VerificationReport:
     if not isinstance(obj, dict) or not isinstance(obj.get("failures"), list):
         raise InputFormatError("a report must be an object with failures")
-    failures = tuple(
-        Failure(int(f["link"]), str(f["condition"]), str(f["detail"]))
-        for f in obj["failures"]
-    )
-    return VerificationReport(ok=bool(obj.get("ok")), failures=failures)
+    failures = []
+    for f in obj["failures"]:
+        if (
+            not isinstance(f, dict)
+            or any(type(f.get(k)) is not t for k, t in _FAILURE_FIELDS.items())
+            or f["link"] < -1
+        ):
+            raise InputFormatError(f"bad failure entry {f!r}")
+        failures.append(Failure(f["link"], f["condition"], f["detail"]))
+    ok = obj.get("ok")
+    if type(ok) is not bool or ok == bool(failures):
+        raise InputFormatError(f"report ok must be true iff no failures, got {ok!r}")
+    return VerificationReport(ok=ok, failures=tuple(failures))
 
 
 def dumps_canonical(obj) -> str:

@@ -743,6 +743,13 @@ class TestStoredForm:
         assert same_matrix(built, parsed)
         for x in (built, parsed):
             assert x.shape == (len(rows), n) and x.rows == tuple(map(tuple, rows))
+            read = x.rows
+            cells = list(itertools.product(range(len(rows)), range(n)))
+            for i, j in cells + ([(-1, -1)] if cells else []):
+                assert x[i, j] == read[i][j] and type(x[i, j]) is type(read[i][j])
+            for i, j in ((len(rows), 0), (0, n)):
+                with pytest.raises(IndexError):
+                    x[i, j]
             if d is None:
                 assert all_fractions(x.entries())
             else:

@@ -213,6 +213,31 @@ def test_report_round_trip():
     assert encoded["ok"] is True
 
 
+FAILURE = {"link": 0, "condition": "link-error", "detail": "text"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"ok": False, "failures": [1]},
+        {"ok": False, "failures": [{}]},
+        {"ok": False, "failures": [{**FAILURE, "link": "x"}]},
+        {"ok": False, "failures": [{**FAILURE, "link": True}]},
+        {"ok": False, "failures": [{**FAILURE, "link": -2}]},
+        {"ok": False, "failures": [{**FAILURE, "condition": 3}]},
+        {"ok": False, "failures": [{**FAILURE, "detail": None}]},
+        {"failures": []},
+        {"ok": 1, "failures": []},
+        {"ok": "true", "failures": []},
+        {"ok": True, "failures": [FAILURE]},
+        {"ok": False, "failures": []},
+    ],
+)
+def test_malformed_report_is_input_error(doc):
+    with pytest.raises(InputFormatError):
+        serialize.report_from_json(doc)
+
+
 # -- the integer parse of matrix entries ------------------------------------------
 #
 # matrix_from_json reads "p" / "p/q" strings and JSON integers straight to

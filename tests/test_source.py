@@ -9,6 +9,10 @@ module calls ``json.dump`` or ``json.dumps``, and no module passes
 
 Command lines are read from the ``cli.COMMANDS`` table: no module imports
 ``argparse``, whose parser costs more per command than most commands' work.
+
+Only ``exact`` stores integer arrays as given (``exact._stored``): equality
+and hashing of matrices compare the arrays, so every other module builds
+matrices through a path that makes them canonical.
 """
 
 import ast
@@ -74,6 +78,22 @@ def test_package_does_not_import_argparse():
             isinstance(node, ast.ImportFrom)
             and (node.module or "").split(".")[0] == "argparse"
         )
+    ]
+    assert SOURCES
+    assert found == []
+
+
+def test_only_exact_stores_arrays_as_given():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "exact.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (
+            isinstance(node, ast.ImportFrom)
+            and any(a.name == "_stored" for a in node.names)
+        )
+        or (isinstance(node, ast.Attribute) and node.attr == "_stored")
     ]
     assert SOURCES
     assert found == []
