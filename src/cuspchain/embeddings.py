@@ -28,6 +28,7 @@ from .exact import (
     smith,
 )
 from .forms import HERMITIAN, SYMMETRIC, FormSpace, preserves_form
+from .levels import minimal_multiplier
 
 
 @dataclass(frozen=True)
@@ -410,7 +411,4 @@ def order_containment_scale(order: MatrixLattice, maximal: MatrixLattice) -> int
     change = order.vec_basis() * maximal.vec_basis().inverse()
     if not change.is_integral():
         raise NotContained("the first order is not contained in the second")
-    s, _, _ = smith(change)
-    n0 = s[3, 3]
-    _ensure(n0 != 0, "containment scale is zero")
-    return int(n0)
+    return minimal_multiplier(maximal.vec_basis(), order.vec_basis())

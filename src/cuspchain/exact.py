@@ -20,18 +20,21 @@ with all of the row's integers), so equal matrices hold equal integers.
   ``QuadFieldElement`` entries in every position otherwise.  An operation
   meeting two values of ``d`` raises :class:`MixedDiscriminants`.
 
-Products multiply in ``Z`` or ``Z[sqrt(-d)]``.  Elimination is
-fraction-free: each updated row is divided by its rational content, and
-each pivot row by its pivot once, at the end.  There is no entry-wise path;
-reduced echelon forms are unique, so they, and everything built from them,
-match exact entry-wise arithmetic.
+Products multiply in ``Z`` or ``Z[sqrt(-d)]``.  Elimination runs in ``Z``
+only, fraction-free: each updated row is divided by its content, and each
+pivot row by its pivot once, at the end.  A matrix over Q(sqrt(-d)) is
+row-reduced as the rational matrix of the rows x and sqrt(-d)*x, and the
+determinant of an n x n one is interpolated from n+1 integer determinants.
+There is no entry-wise path; reduced echelon forms and determinants are
+unique, so they, and everything built from them, match exact entry-wise
+arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import attrgetter, itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -421,22 +424,24 @@ class Matrix:
         """
         re, im, _, d = self._ints
         ncols = self.ncols
-        re = list(re)
         if im is None:
+            re = list(re)
             pivots = _int_eliminate(re, ncols)
-            dens = [re[i][p] for i, p in enumerate(pivots)]
         else:
-            im = list(im)
-            pivots = _pair_eliminate(re, im, ncols, d)
-            dens = []
-            # each pivot row divided by its pivot p as x * conj(p) / N(p)
-            for i, c in enumerate(pivots):
-                xr, xi = re[i], im[i]
-                pr, pi = xr[c], xi[c]
-                re[i] = [a * pr + d * b * pi for a, b in zip(xr, xi)]
-                im[i] = [b * pr - a * pi for a, b in zip(xr, xi)]
-                dens.append(pr * pr + d * pi * pi)
-        # rows past the rank are zero
+            # the rational rows of x and sqrt(-d)*x for each row x, the parts
+            # (re, im) of each column side by side: their span is the row
+            # space over Q, so the reduced rows come in pairs, x_j and
+            # sqrt(-d)*x_j with pivots 2c and 2c+1, and row 2j holds x_j
+            m = []
+            for a, b in zip(re, im):
+                m.append(_interleaved(a, b))
+                m.append(_interleaved([-d * y for y in b], a))
+            pivots = [c // 2 for c in _int_eliminate(m, 2 * ncols)[::2]]
+            m = m[::2]
+            re, im = [r[::2] for r in m], [r[1::2] for r in m]
+        # row i is the i-th reduced row times its real pivot entry; rows past
+        # the rank are zero
+        dens = [re[i][c] for i, c in enumerate(pivots)]
         dens += [1] * (len(re) - len(pivots))
         return _canonical(re, im, dens, d, ncols), tuple(pivots)
 
@@ -454,7 +459,7 @@ class Matrix:
             if d is None:
                 return Fraction(num, q)
             return QuadFieldElement(Fraction(num, q), _ZERO, d)
-        return _pair_det(list(re), list(im), prod(den), d)
+        return _pair_det(re, im, prod(den), d)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -750,6 +755,13 @@ def _mul(a: tuple, b: tuple, ncols: int) -> Matrix:
     return _canonical(re, im, [t * q for t in ad], d, ncols)
 
 
+def _interleaved(a: list[int], b: list[int]) -> list[int]:
+    """[a0, b0, a1, b1, ...]."""
+    row = [0] * (2 * len(a))
+    row[::2], row[1::2] = a, b
+    return row
+
+
 def _primitive(row: list[int]) -> list[int]:
     """row divided by the gcd of its entries (a zero row is returned as is)."""
     g = gcd(*row)
@@ -819,74 +831,31 @@ def _int_det(m: list[list[int]], den: int) -> tuple[int, int]:
     return num, q
 
 
-def _pair_update(p, x, f, y, d: int):
-    """(re, im, g): p*x - f*y divided by its rational content g.
-
-    p and f are pairs, x and y pairs of integer rows, all in Z[sqrt(-d)].
-    """
-    (pr, pi), (xr, xi), (fr, fi), (yr, yi) = p, x, f, y
-    dpi, dfi = d * pi, d * fi
-    re = [pr * a - dpi * b - fr * u + dfi * v for a, b, u, v in zip(xr, xi, yr, yi)]
-    im = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xr, xi, yr, yi)]
-    g = gcd(*re, *im)
-    if g > 1:
-        re = [x // g for x in re]
-        im = [x // g for x in im]
-    return re, im, g
-
-
-def _pair_eliminate(re: list, im: list, ncols: int, d: int) -> list[int]:
-    """_int_eliminate in Z[sqrt(-d)] on the rows re + im*s, in place.
-
-    With pivot p and f the entry to clear, a row becomes p*row - f*pivot_row
-    divided by its rational content.
-    """
-    nrows = len(re)
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if re[i][c] or im[i][c]), None)
-        if pr is None:
-            continue
-        re[r], re[pr] = re[pr], re[r]
-        im[r], im[pr] = im[pr], im[r]
-        prow = (re[r], im[r])
-        pv = (prow[0][c], prow[1][c])
-        for i in range(nrows):
-            f = (re[i][c], im[i][c])
-            if (f[0] or f[1]) and i != r:
-                re[i], im[i], _ = _pair_update(pv, (re[i], im[i]), f, prow, d)
-        pivots.append(c)
-    return pivots
-
-
 def _pair_det(re: list, im: list, den: int, d: int) -> QuadFieldElement:
-    """Matrix.det on the rows (re + im*s) / den, fraction-free on integer pairs.
+    """Matrix.det on the rows (re + im*s) / den, from integer determinants.
 
-    As _int_det, with num a pair (nr, ni): scaling a row by the pivot p
-    multiplies num by conj(p) and q by N(p), so q stays an integer.
+    p(t) = det(re + t*im) is an integer polynomial of degree at most n, and
+    det = p(s) / den.  With D^k its forward differences at 0 (from the values
+    at t = 0..n), Newton's formula gives
+    n! * p(s) = sum_k D^k * s(s-1)...(s-k+1) * n!/k!, summed on integer pairs.
     """
     n = len(re)
-    nr, ni, q = 1, 0, den
-    for c in range(n):
-        pr = next((i for i in range(c, n) if re[i][c] or im[i][c]), None)
-        if pr is None:
-            return QuadFieldElement(_ZERO, _ZERO, d)
-        if pr != c:
-            re[c], re[pr] = re[pr], re[c]
-            im[c], im[pr] = im[pr], im[c]
-            nr, ni = -nr, -ni
-        prow = (re[c], im[c])
-        pv = p0, p1 = prow[0][c], prow[1][c]
-        nr, ni = nr * p0 - d * ni * p1, nr * p1 + ni * p0
-        for i in range(c + 1, n):
-            f = (re[i][c], im[i][c])
-            if f[0] or f[1]:
-                re[i], im[i], g = _pair_update(pv, (re[i], im[i]), f, prow, d)
-                nr, ni = g * (nr * p0 + d * ni * p1), g * (ni * p0 - nr * p1)
-                q *= p0 * p0 + d * p1 * p1
+    diffs = []
+    for t in range(n + 1):
+        rows = [[x + t * y for x, y in zip(a, b)] for a, b in zip(re, im)]
+        num, q = _int_det(rows, 1)
+        diffs.append(num // q)
+    scale = w = factorial(n)
+    nr = ni = 0
+    fr, fi = 1, 0
+    for k in range(n + 1):
+        # diffs[0] is D^k, (fr, fi) is s(s-1)...(s-k+1) and w is n!/k!
+        nr += diffs[0] * w * fr
+        ni += diffs[0] * w * fi
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+        fr, fi = -k * fr - d * fi, fr - k * fi
+        w //= k + 1
+    q = scale * den
     return QuadFieldElement(Fraction(nr, q), Fraction(ni, q), d)
 
 

@@ -418,17 +418,7 @@ def hyperbolic_plane() -> FormSpace:
 
 def standard_2u() -> FormSpace:
     """U perp U in the basis (e1, f1, e2, f2)."""
-    return FormSpace(
-        SYMMETRIC,
-        Matrix(
-            [
-                [0, 1, 0, 0],
-                [1, 0, 0, 0],
-                [0, 0, 0, 1],
-                [0, 0, 1, 0],
-            ]
-        ),
-    )
+    return quadratic_2u_perp_diagonal(())
 
 
 def quadratic_2u_perp_diagonal(diagonal: Sequence) -> FormSpace:
@@ -454,12 +444,7 @@ def standard_symplectic(genus: int) -> FormSpace:
 
 def standard_hermitian_hyperbolic(d: int, copies: int = 1) -> FormSpace:
     """Hyperbolic hermitian planes [[0, 1], [1, 0]] over Q(sqrt(-d))."""
-    n = 2 * copies
-    rows = [[0] * n for _ in range(n)]
-    for i in range(copies):
-        rows[2 * i][2 * i + 1] = 1
-        rows[2 * i + 1][2 * i] = 1
-    return FormSpace(HERMITIAN, Matrix(rows), d)
+    return hermitian_perp_diagonal(d, copies, ())
 
 
 def hermitian_perp_diagonal(d: int, copies: int, diagonal: Sequence) -> FormSpace:

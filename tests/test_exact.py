@@ -666,6 +666,41 @@ class TestPairKernelAgainstEntrywise:
             [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
         ).map_entries(lambda x: QuadFieldElement(x, 0, 1))
 
+    # hermitian_rows draws at most 5x5; the determinant interpolates a
+    # polynomial of degree n, so larger n reach higher differences
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), d=discriminants)
+    def test_square_past_five(self, n, data, d):
+        rows, _ = data.draw(hermitian_rows(d, n, n))
+        if data.draw(st.booleans(), label="plant"):
+            c1, c2 = data.draw(quad_entries(d)), data.draw(quad_entries(d))
+            rows[-1] = [c1 * x + c2 * y for x, y in zip(rows[0], rows[1])]
+        a, uniform = Matrix(rows, n), all_quad(rows)
+        det = a.det()
+        assert det == ref_det(rows) and is_quad(det, d)
+        red, pivots = a.rref()
+        ref_red, ref_pivots = ref_rref(rows, n)
+        assert pivots == ref_pivots
+        same_as_reference(red.entries(), itertools.chain(*ref_red), d, uniform)
+        if len(ref_pivots) < n:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+        else:
+            ref_inv = ref_inverse(rows)
+            same_as_reference(
+                a.inverse().entries(), itertools.chain(*ref_inv), d, uniform
+            )
+
+    def test_dense_large_coefficients(self):
+        rng = random.Random(13)
+        part = lambda: rng.getrandbits(300) - 2**299
+        entry = lambda: QuadFieldElement(part(), part(), 7)
+        a = Matrix([[entry() for _ in range(10)] for _ in range(10)])
+        inv = a.inverse()
+        assert inv * a == Matrix.identity(10)
+        assert a.det() * inv.det() == 1
+
 
 class TestPairKernelMixedDiscriminants:
     def test_product_rref_and_det_refuse_two_fields(self):

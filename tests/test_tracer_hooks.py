@@ -1,15 +1,18 @@
-"""The perfbench tracer still finds the search functions it wraps by name.
+"""The perfbench tracer still finds the functions it wraps by name.
 
 ``perfbench/tracing.py`` replaces ``isotropic._candidate_vectors`` and
 ``isotropic._search_vector`` to count search effort; a rename would silently
-zero those counts.  This runs one planted ``analyze`` under the tracer.
+zero those counts.  This runs one planted ``analyze`` under the tracer, and
+checks that every function and method the tracer names by layer exists.
 """
 
+import importlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
-from cuspchain import cli, isotropic, serialize
+from cuspchain import cli, exact, isotropic, serialize
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -46,3 +49,24 @@ def test_tracer_counts_search_candidates(tmp_path, capsys):
     assert tracer.counts["exact.shell_tuples_yielded"] >= tracer.counts["isotropic.candidates"]
     assert tracer.searches == 1
     assert (isotropic._candidate_vectors, isotropic._search_vector) == originals
+
+
+def test_tracer_names_exist():
+    # Tracer.install looks these up by name: a missing method raises KeyError,
+    # and a missing LAYER_OF function leaves its layer at zero
+    tracing = load_tracing()
+    mods = {m: importlib.import_module(f"cuspchain.{m}") for m in tracing.MODULES}
+    methods = {
+        (mname, meth) for (mname, _), names in tracing.METHODS.items() for meth in names
+    }
+    for key in tracing.LAYER_OF:
+        mname, name = key.split(".")
+        fn = getattr(mods[mname], name, None)
+        is_function = inspect.isfunction(fn) and fn.__module__ == mods[mname].__name__
+        assert is_function or (mname, name) in methods, key
+    for (mname, cname), names in tracing.METHODS.items():
+        cls = getattr(mods[mname], cname)
+        for meth in names:
+            assert meth in cls.__dict__, f"{cname}.{meth}"
+    for meth in tracing.QUAD_OPS:
+        assert meth in exact.QuadFieldElement.__dict__, meth
