@@ -1063,7 +1063,17 @@ def descending_range(h: int) -> range:
 
 
 def shell_tuples(width: int, h: int):
-    """Integer tuples with max-norm exactly h, in a fixed deterministic order."""
-    for raw in itertools.product(descending_range(h), repeat=width):
-        if max(map(abs, raw)) == h:
-            yield raw
+    """Integer tuples with max-norm exactly h, in lexicographic order.
+
+    The order is that of ``itertools.product(descending_range(h),
+    repeat=width)`` kept to the shell, but only the shell is generated: a
+    prefix of the first width - 1 coordinates that already has max-norm h
+    takes every last coordinate h, ..., -h, any other prefix only h and -h.
+    So each prefix's tuples are consecutive, and a tuple starts a new prefix
+    exactly when its last coordinate is h.
+    """
+    full = descending_range(h)
+    ends = (h, -h)
+    for prefix in itertools.product(full, repeat=width - 1):
+        for x in full if h in prefix or -h in prefix else ends:
+            yield prefix + (x,)

@@ -2,13 +2,16 @@
 
 Searches enumerate primitive integer coordinate tuples shell by shell in a
 fixed deterministic order, so every result is reproducible.  The Gram matrix
-is lifted once per search to an integer form (:func:`forms.integer_form`), and
-each candidate's norm is a few integer multiply-adds; only the accepted tuple
-becomes a vector of ``Fraction``s or ``QuadFieldElement``s, and its norm is
-checked once more in exact arithmetic.  The dual complement, third-line and
-J0 constructions are built from exact linear solves plus the standard
-isotropy correction w -> w - ((w,w)/2) v; their postconditions are explicit
-checks that raise :class:`PostconditionFailed`.
+is lifted once per search to an integer form (:func:`forms.integer_form`).
+Only the shell is enumerated, and a candidate's norm is split over its last
+coordinate x as base + x * (lin + c * x): base and lin are computed once per
+prefix of the other coordinates, so each candidate costs a few integer
+operations whatever the dimension.  Only the accepted tuple becomes a vector
+of ``Fraction``s or ``QuadFieldElement``s, and its norm is checked once more
+in exact arithmetic.  The dual complement, third-line and J0 constructions
+are built from exact linear solves plus the standard isotropy correction
+w -> w - ((w,w)/2) v; their postconditions are explicit checks that raise
+:class:`PostconditionFailed`.
 """
 
 from __future__ import annotations
@@ -69,39 +72,51 @@ class SearchConfig:
 DEFAULT_SEARCH = SearchConfig()
 
 
-def _candidate_vectors(space: FormSpace, max_height: int):
-    """Primitive coordinate tuples by increasing shell, deterministic order.
+def _candidate_vectors(form: list[list[int]], max_height: int):
+    """(raw, n) for primitive tuples raw by increasing shell, n = raw S raw^T.
 
-    For hermitian spaces each coordinate a + b*sqrt(-d) contributes the pair
-    (a, b) and the shell is the max over all |a|, |b|.
+    S is the symmetric integer ``form`` of :func:`integer_form`; the tuples
+    come in the order of :func:`shell_tuples`.  With x the last coordinate
+    and p the others, n = base + x * (lin + c * x), where base = p S' p^T
+    over the head block, lin = 2 * p . (last column) and c the corner.  A
+    tuple starts a new prefix exactly when x == h, so base and lin are
+    recomputed there (before the gcd filter, since a prefix's first tuple
+    may be non-primitive), and each candidate costs O(1).
     """
-    width = 2 * space.dim if space.kind == HERMITIAN else space.dim
+    last = len(form) - 1
+    head = [
+        (i, j, c if i == j else 2 * c)
+        for i, row in enumerate(form[:last])
+        for j, c in enumerate(row[i:last], i)
+        if c
+    ]
+    column = [(i, 2 * row[last]) for i, row in enumerate(form[:last]) if row[last]]
+    corner = form[last][last]
     for h in range(1, max_height + 1):
-        for raw in shell_tuples(width, h):
+        for raw in shell_tuples(len(form), h):
+            x = raw[last]
+            if x == h:
+                base = sum([c * raw[i] * raw[j] for i, j, c in head])
+                lin = sum([c * raw[i] for i, c in column])
             if gcd(*raw) == 1:
-                yield raw
+                yield raw, base + x * (lin + corner * x)
 
 
 def _search_vector(space: FormSpace, accept, max_height: int, what: str):
     """The first candidate v, as a vector of the space's scalars, that passes.
 
     ``accept`` is called on the integer n = den * (v, v) of
-    :func:`integer_form`; den > 0, so n has the sign of (v, v).  When no
-    candidate up to ``max_height`` passes, SearchExhausted names the ``what``
-    sought, the candidates tried and the last shell reached.
+    :func:`integer_form`; den > 0, so n has the sign of (v, v).  For a
+    hermitian space each coordinate a + b*sqrt(-d) contributes the pair
+    (a, b), and the shell is the max over all |a|, |b|.  When no candidate
+    up to ``max_height`` passes, SearchExhausted names the ``what`` sought,
+    the candidates tried and the last shell reached.
     """
     form, den = integer_form(space)
-    terms = [
-        (i, j, c if i == j else 2 * c)
-        for i, row in enumerate(form)
-        for j, c in enumerate(row[i:], i)
-        if c
-    ]
     tried = 0
     raw = ()
-    for raw in _candidate_vectors(space, max_height):
+    for raw, n in _candidate_vectors(form, max_height):
         tried += 1
-        n = sum([c * raw[i] * raw[j] for i, j, c in terms])
         if accept(n):
             v = _exact_vector(space, raw)
             if space.norm(v) * den != n:

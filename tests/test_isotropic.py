@@ -1,5 +1,6 @@
 """Isotropic search and the constructive subspace machinery."""
 
+import itertools
 import json
 from fractions import Fraction
 from functools import reduce
@@ -34,6 +35,7 @@ from cuspchain.forms import (
 )
 from cuspchain.isotropic import (
     SearchConfig,
+    _candidate_vectors,
     _search_vector,
     find_isotropic_vector,
     hyperbolic_complete,
@@ -287,12 +289,20 @@ class TestSplitOffKernels:
 # -- the integer search against a Fraction search through space.pair ---------
 
 
+def cube_shell(width, h):
+    """The tuples of max-norm h, found by walking the whole (2h+1)^width cube."""
+    values = range(h, -h - 1, -1)
+    return [
+        raw for raw in itertools.product(values, repeat=width) if max(map(abs, raw)) == h
+    ]
+
+
 def reference_search(space, predicate, max_height):
     """Every primitive candidate as exact scalars, tested through the form."""
     hermitian = space.kind == "hermitian"
     width = 2 * space.dim if hermitian else space.dim
     for h in range(1, max_height + 1):
-        for raw in shell_tuples(width, h):
+        for raw in cube_shell(width, h):
             if reduce(gcd, (abs(int(x)) for x in raw), 0) != 1:
                 continue
             if hermitian:
@@ -471,13 +481,72 @@ class TestIntegerForm:
         assert form[1][2] == form[2][1] == d * -1
 
 
+def test_shell_tuples_is_the_cube_shell_in_order():
+    for width in range(1, 7):
+        for h in range(1, 5):
+            assert list(shell_tuples(width, h)) == cube_shell(width, h), (width, h)
+
+
+def cube_candidates(form, max_height):
+    """(raw, raw S raw^T) for every primitive tuple of the cube walk."""
+    width = len(form)
+    for h in range(1, max_height + 1):
+        for raw in cube_shell(width, h):
+            if reduce(gcd, raw, 0) == 1:
+                n = sum(raw[i] * form[i][j] * raw[j] for i in range(width) for j in range(width))
+                yield raw, n
+
+
+nonzero = st.integers(min_value=-4, max_value=4).filter(bool)
+
+
+@st.composite
+def last_column_forms(draw):
+    """Integer forms S with nonzero entries in the last row and column.
+
+    Symmetric forms of dimension 1-5 are drawn directly, with no zero in the
+    last column.  A hermitian Gram of dimension 1-2 with no zero entry and
+    nonzero imaginary parts enters through integer_form; at dimension 2 the
+    last column of S is d * (h_01, g_01, 0, g_11).
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=5))
+        s = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                entries = nonzero if j == n - 1 else st.integers(min_value=-4, max_value=4)
+                s[i][j] = s[j][i] = draw(entries)
+        return s
+    d = draw(st.sampled_from([1, 2, 3, 7]))
+    n = draw(st.integers(min_value=1, max_value=2))
+    diagonal = [QuadFieldElement(draw(nonzero), 0, d) for _ in range(n)]
+    if n == 1:
+        rows = [diagonal]
+    else:
+        x = QuadFieldElement(draw(nonzero), draw(nonzero), d)
+        rows = [[diagonal[0], x], [x.conjugate(), diagonal[1]]]
+    gram = Matrix(rows)
+    assume(gram.det() != 0)
+    return integer_form(FormSpace("hermitian", gram, d=d))[0]
+
+
+class TestCandidateVectors:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_norms_match_the_cube_walk(self, data):
+        # the benchmark's forms are diagonal: only this exercises the x * lin term
+        form = data.draw(last_column_forms())
+        cap = data.draw(st.integers(min_value=1, max_value=3 if len(form) <= 3 else 2))
+        assert list(_candidate_vectors(form, cap)) == list(cube_candidates(form, cap))
+
+
 class TestSearchEffort:
     def test_exhausted_search_names_its_effort(self):
         space = diag_space([1, -3])
         with pytest.raises(SearchExhausted) as info:
             _search_vector(space, lambda n: n == 0, 3, "isotropic vector")
         tried = sum(
-            1 for h in (1, 2, 3) for raw in shell_tuples(2, h) if gcd(*raw) == 1
+            1 for h in (1, 2, 3) for raw in cube_shell(2, h) if gcd(*raw) == 1
         )
         assert str(info.value) == (
             f"no isotropic vector of height <= 3 ({tried} candidates tried, "
