@@ -23,6 +23,7 @@ from .errors import (
     ExcludedCase,
     FormKindMismatch,
     NotIsotropic,
+    NotNested,
     PreconditionFailed,
     SignatureMismatch,
     SignatureUnsupported,
@@ -34,6 +35,8 @@ from .forms import (
     SYMMETRIC,
     FormSpace,
     Subspace,
+    _push_subspace,
+    _subquotient,
     canonical_subspace,
     coords_in_rows,
     extend_basis_rows,
@@ -41,11 +44,9 @@ from .forms import (
     orthogonal_complement,
     pairing_kernel,
     pairing_matrix,
-    push_subspace,
     restricted_space,
     signature_of,
     standard_2u,
-    subquotient,
     subspace_contains,
     subspace_intersection,
     subspace_sum,
@@ -292,9 +293,14 @@ def _build_su_chain(space, kind, a, b):
         return [a], []
     meet = subspace_intersection(a, b)
     if meet.dim != 0:
-        data = subquotient(space, meet)
-        a_q = push_subspace(data, a)
-        b_q = push_subspace(data, b)
+        # meet = a & b is canonical and lies in a and b, so of the checks of
+        # subquotient and push_subspace only the pairing with meet is left
+        for s in (a, b):
+            if not pairing_matrix(space, s, meet).is_zero():
+                raise NotNested("subspace is not inside the orthogonal of the core")
+        data = _subquotient(space, meet)
+        a_q = _push_subspace(data, a)
+        b_q = _push_subspace(data, b)
         sub_nodes, sub_links = _build_su_chain(data.quotient, kind, a_q, b_q)
         sub = ChainCertificate(data.quotient, kind, tuple(sub_nodes), tuple(sub_links))
         link = BoundaryDescent(
@@ -481,7 +487,7 @@ def _check_interior_curve(cert, link, left, right, fail):
     if space.norm(v) <= 0:
         fail("vector-positive-norm", f"(v, v) = {space.norm(v)} is not positive")
     span = subspace_sum(left, right)
-    if not (Matrix([v]) * space.gram * span.basis.conj_transpose()).is_zero():
+    if not (Matrix([v]) * space.gram).mul_adjoint(span.basis).is_zero():
         fail("vector-orthogonal", "vector is not orthogonal to both endpoints")
     if pairing_matrix(space, left, right).is_zero():
         fail("endpoints-pairing-nonzero", "endpoints pair to zero")
@@ -494,7 +500,7 @@ def _check_segre(cert, link, left, right, fail):
         fail("witness-shape", f"witness has shape {w.shape}")
         return
     w = space.coerce_matrix(w)
-    if w * space.gram * w.conj_transpose() != standard_2u().gram:
+    if (w * space.gram).mul_adjoint(w) != standard_2u().gram:
         fail("witness-isometry", "witness rows do not realize the 2U Gram matrix")
     first = canonical_subspace(space, w.submatrix(rows=[2, 0]))
     second = canonical_subspace(space, w.submatrix(rows=[3, 1]))
@@ -563,13 +569,14 @@ def _check_boundary_descent(cert, link, left, right, fail):
         fail("project-shape", f"project has shape {project.shape}")
         return
     lift = space.coerce_matrix(lift)
-    project = space.coerce_matrix(project.transpose()).transpose()
-    if not (lift * space.gram * meet.basis.conj_transpose()).is_zero():
+    project = space.coerce_field(project)
+    lift_gram = lift * space.gram
+    if not lift_gram.mul_adjoint(meet.basis).is_zero():
         fail("lift-orthogonal", "lift rows leave the orthogonal of the intersection")
     if sub.ambient.kind != space.kind or sub.ambient.d != space.d:
         fail("sub-ambient", "sub-certificate scalar field differs")
         return
-    if lift * space.gram * lift.conj_transpose() != sub.ambient.gram:
+    if lift_gram.mul_adjoint(lift) != sub.ambient.gram:
         fail("lift-gram", "lift rows do not realize the sub-certificate form")
     if lift * project != Matrix.identity(m):
         fail("project-identity", "project is not a left inverse of lift")

@@ -20,11 +20,15 @@ with all of the row's integers), so equal matrices hold equal integers.
   ``QuadFieldElement`` entries in every position otherwise.  An operation
   meeting two values of ``d`` raises :class:`MixedDiscriminants`.
 
-Products multiply in ``Z`` or ``Z[sqrt(-d)]``.  Elimination runs in ``Z``
-only, fraction-free: each updated row is divided by its content, and each
-pivot row by its pivot once, at the end.  A matrix over Q(sqrt(-d)) is
-row-reduced as the rational matrix of the rows x and sqrt(-d)*x, and the
-determinant of an n x n one is interpolated from n+1 integer determinants.
+Products multiply in ``Z`` or ``Z[sqrt(-d)]``, row by row: row i of A*B
+sums a_ik times row k of B over the nonzero a_ik only.  ``x.mul_adjoint(y)``
+is x times the conjugate transpose of y, read off y's columns without
+building it.  Elimination runs in ``Z`` only, fraction-free: each column is
+scanned once, only its nonzero rows are updated, each updated row is
+divided by its content, and each pivot row by its pivot once, at the end.
+A matrix over Q(sqrt(-d)) is row-reduced as the rational matrix of the rows
+x and sqrt(-d)*x, and the determinant of an n x n one is interpolated from
+n+1 integer determinants.
 There is no entry-wise path; reduced echelon forms and determinants are
 unique, so they, and everything built from them, match exact entry-wise
 arithmetic.
@@ -33,9 +37,11 @@ arithmetic.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress
 from math import factorial, gcd, lcm, prod
-from operator import attrgetter, itemgetter, mul
+from operator import add, attrgetter
 from typing import Iterable, Sequence
 
 from .errors import MixedDiscriminants
@@ -370,8 +376,25 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.shape} by {other.shape} matrices"
                 )
-            return _mul(self._ints, other._ints, other.ncols)
+            b = other._ints
+            return _mul(self._ints, _one_denominator(b), b[3], other.ncols)
         return self.__rmul__(other)  # scalars commute with matrices
+
+    def mul_adjoint(self, other: "Matrix") -> "Matrix":
+        """self * other^H, the product with other's conjugate transpose.
+
+        other^H is never built: its integer rows are other's columns, the
+        imaginary parts negated, taken by one zip of other's rows.
+        """
+        if self.ncols != other.ncols:
+            raise ValueError(
+                f"cannot multiply {self.shape} by {(other.ncols, other.nrows)} matrices"
+            )
+        re, im, q = _one_denominator(other._ints)
+        cols = list(zip(*re)) if re else [()] * other.ncols
+        if im is not None:
+            im = list(zip(*([-x for x in r] for r in im)))
+        return _mul(self._ints, (cols, im, q), other._ints[3], other.nrows)
 
     def __rmul__(self, other):
         if type(other) in _SCALAR_TYPES:
@@ -706,52 +729,55 @@ def _combine(a: Matrix, b: Matrix, sign: int, what: str) -> Matrix:
 # -- kernels on the stored form ------------------------------------------------
 
 
-def _int_product(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]):
-    """Integer matrix product of the given rows with the given columns.
+def _int_product(
+    rows: Sequence[Sequence[int]], brows: Sequence[Sequence[int]], width: int
+) -> list[list[int]]:
+    """Integer product of the rows with the matrix whose rows are brows (of width).
 
-    Each row meets the columns at its nonzero positions only: most entries
-    of the factors in chain builds are zero (echelon bases, the Gram
-    matrices of hyperbolic planes).
+    Row by row (Gustavson): row i is the sum of a_ik * brows[k] over the
+    nonzero a_ik only, so a product costs one row operation per nonzero of
+    the first factor.  Most entries of the factors in chain builds are zero
+    (echelon bases, the Gram matrices of hyperbolic planes).
     """
     out = []
     for r in rows:
-        nonzero = [k for k, x in enumerate(r) if x]
-        if len(nonzero) > 1:
-            pick, coeffs = itemgetter(*nonzero), [r[k] for k in nonzero]
-            out.append([sum(map(mul, coeffs, pick(c))) for c in cols])
-        elif nonzero:
-            k = nonzero[0]
-            out.append([r[k] * c[k] for c in cols])
-        else:
-            out.append([0] * len(cols))
+        row = None
+        for k in compress(range(len(r)), r):
+            a, b = r[k], brows[k]
+            if row is None:
+                row = list(b) if a == 1 else [a * y for y in b]
+            elif a == 1:
+                row = list(map(add, row, b))
+            else:
+                row = [x + a * y for x, y in zip(row, b)]
+        out.append([0] * width if row is None else row)
     return out
 
 
-def _mul(a: tuple, b: tuple, ncols: int) -> Matrix:
-    """Matrix product of two stored forms.
+def _mul(a: tuple, b: tuple, db: int | None, ncols: int) -> Matrix:
+    """Product of a stored form with the matrix of b = (br, bi, q) over Q(sqrt(-db)).
 
-    The second factor is put over one denominator q, so row i of the product
-    is the integer product over a's den[i] * q.  With s = sqrt(-d),
+    b holds the second factor's integer rows (bi None when they have no
+    imaginary parts) over one denominator q, so row i of the product is the
+    integer product over a's den[i] * q.  With s = sqrt(-d),
     (ar + ai*s)(br + bi*s) = (ar*br - d*ai*bi) + (ar*bi + ai*br)*s; when both
     factors have imaginary parts, each row [ar | ai] of the first meets the
-    column [br | -d*bi] for the real part and [bi | br] for the imaginary part.
+    stacked rows [br; -d*bi] for the real part and [bi; br] for the
+    imaginary part.
     """
     ar, ai, ad, da = a
-    d = _join(da, b[3])
-    br, bi, q = _one_denominator(b)
-    cols = list(zip(*br)) or [()] * ncols
+    br, bi, q = b
+    d = _join(da, db)
     if ai is None or bi is None:
-        re = _int_product(ar, cols)
+        re = _int_product(ar, br, ncols)
         if bi is not None:
-            im = _int_product(ar, list(zip(*bi)))
+            im = _int_product(ar, bi, ncols)
         else:
-            im = None if ai is None else _int_product(ai, cols)
+            im = None if ai is None else _int_product(ai, br, ncols)
     else:
-        icols = list(zip(*bi))
         rows = [r + i for r, i in zip(ar, ai)]
-        re_cols = [c + tuple(-d * x for x in i) for c, i in zip(cols, icols)]
-        re = _int_product(rows, re_cols)
-        im = _int_product(rows, [i + c for c, i in zip(cols, icols)])
+        re = _int_product(rows, [*br, *([-d * x for x in r] for r in bi)], ncols)
+        im = _int_product(rows, [*bi, *br], ncols)
     return _canonical(re, im, [t * q for t in ad], d, ncols)
 
 
@@ -773,8 +799,10 @@ def _int_eliminate(m: list[list[int]], ncols: int) -> list[int]:
 
     The pivot of each column is the topmost remaining row nonzero there (the
     rule of Matrix.rref); an eliminated row becomes pv * row - f * pivot_row
-    divided by its content.  Afterwards row i is the i-th row of the reduced
-    echelon form times its pivot entry, and rows past the rank are zero.
+    divided by its content.  One scan of each column finds the pivot and the
+    rows to update, and only those rows are touched.  Afterwards row i is
+    the i-th row of the reduced echelon form times its pivot entry, and rows
+    past the rank are zero.
     """
     nrows = len(m)
     pivots = []
@@ -782,15 +810,19 @@ def _int_eliminate(m: list[list[int]], ncols: int) -> list[int]:
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
+        hits = [i for i in range(nrows) if m[i][c]]
+        k = bisect_left(hits, r)
+        if k == len(hits):
             continue
+        pr = hits[k]
+        # the rows r..pr-1 are zero in column c, so after the swap the rows
+        # to update are the hits other than pr
         m[r], m[pr] = m[pr], m[r]
         prow = m[r]
         pv = prow[c]
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
+        for i in hits:
+            if i != pr:
+                f = m[i][c]
                 m[i] = _primitive([pv * x - f * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
@@ -800,34 +832,34 @@ def _int_eliminate(m: list[list[int]], ncols: int) -> list[int]:
 def _int_det(m: list[list[int]], den: int) -> tuple[int, int]:
     """(num, q) with num / q = det(m) / den, for a square integer matrix m.
 
-    Fraction-free on the integer rows m (changed in place); rows already
-    zero in the pivot column are left alone.  det(m_0) / den is
-    det(m) * num / q throughout: q collects den and the pivot that scales
-    each updated row, num the row contents divided out and the sign of each
-    swap; at the end m is triangular.
+    Fraction-free on the integer rows m (changed in place); one scan of each
+    column finds the pivot and the rows to update, as in _int_eliminate.
+    det(m_0) / den is det(m) * num / q throughout: q collects den and the
+    pivot that scales each updated row, num the row contents divided out
+    and the sign of each swap; at the end m is triangular.
     """
     n = len(m)
     num, q = 1, den
     for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
+        hits = [i for i in range(c, n) if m[i][c]]
+        if not hits:
             return 0, 1
+        pr = hits[0]
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
             num = -num
         prow = m[c]
         pv = prow[c]
         num *= pv
-        for i in range(c + 1, n):
+        for i in hits[1:]:
             f = m[i][c]
-            if f:
-                row = [pv * x - f * y for x, y in zip(m[i], prow)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-                    num *= g
-                q *= pv
-                m[i] = row
+            row = [pv * x - f * y for x, y in zip(m[i], prow)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+                num *= g
+            q *= pv
+            m[i] = row
     return num, q
 
 

@@ -9,7 +9,9 @@ vectors, so a matrix M preserves the form iff ``M^T * G * conj(M) == G``.
 
 :func:`integer_form` is the one integer matrix of a form (a hermitian form
 as its rational form in 2n variables); signatures come from a fraction-free
-(Bareiss) symmetric elimination of it, and a pairing is one matrix product.
+(Bareiss) symmetric elimination of it.  Rows pair with rows as
+``(X * G).mul_adjoint(Y)``: one product with G and one with the adjoint of
+Y, which is never built.
 """
 
 from __future__ import annotations
@@ -115,6 +117,10 @@ class FormSpace:
             raise DimensionMismatch(
                 f"{m.ncols}-column matrix in a space of dimension {self.dim}"
             )
+        return self.coerce_field(m)
+
+    def coerce_field(self, m: Matrix) -> Matrix:
+        """m, of any shape, over the space's field; as coerce_matrix otherwise."""
         out = _in_field(m, self.d)
         if out is not None:
             return out
@@ -124,7 +130,7 @@ class FormSpace:
 
     def pair(self, u: Sequence, v: Sequence):
         """Form value (u, v); linear in u, conjugate-linear in v."""
-        return (Matrix([u]) * self.gram * Matrix([v]).conj_transpose())[0, 0]
+        return (Matrix([u]) * self.gram).mul_adjoint(Matrix([v]))[0, 0]
 
     def norm(self, v: Sequence) -> Fraction:
         """(v, v); rational even in the hermitian case."""
@@ -219,9 +225,7 @@ def _same_space(a: Subspace, b: Subspace) -> None:
 
 def pairing_matrix(space: FormSpace, a: Subspace, b: Subspace) -> Matrix:
     """Matrix of form values (a_i, b_j) between the two bases."""
-    if a.dim == 0 or b.dim == 0:
-        return Matrix([], ncols=b.dim) if a.dim == 0 else Matrix.zero(a.dim, 0)
-    return a.basis * space.gram * b.basis.conj_transpose()
+    return (a.basis * space.gram).mul_adjoint(b.basis)
 
 
 def integer_form(space: FormSpace) -> tuple[list[list[int]], int]:
@@ -301,8 +305,11 @@ def orthogonal_complement(space: FormSpace, s: Subspace) -> Subspace:
         raise DimensionMismatch("subspace belongs to a different space")
     if s.dim == 0:
         return canonical_subspace(space, Matrix.identity(space.dim))
-    m = space.gram * s.basis.conj_transpose()  # v * m == 0 cuts the complement
-    return canonical_subspace(space, m.transpose().right_kernel())
+    # v pairs to zero with s iff (s * G) * conj(v)^T == 0, so the complement
+    # is the right kernel of conj(s * G); that matrix is (G * s^H)^T up to
+    # sign for all three kinds
+    m = (s.basis * space.gram).conjugate()
+    return canonical_subspace(space, m.right_kernel())
 
 
 def pairing_kernels(
@@ -332,7 +339,7 @@ def is_perfect_pairing(space: FormSpace, a: Subspace, b: Subspace) -> bool:
 
 def restricted_space(space: FormSpace, basis: Matrix) -> FormSpace:
     """Form space induced on the (nondegenerate) span of the given rows."""
-    gram = basis * space.gram * basis.conj_transpose()
+    gram = (basis * space.gram).mul_adjoint(basis)
     return FormSpace(space.kind, gram, space.d)
 
 
@@ -375,14 +382,17 @@ def subquotient(space: FormSpace, iso: Subspace) -> SubquotientData:
         raise DimensionMismatch("subspace belongs to a different space")
     if not iso.is_isotropic():
         raise NotIsotropic("subquotient requires an isotropic subspace")
-    iso = canonical_subspace(space, iso.basis)
+    return _subquotient(space, canonical_subspace(space, iso.basis))
+
+
+def _subquotient(space: FormSpace, iso: Subspace) -> SubquotientData:
+    """subquotient of a canonical isotropic subspace of the space, unchecked."""
     perp = orthogonal_complement(space, iso)
     lift = extend_basis_rows(iso.basis, perp.basis)
-    quotient_gram = lift * space.gram * lift.conj_transpose()
+    quotient_gram = (lift * space.gram).mul_adjoint(lift)
     quotient = FormSpace(space.kind, quotient_gram, space.d)
     full = Matrix.vstack(iso.basis, lift) if iso.dim else lift
-    normal = full * full.conj_transpose()
-    p_full = full.conj_transpose() * normal.inverse()
+    p_full = full.conj_transpose() * full.mul_adjoint(full).inverse()
     project = p_full.submatrix(cols=slice(iso.dim, None))
     return SubquotientData(space, iso, quotient, lift, project)
 
@@ -391,22 +401,27 @@ def push_subspace(data: SubquotientData, s: Subspace) -> Subspace:
     """Image of S with I <= S <= I-perp inside the subquotient."""
     if s.space != data.space:
         raise DimensionMismatch("subspace belongs to a different space")
-    if not subspace_contains(canonical_subspace(s.space, s.basis), data.subspace):
+    if not subspace_contains(s, data.subspace):
         raise NotNested("subspace does not contain the quotiented core")
     if not pairing_matrix(data.space, s, data.subspace).is_zero():
         raise NotNested("subspace is not inside the orthogonal of the core")
-    image = canonical_subspace(data.quotient, s.basis * data.project)
+    image = _push_subspace(data, s)
     if image.dim != s.dim - data.subspace.dim:  # pragma: no cover - consistency
         raise NotNested("pushed dimension mismatch")
     return image
+
+
+def _push_subspace(data: SubquotientData, s: Subspace) -> Subspace:
+    """push_subspace of an S known to lie between I and I-perp, unchecked."""
+    return canonical_subspace(data.quotient, s.basis * data.project)
 
 
 def preserves_form(space: FormSpace, m: Matrix) -> bool:
     """Whether the column action of m is an isometry of the space."""
     if m.shape != (space.dim, space.dim):
         return False
-    m = space.coerce_matrix(m.transpose()).transpose()
-    return m.transpose() * space.gram * m.conjugate() == space.gram
+    mt = space.coerce_field(m).transpose()
+    return (mt * space.gram).mul_adjoint(mt) == space.gram
 
 
 # -- standard spaces -------------------------------------------------------

@@ -66,7 +66,7 @@ def congruence_membership(gamma: Matrix, lat: FullLattice, n: int) -> bool:
     space = lat.space
     if gamma.shape != (space.dim, space.dim):
         raise NotAnIsometry(f"matrix of shape {gamma.shape} cannot act")
-    gamma = space.coerce_matrix(gamma.transpose()).transpose()
+    gamma = space.coerce_field(gamma)
     if not preserves_form(space, gamma):
         raise NotAnIsometry("matrix does not preserve the form")
     if n < 1:

@@ -1,5 +1,6 @@
 """Exact scalar and matrix kernels: normal forms, canonical bases, solving."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -125,7 +126,7 @@ class TestIntegerEntries:
 
 
 # Rational matrices for the integer kernel, checked against the entry-wise
-# path run on the same matrix embedded in Q(sqrt(-d)).
+# reference below (ref_mul, ref_rref, ...), which computes in Fractions.
 small_rationals = st.one_of(
     st.integers(min_value=-6, max_value=6),
     st.builds(
@@ -154,29 +155,42 @@ def rational_rows(draw, nrows=None, ncols=None):
     return rows, n
 
 
-def rational_matrices(nrows=None, ncols=None):
-    return rational_rows(nrows, ncols).map(lambda drawn: Matrix(*drawn))
+sparse_values = st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-4, 3)])
+
+
+@st.composite
+def sparse_rows(draw, nrows=None, ncols=None):
+    """(rows, ncols) with at most one nonzero per row, as in echelon bases and
+    the Gram matrices of hyperbolic planes: a unit or another value, and
+    about one row in four zero."""
+    m = draw(st.integers(min_value=0, max_value=6)) if nrows is None else nrows
+    n = draw(st.integers(min_value=0, max_value=6)) if ncols is None else ncols
+    rows = []
+    for _ in range(m):
+        row = [0] * n
+        if n and draw(st.integers(min_value=0, max_value=3)):
+            row[draw(st.integers(min_value=0, max_value=n - 1))] = draw(sparse_values)
+        rows.append(row)
+    return rows, n
+
+
+def kernel_rows(nrows=None, ncols=None):
+    return st.one_of(rational_rows(nrows, ncols), sparse_rows(nrows, ncols))
 
 
 def embed(m: Matrix, d: int) -> Matrix:
     return m.map_entries(lambda x: QuadFieldElement(x, 0, d))
 
 
-def real(x) -> Fraction:
-    if isinstance(x, QuadFieldElement):
-        assert x.b == 0
-        return x.a
-    return x
+def as_fractions(rows: list) -> list:
+    """The rows in Fractions: the reference divides, and int / int is a float."""
+    return [[Fraction(x) for x in r] for r in rows]
 
 
-def real_rows(m: Matrix) -> list:
-    return [[real(x) for x in r] for r in m.rows]
-
-
-def same_as_entrywise(result: Matrix, reference: Matrix) -> bool:
+def same_as_reference_rows(result: Matrix, reference: list, ncols: int) -> bool:
     return (
-        result.shape == reference.shape
-        and [list(r) for r in result.rows] == real_rows(reference)
+        result.shape == (len(reference), ncols)
+        and [list(r) for r in result.rows] == reference
         and all_fractions(result.entries())
     )
 
@@ -186,61 +200,62 @@ discriminants = st.sampled_from([1, 2, 3, 7])
 
 class TestIntegerKernelAgainstEntrywise:
     @settings(max_examples=80, deadline=None)
-    @given(st.data(), discriminants)
-    def test_product(self, data, d):
-        shape = data.draw(st.tuples(*[st.integers(min_value=0, max_value=5)] * 3))
-        a = data.draw(rational_matrices(shape[0], shape[1]))
-        b = data.draw(rational_matrices(shape[1], shape[2]))
-        assert same_as_entrywise(a * b, embed(a, d) * embed(b, d))
+    @given(st.data())
+    def test_product(self, data):
+        m, k, n = data.draw(st.tuples(*[st.integers(min_value=0, max_value=5)] * 3))
+        a, _ = data.draw(kernel_rows(m, k))
+        b, _ = data.draw(kernel_rows(k, n))
+        ref = ref_mul(a, b, n)
+        assert same_as_reference_rows(Matrix(a, k) * Matrix(b, n), ref, n)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), discriminants)
-    def test_vector_times_square(self, data, d):
+    @given(st.data())
+    def test_vector_times_square(self, data):
         n = data.draw(st.integers(min_value=0, max_value=6))
-        v = data.draw(rational_matrices(1, n))
-        g = data.draw(rational_matrices(n, n))
-        assert same_as_entrywise(v * g, embed(v, d) * embed(g, d))
+        v, _ = data.draw(kernel_rows(1, n))
+        g, _ = data.draw(kernel_rows(n, n))
+        ref = ref_mul(v, g, n)
+        assert same_as_reference_rows(Matrix(v, n) * Matrix(g, n), ref, n)
 
     @settings(max_examples=100, deadline=None)
-    @given(rational_matrices(), discriminants)
-    def test_rref_and_kernel(self, m, d):
-        q = embed(m, d)
+    @given(kernel_rows())
+    def test_rref_and_kernel(self, drawn):
+        rows, n = drawn
+        m, rows = Matrix(rows, n), as_fractions(rows)
         red, pivots = m.rref()
-        q_red, q_pivots = q.rref()
-        assert pivots == q_pivots
-        assert same_as_entrywise(red, q_red)
-        assert same_as_entrywise(m.right_kernel(), q.right_kernel())
+        ref_red, ref_pivots = ref_rref(rows, n)
+        assert pivots == ref_pivots
+        assert same_as_reference_rows(red, ref_red, n)
+        assert same_as_reference_rows(m.right_kernel(), ref_right_kernel(rows, n), n)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), discriminants)
-    def test_det_and_inverse(self, data, d):
+    @given(st.data())
+    def test_det_and_inverse(self, data):
         n = data.draw(st.integers(min_value=0, max_value=5))
-        m = data.draw(rational_matrices(n, n))
-        q = embed(m, d)
+        rows, _ = data.draw(kernel_rows(n, n))
+        m, rows = Matrix(rows, n), as_fractions(rows)
         det = m.det()
-        assert type(det) is Fraction and det == real(q.det())
+        assert type(det) is Fraction and det == ref_det(rows)
         if det == 0:
             with pytest.raises(ZeroDivisionError):
                 m.inverse()
             with pytest.raises(ZeroDivisionError):
-                q.inverse()
+                ref_inverse(rows)
         else:
-            assert same_as_entrywise(m.inverse(), q.inverse())
+            assert same_as_reference_rows(m.inverse(), ref_inverse(rows), n)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), discriminants)
-    def test_solve(self, data, d):
-        m = data.draw(rational_matrices())
-        rhs = data.draw(
-            st.lists(small_rationals, min_size=m.nrows, max_size=m.nrows)
-        )
-        x = m.solve(rhs)
-        q_x = embed(m, d).solve([QuadFieldElement(y, 0, d) for y in rhs])
-        if q_x is None:
+    @given(st.data())
+    def test_solve(self, data):
+        rows, n = data.draw(kernel_rows())
+        size = len(rows)
+        rhs = data.draw(st.lists(small_rationals, min_size=size, max_size=size))
+        x = Matrix(rows, n).solve(rhs)
+        ref = ref_solve(as_fractions(rows), n, map(Fraction, rhs))
+        if ref is None:
             assert x is None
         else:
-            assert x is not None and all_fractions(x)
-            assert list(x) == [real(y) for y in q_x]
+            assert x == ref and all_fractions(x)
 
 
 class TestHNF:
@@ -872,3 +887,56 @@ class TestScalarProduct:
                 m * other
             with pytest.raises(TypeError):
                 other * m
+
+
+# -- products with an adjoint ---------------------------------------------------
+
+
+def adjoint_rows(rows: list, ncols: int) -> list:
+    """The conjugate transpose of plain rows with ncols columns."""
+    return [[conjugate_scalar(r[j]) for r in rows] for j in range(ncols)]
+
+
+class TestMulAdjoint:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), discriminants)
+    def test_against_product_with_adjoint(self, data, d):
+        m, k, n = data.draw(st.tuples(*[st.integers(min_value=0, max_value=5)] * 3))
+        # rational, hermitian and one-sided-imaginary pairs
+        quad_a, quad_b = data.draw(st.booleans()), data.draw(st.booleans())
+        a, _ = data.draw(hermitian_rows(d, m, k) if quad_a else kernel_rows(m, k))
+        b, _ = data.draw(hermitian_rows(d, n, k) if quad_b else kernel_rows(n, k))
+        x, y = Matrix(a, k), Matrix(b, k)
+        prod = x.mul_adjoint(y)
+        ref = list(itertools.chain(*ref_mul(a, adjoint_rows(b, k), n)))
+        assert prod.shape == (m, n) and list(prod.entries()) == ref
+        if k and ((quad_a and m) or (quad_b and n)):
+            assert all(is_quad(z, d) for z in prod.entries())
+        else:
+            assert all_fractions(prod.entries())
+        assert same_matrix(prod, x * y.conj_transpose())
+
+    def test_shape_and_field_mismatches_are_refused(self):
+        with pytest.raises(ValueError):
+            Matrix([[1, 2]]).mul_adjoint(Matrix([[1, 2, 3]]))
+        with pytest.raises(ValueError):
+            Matrix([], ncols=2).mul_adjoint(Matrix([], ncols=1))
+        x2, x3 = QuadFieldElement(1, 1, 2), QuadFieldElement(1, 1, 3)
+        with pytest.raises(MixedDiscriminants):
+            Matrix([[x2, 1]]).mul_adjoint(Matrix([[1, x3]]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_operands_are_left_unchanged(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=5))
+        rows_a, _ = data.draw(any_rows((n, n)))
+        rows_b, _ = data.draw(st.one_of(any_rows((n, n)), sparse_rows(n, n)))
+        a, b = Matrix(rows_a, n), Matrix(rows_b, n)
+        before = copy.deepcopy((a._ints, b._ints))
+        try:
+            a * b, a.mul_adjoint(b), b.mul_adjoint(a)
+        except MixedDiscriminants:
+            pass
+        for m in (a, b):
+            m.rref(), m.det(), m.right_kernel()
+        assert (a._ints, b._ints) == before

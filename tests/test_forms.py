@@ -299,12 +299,20 @@ class TestSubquotient:
         assert push_subspace(data, data.subspace).dim == 0
         perp = orthogonal_complement(space, data.subspace)
         assert push_subspace(data, perp).dim == data.quotient.dim
+        # a basis that is not reduced pushes to the same image
+        e0, e2 = unit_vector(space, 0), unit_vector(space, 2)
+        rows = Matrix([[x + 2 * y for x, y in zip(e0, e2)], e2])
+        assert push_subspace(data, Subspace(space, rows)) == image
 
     def test_push_requires_nesting(self):
         space = standard_symplectic(2)
         data = subquotient(space, line(space, unit_vector(space, 0)))
         with pytest.raises(NotNested):
             push_subspace(data, line(space, unit_vector(space, 1)))
+        # contains the core but leaves its orthogonal
+        both = Matrix([unit_vector(space, 0), unit_vector(space, 1)])
+        with pytest.raises(NotNested, match="orthogonal"):
+            push_subspace(data, canonical_subspace(space, both))
 
     def test_hermitian_subquotient(self):
         space = standard_hermitian_hyperbolic(3, 2)

@@ -13,6 +13,10 @@ Command lines are read from the ``cli.COMMANDS`` table: no module imports
 Only ``exact`` stores integer arrays as given (``exact._stored``): equality
 and hashing of matrices compare the arrays, so every other module builds
 matrices through a path that makes them canonical.
+
+A product with an adjoint is ``x.mul_adjoint(y)``: no module multiplies by
+``y.conj_transpose()`` on the right, which would build and reduce the
+adjoint only to multiply by it.
 """
 
 import ast
@@ -94,6 +98,21 @@ def test_only_exact_stores_arrays_as_given():
             and any(a.name == "_stored" for a in node.names)
         )
         or (isinstance(node, ast.Attribute) and node.attr == "_stored")
+    ]
+    assert SOURCES
+    assert found == []
+
+
+def test_adjoint_products_use_mul_adjoint():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.right, ast.Call)
+        and isinstance(node.right.func, ast.Attribute)
+        and node.right.func.attr == "conj_transpose"
     ]
     assert SOURCES
     assert found == []
