@@ -38,7 +38,7 @@ from .forms import (
     _push_subspace,
     _subquotient,
     canonical_subspace,
-    coords_in_rows,
+    coordinate_map,
     extend_basis_rows,
     is_perfect_pairing,
     orthogonal_complement,
@@ -216,9 +216,7 @@ def build_chain_orthogonal(
     split = subspace_sum(a_rest, b_rest)
     comp = orthogonal_complement(space, split)
     sub = restricted_space(space, comp.basis)
-    core_local = canonical_subspace(
-        sub, Matrix([coords_in_rows(comp.basis, core.basis.rows[0])])
-    )
+    (core_local,) = _to_local(sub, comp.basis, core)
     l3_local, l4_local = third_isotropic_lines(sub, core_local)
     l3 = canonical_subspace(space, l3_local.basis * comp.basis)
     l4 = canonical_subspace(space, l4_local.basis * comp.basis)
@@ -328,8 +326,7 @@ def _build_su_chain(space, kind, a, b):
         span = subspace_sum(k1, k2)
         comp = orthogonal_complement(space, span)
         sub = restricted_space(space, comp.basis)
-        j1_local = _to_local(sub, comp.basis, j1)
-        j2_local = _to_local(sub, comp.basis, j2)
+        j1_local, j2_local = _to_local(sub, comp.basis, j1, j2)
         j0_local = j0_construct(sub, j1_local, j2_local)
         j0 = canonical_subspace(space, j0_local.basis * comp.basis)
         mid3 = subspace_sum(j0, k2)
@@ -342,11 +339,21 @@ def _build_su_chain(space, kind, a, b):
     return nodes + tail_nodes[1:], links + tail_links
 
 
-def _to_local(sub: FormSpace, basis: Matrix, s: Subspace) -> Subspace:
-    rows = [coords_in_rows(basis, r) for r in s.basis.rows]
-    if any(r is None for r in rows):
-        raise PreconditionFailed("subspace does not lie in the restricted span")
-    return canonical_subspace(sub, Matrix(rows, ncols=sub.dim))
+def _to_local(sub: FormSpace, basis: Matrix, *subspaces: Subspace) -> list[Subspace]:
+    """Each subspace in the coordinates of ``sub``, the span of ``basis``'s rows.
+
+    A subspace's rows map to coordinates by one product with the
+    coordinate map of ``basis``; they lie in its span iff the coordinates
+    times ``basis`` give them back.
+    """
+    to_coords = coordinate_map(basis)
+    out = []
+    for s in subspaces:
+        coords = s.basis * to_coords
+        if coords * basis != s.basis:
+            raise PreconditionFailed("subspace does not lie in the restricted span")
+        out.append(canonical_subspace(sub, coords))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     SearchExhausted,
 )
 from .forms import ALTERNATING, FormSpace, signature_of, standard_2u
-from .isotropic import SearchConfig, find_isotropic_vector
+from .isotropic import DEFAULT_SEARCH, SearchConfig, find_isotropic_vector
 from .serialize import dumps_canonical
 
 EXIT_OK = 0
@@ -211,7 +211,9 @@ class Group(NamedTuple):
 
 
 _SPACE = Flag("space", "form space (JSON file)")
-_MAX_HEIGHT = Flag("max-height", "hard cap on search height", _positive_int, 50)
+_MAX_HEIGHT = Flag(
+    "max-height", "hard cap on search height", _positive_int, DEFAULT_SEARCH.max_height
+)
 _RATIONAL = serialize._fraction_from_json
 
 COMMANDS = Group(

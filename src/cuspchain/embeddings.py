@@ -247,8 +247,7 @@ def sl2_su11_image(d: int, g: SL2Element) -> Matrix:
     cols = [model.from_matrix(b * gm) for b in (I2, E12)]
     image = Matrix(cols).transpose()
     _ensure(preserves_form(space, image), "SU(1, 1) image does not preserve the form")
-    det = image[0, 0] * image[1, 1] - image[0, 1] * image[1, 0]
-    _ensure(det == 1, "SU(1, 1) image does not have determinant 1")
+    _ensure(image.det() == 1, "SU(1, 1) image does not have determinant 1")
     return image
 
 

@@ -11,7 +11,10 @@ vectors, so a matrix M preserves the form iff ``M^T * G * conj(M) == G``.
 as its rational form in 2n variables); signatures come from a fraction-free
 (Bareiss) symmetric elimination of it.  Rows pair with rows as
 ``(X * G).mul_adjoint(Y)``: one product with G and one with the adjoint of
-Y, which is never built.
+Y, which is never built.  Rows of a span become coordinates on its
+independent basis B by one product with the right inverse
+``B^H (B B^H)^-1`` of :func:`coordinate_map`, for subquotient projections
+and restricted spaces alike.
 """
 
 from __future__ import annotations
@@ -343,9 +346,13 @@ def restricted_space(space: FormSpace, basis: Matrix) -> FormSpace:
     return FormSpace(space.kind, gram, space.d)
 
 
-def coords_in_rows(basis: Matrix, v: Sequence) -> tuple | None:
-    """Coefficients x with x * basis == v, or None when v is outside the span."""
-    return basis.transpose().solve(tuple(v))
+def coordinate_map(basis: Matrix) -> Matrix:
+    """The right inverse basis^H (basis basis^H)^-1 of independent rows.
+
+    A row x * basis of their span times it gives back its coordinates x;
+    a row outside the span gives the coordinates of its projection.
+    """
+    return basis.conj_transpose() * basis.mul_adjoint(basis).inverse()
 
 
 def extend_basis_rows(sub: Matrix, within: Matrix) -> Matrix:
@@ -392,8 +399,7 @@ def _subquotient(space: FormSpace, iso: Subspace) -> SubquotientData:
     quotient_gram = (lift * space.gram).mul_adjoint(lift)
     quotient = FormSpace(space.kind, quotient_gram, space.d)
     full = Matrix.vstack(iso.basis, lift) if iso.dim else lift
-    p_full = full.conj_transpose() * full.mul_adjoint(full).inverse()
-    project = p_full.submatrix(cols=slice(iso.dim, None))
+    project = coordinate_map(full).submatrix(cols=slice(iso.dim, None))
     return SubquotientData(space, iso, quotient, lift, project)
 
 

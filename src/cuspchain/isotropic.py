@@ -8,10 +8,11 @@ coordinate x as base + x * (lin + c * x): base and lin are computed once per
 prefix of the other coordinates, so each candidate costs a few integer
 operations whatever the dimension.  Only the accepted tuple becomes a vector
 of ``Fraction``s or ``QuadFieldElement``s, and its norm is checked once more
-in exact arithmetic.  The dual complement, third-line and J0 constructions
-are built from exact linear solves plus the standard isotropy correction
-w -> w - ((w,w)/2) v; their postconditions are explicit checks that raise
-:class:`PostconditionFailed`.
+in exact arithmetic.  The dual basis, dual complement, third-line and J0
+constructions run on matrix rows: each dual row is one solve of the stacked
+conditions, the standard isotropy correction x -> x - ((x,x)/2) w is a row
+operation, and their postconditions are Gram products, checked explicitly
+so that a violation raises :class:`PostconditionFailed`.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .errors import (
 from .exact import (
     Matrix,
     QuadFieldElement,
-    conjugate_scalar,
-    rref_basis,
+    as_fraction,
     shell_tuples,
 )
 from .forms import (
@@ -167,78 +167,60 @@ def find_isotropic_vector(
 
 def hyperbolic_complete(space: FormSpace, v) -> tuple:
     """A partner w with (v, w) = 1 and (w, w) = 0 for isotropic v."""
-    v = space.coerce_vector(v)
-    if all(x == 0 for x in v):
+    row = space.coerce_matrix(Matrix([v]))
+    if row.is_zero():
         raise VectorInRadical("zero vector cannot be completed")
-    if space.pair(v, v) != 0:
+    if not (row * space.gram).mul_adjoint(row).is_zero():
         raise VectorNotIsotropic("hyperbolic completion needs an isotropic vector")
-    return dual_isotropic_basis(space, Matrix([v]))[0]
+    return dual_isotropic_basis(space, row).rows[0]
 
 
-def _solve_pairing_conditions(space: FormSpace, conditions):
-    """Some x with (a, x) = c for each (a, c) condition, or None.
-
-    The pairing is conjugate-linear in x, so the system is solved for
-    conj(x) and conjugated back; for rational kinds this is a plain solve.
-    """
-    system = Matrix([a for a, _ in conditions], ncols=space.dim) * space.gram
-    sol = system.solve([conjugate_scalar(space._coerce(c)) for _, c in conditions])
-    if sol is None:
-        return None
-    return tuple(conjugate_scalar(x) for x in sol)
-
-
-def dual_isotropic_basis(space: FormSpace, rows: Matrix) -> list[tuple]:
-    """Vectors x_i with (w_j, x_i) = delta_ij, isotropic, pairwise orthogonal.
+def dual_isotropic_basis(space: FormSpace, rows: Matrix) -> Matrix:
+    """Rows X with W G X^H = I and X G X^H = 0 for the rows W of ``rows``.
 
     ``rows`` must be the basis of an isotropic subspace of a nondegenerate
-    space of dimension at least twice its rank.
+    space of dimension at least twice its rank.  Row i is solved from
+    (w_j, x_i) = delta_ij and (x_j, x_i) = 0 for j < i, the free variables
+    pinned to zero; the pairing is conjugate-linear in x_i, so the system
+    is solved for conj(x_i), and the isotropy correction
+    x_i - ((x_i, x_i)/2) w_i keeps every other condition.
     """
-    basis = [space.coerce_vector(r) for r in rows.rows]
-    k = len(basis)
-    if k == 0:
-        return []
-    w = canonical_subspace(space, rows)
-    if not w.is_isotropic():
+    w = space.coerce_matrix(rows)
+    k = w.nrows
+    if not canonical_subspace(space, w).is_isotropic():
         raise NotIsotropic("dual completion requires an isotropic subspace")
     if space.dim < 2 * k:
         raise DimensionTooSmall(
             f"dimension {space.dim} cannot carry dual pairs of rank {k}"
         )
-    duals: list[tuple] = []
+    duals = Matrix([], ncols=space.dim)
     for i in range(k):
-        conditions = [(bj, 1 if j == i else 0) for j, bj in enumerate(basis)]
-        conditions += [(x, 0) for x in duals]
-        x = _solve_pairing_conditions(space, conditions)
-        if x is None:  # pragma: no cover - impossible for nondegenerate spaces
-            raise SearchExhausted("dual system unexpectedly inconsistent")
+        system = Matrix.vstack(w, duals) * space.gram
+        sol = system.solve([int(j == i) for j in range(k + i)])
+        _ensure(sol is not None, "dual system unexpectedly inconsistent")
+        x = Matrix([sol]).conjugate()
         if space.kind != ALTERNATING:
-            half_norm = space.norm(x) / 2
-            x = tuple(xx - half_norm * yy for xx, yy in zip(x, basis[i]))
-        duals.append(x)
-    for i, x in enumerate(duals):
-        _ensure(space.pair(x, x) == 0, f"dual vector {i} is not isotropic")
-        for j, bj in enumerate(basis):
-            _ensure(
-                space.pair(bj, x) == (1 if i == j else 0),
-                f"dual vector {i} pairs wrongly with basis vector {j}",
-            )
+            half_norm = as_fraction((x * space.gram).mul_adjoint(x)[0, 0]) / 2
+            x = x - half_norm * w.submatrix(rows=[i])
+        duals = Matrix.vstack(duals, x)
+    _ensure(
+        (duals * space.gram).mul_adjoint(duals).is_zero(), "dual rows are not isotropic"
+    )
+    _ensure(
+        (w * space.gram).mul_adjoint(duals) == Matrix.identity(k),
+        "dual rows do not pair dually with the basis rows",
+    )
     return duals
 
 
 def isotropic_dual_complement(space: FormSpace, w: Subspace) -> Subspace:
-    """An isotropic W' of the same rank with the pairing (W, W') perfect."""
-    if w.dim == 0:
-        return zero_subspace(space)
+    """An isotropic W' of the same rank with the pairing (W, W') perfect.
+
+    W' is spanned by the dual rows of W's canonical basis, whose two Gram
+    postconditions are exactly these properties.
+    """
     w = canonical_subspace(space, w.basis)
-    duals = dual_isotropic_basis(space, w.basis)
-    out = canonical_subspace(space, Matrix(duals, ncols=space.dim))
-    _ensure(out.is_isotropic(), "dual complement is not isotropic")
-    _ensure(
-        is_perfect_pairing(space, w, out),
-        "dual complement does not pair perfectly with the subspace",
-    )
-    return out
+    return canonical_subspace(space, dual_isotropic_basis(space, w.basis))
 
 
 def third_isotropic_lines(
@@ -261,26 +243,23 @@ def third_isotropic_lines(
         )
     if iso_line.dim != 1 or not iso_line.is_isotropic():
         raise NotIsotropic("need an isotropic line")
-    v = canonical_subspace(space, iso_line.basis).basis.rows[0]
-    w = hyperbolic_complete(space, v)
-    plane = canonical_subspace(space, Matrix([v, w]))
+    v = canonical_subspace(space, iso_line.basis).basis
+    w = dual_isotropic_basis(space, v)
+    plane = canonical_subspace(space, Matrix.vstack(v, w))
     comp = orthogonal_complement(space, plane).basis
-    u = (Matrix([[1] * comp.nrows]) * comp).rows[0]
-    c = -space.norm(u)
-    half = c / 2
-    l3 = tuple(a + b + half * d for a, b, d in zip(v, u, w))
-    l4 = tuple(a - b + half * d for a, b, d in zip(v, u, w))
+    u = Matrix([[1] * comp.nrows]) * comp
+    c = -(u * space.gram).mul_adjoint(u)[0, 0]
+    half_w = (c / 2) * w
+    lines = Matrix.vstack(v + u + half_w, v - u + half_w)
+    norms = (lines * space.gram).mul_adjoint(lines)
+    _ensure(norms[0, 0] == 0 and norms[1, 1] == 0, "third lines are not isotropic")
     _ensure(
-        space.pair(l3, l3) == 0 and space.pair(l4, l4) == 0,
-        "third lines are not isotropic",
-    )
-    _ensure(
-        rref_basis(Matrix([v, l3, l4])).nrows == 3,
+        Matrix.vstack(v, lines).rank() == 3,
         "third lines are not independent of the given line",
     )
     return (
-        canonical_subspace(space, Matrix([l3])),
-        canonical_subspace(space, Matrix([l4])),
+        canonical_subspace(space, lines.submatrix(rows=[0])),
+        canonical_subspace(space, lines.submatrix(rows=[1])),
     )
 
 
@@ -289,6 +268,7 @@ def j0_construct(space: FormSpace, j1: Subspace, j2: Subspace) -> Subspace:
 
     Requires (J1, J2) identically zero, J1 and J2 of equal rank k meeting
     trivially, in an alternating or hermitian space of dimension >= 4k.
+    J0 is spanned by the sums x_i + y_i of the duals of J1's and J2's rows.
     """
     if space.kind not in (ALTERNATING, HERMITIAN):
         raise PreconditionFailed("J0 construction needs an alternating or hermitian space")
@@ -312,10 +292,9 @@ def j0_construct(space: FormSpace, j1: Subspace, j2: Subspace) -> Subspace:
         canonical_subspace(space, j2.basis).basis,
     )
     duals = dual_isotropic_basis(space, stacked)
-    rows = [
-        tuple(x + y for x, y in zip(duals[i], duals[k + i])) for i in range(k)
-    ]
-    j0 = canonical_subspace(space, Matrix(rows, ncols=space.dim))
+    j0 = canonical_subspace(
+        space, duals.submatrix(rows=slice(k)) + duals.submatrix(rows=slice(k, None))
+    )
     _ensure(j0.dim == k and j0.is_isotropic(), f"J0 is not an isotropic {k}-space")
     _ensure(is_perfect_pairing(space, j0, j1), "J0 does not pair perfectly with J1")
     _ensure(is_perfect_pairing(space, j0, j2), "J0 does not pair perfectly with J2")

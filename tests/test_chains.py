@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cuspchain.chains import (
     BoundaryDescent,
@@ -13,18 +15,26 @@ from cuspchain.chains import (
     OrthInteriorCurve,
     OrthSegre,
     ProductSplit,
+    _to_local,
     build_chain_orthogonal,
     build_chain_symplectic,
     build_chain_unitary,
     verify_certificate,
 )
-from cuspchain.errors import ExcludedCase, NotIsotropic, SignatureUnsupported
-from cuspchain.exact import Matrix
+from cuspchain.errors import (
+    ExcludedCase,
+    NotIsotropic,
+    PreconditionFailed,
+    SignatureUnsupported,
+)
+from cuspchain.exact import Matrix, QuadFieldElement
 from cuspchain.forms import (
+    FormSpace,
     Subspace,
     canonical_subspace,
     line,
     quadratic_2u_perp_diagonal,
+    restricted_space,
     standard_hermitian_hyperbolic,
     standard_symplectic,
     subspace_intersection,
@@ -367,6 +377,61 @@ class TestAlternateRoutes:
 
         walk(cert)
         assert verify_certificate(cert).ok
+
+
+@st.composite
+def spans_with_coordinates(draw):
+    """(space, basis, coords): independent rows of a definite space, coordinates.
+
+    The ambient form is the identity over Q or Q(sqrt(-d)), so the form
+    restricted to the span of any independent rows is nondegenerate.
+    """
+    d = draw(st.sampled_from([None, 1, 2, 3, 7]))
+    n = draw(st.integers(min_value=2, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    small = st.integers(min_value=-3, max_value=3)
+
+    def matrix(rows, cols):
+        if d is None:
+            return Matrix([[draw(small) for _ in range(cols)] for _ in range(rows)])
+        return Matrix(
+            [
+                [QuadFieldElement(draw(small), draw(small), d) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        )
+
+    basis = matrix(k, n)
+    assume(basis.rank() == k)
+    kind = "symmetric" if d is None else "hermitian"
+    space = FormSpace(kind, Matrix.identity(n), d)
+    return space, basis, matrix(draw(st.integers(min_value=1, max_value=k)), k)
+
+
+class TestToLocal:
+    @settings(max_examples=60, deadline=None)
+    @given(spans_with_coordinates())
+    def test_coordinates_times_basis_give_the_rows(self, case):
+        space, basis, coords = case
+        sub = restricted_space(space, basis)
+        inside = canonical_subspace(space, coords * basis)
+        ambient = canonical_subspace(space, basis)
+        local, whole = _to_local(sub, basis, inside, ambient)
+        # coordinates on independent rows are unique
+        assert local == canonical_subspace(sub, coords)
+        assert canonical_subspace(space, local.basis * basis) == inside
+        assert whole == canonical_subspace(sub, Matrix.identity(basis.nrows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spans_with_coordinates(), st.data())
+    def test_row_outside_the_span_is_refused(self, case, data):
+        space, basis, _ = case
+        row = [data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(space.dim)]
+        outside = Matrix.vstack(basis, Matrix([row]))
+        assume(outside.rank() == basis.nrows + 1)
+        sub = restricted_space(space, basis)
+        with pytest.raises(PreconditionFailed):
+            _to_local(sub, basis, canonical_subspace(space, outside))
 
 
 class TestBuilderVerifierAgreement:

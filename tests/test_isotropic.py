@@ -17,19 +17,29 @@ from cuspchain.errors import (
     SubspacesIntersect,
     VectorNotIsotropic,
 )
-from cuspchain.exact import Matrix, QuadFieldElement, rref_basis, shell_tuples
+from cuspchain.chains import _to_local
+from cuspchain.exact import (
+    Matrix,
+    QuadFieldElement,
+    conjugate_scalar,
+    rref_basis,
+    shell_tuples,
+)
 from cuspchain.forms import (
     FormSpace,
     canonical_subspace,
     hyperbolic_plane,
     is_perfect_pairing,
     line,
+    orthogonal_complement,
     pairing_matrix,
     quadratic_2u_perp_diagonal,
+    restricted_space,
     signature_of,
     standard_2u,
     standard_hermitian_hyperbolic,
     standard_symplectic,
+    subspace_sum,
     unit_vector,
     zero_subspace,
 )
@@ -37,6 +47,7 @@ from cuspchain.isotropic import (
     SearchConfig,
     _candidate_vectors,
     _search_vector,
+    dual_isotropic_basis,
     find_isotropic_vector,
     hyperbolic_complete,
     integer_form,
@@ -284,6 +295,152 @@ class TestSplitOffKernels:
         i1 = line(space, unit_vector(space, 0))
         with pytest.raises(SubspacesIntersect):
             split_off_kernels(space, i1, i1)
+
+
+# -- dual rows: the two Gram identities, and rows pinned from tuple arithmetic --
+
+
+def entrywise_pairings(space, xs, ys):
+    """(x, y) for every pair of rows, summed entry by entry outside the kernels."""
+    g = space.gram.rows
+    return [
+        [
+            sum(
+                (
+                    a * g[p][q] * conjugate_scalar(b)
+                    for p, a in enumerate(x)
+                    for q, b in enumerate(y)
+                ),
+                space.zero_scalar(),
+            )
+            for y in ys.rows
+        ]
+        for x in xs.rows
+    ]
+
+
+@st.composite
+def isotropic_bases(draw):
+    """(space, rows): isotropic rows in a random basis of a standard space.
+
+    Symplectic of genus <= 3, hermitian hyperbolic over Q(sqrt(-d)) for
+    d in {1, 2, 3, 7}, or 2U perp a diagonal with one isotropic line.  In
+    each standard space the rows e_1, ..., e_k (even indices) are
+    isotropic; with x' = x P^-1 the space carries the Gram P G P^H, and the
+    rows are mixed by an invertible k x k matrix.
+    """
+    family = draw(st.sampled_from(["symplectic", "hermitian", "orthogonal"]))
+    d = None
+    if family == "symplectic":
+        space = standard_symplectic(draw(st.integers(min_value=1, max_value=3)))
+        rank = draw(st.integers(min_value=1, max_value=space.dim // 2))
+    elif family == "hermitian":
+        d = draw(st.sampled_from([1, 2, 3, 7]))
+        copies = draw(st.integers(min_value=1, max_value=2))
+        space = standard_hermitian_hyperbolic(d, copies)
+        rank = draw(st.integers(min_value=1, max_value=space.dim // 2))
+    else:
+        diagonal = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2]), max_size=2))
+        space = quadratic_2u_perp_diagonal(diagonal)
+        rank = 1
+    n = space.dim
+    small = st.integers(min_value=-2, max_value=2)
+
+    def entry():
+        if d is None:
+            return draw(small)
+        return QuadFieldElement(draw(small), draw(small), d)
+
+    p = Matrix([[entry() for _ in range(n)] for _ in range(n)])
+    assume(p.det() != 0)
+    mix = Matrix([[draw(small) for _ in range(rank)] for _ in range(rank)])
+    assume(mix.det() != 0)
+    moved = FormSpace(space.kind, (p * space.gram).mul_adjoint(p), d)
+    standard = Matrix([unit_vector(space, 2 * i) for i in range(rank)])
+    return moved, mix * standard * p.inverse()
+
+
+class TestDualIsotropicBasis:
+    @settings(max_examples=60, deadline=None)
+    @given(isotropic_bases())
+    def test_gram_identities(self, case):
+        space, rows = case
+        duals = dual_isotropic_basis(space, rows)
+        k = rows.nrows
+        assert duals.shape == (k, space.dim)
+        assert entrywise_pairings(space, duals, duals) == [[0] * k] * k
+        assert entrywise_pairings(space, rows, duals) == [
+            [int(i == j) for j in range(k)] for i in range(k)
+        ]
+
+    def test_zero_rows(self):
+        space = standard_symplectic(2)
+        assert dual_isotropic_basis(space, Matrix([], ncols=4)).shape == (0, 4)
+
+
+def q(d, a, b=0):
+    return QuadFieldElement(Fraction(a), Fraction(b), d)
+
+
+R2 = QuadFieldElement(0, 1, 2)
+PIN_SYMMETRIC = FormSpace(
+    "symmetric", Matrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 1], [0, 0, 1, -3]])
+)
+PIN_HERMITIAN = FormSpace(
+    "hermitian",
+    Matrix([[0, 1 + R2, 0, 0], [1 - R2, 0, 0, 0], [0, 0, 1, R2], [0, 0, -R2, -3]]),
+    2,
+)
+
+
+class TestPinnedRows:
+    """Exact rows recorded from the constructions' earlier tuple arithmetic.
+
+    The matrix-row constructions solve the same systems, so they must give
+    these rows entry for entry (the dual vector is not canonicalized).
+    """
+
+    def test_hyperbolic_complete(self):
+        assert hyperbolic_complete(PIN_SYMMETRIC, (1, 1, 1, 0)) == tuple(
+            map(Fraction, (1, 0, 0, 0))
+        )
+        v = (1 + R2,) * 4
+        assert hyperbolic_complete(PIN_HERMITIAN, v) == (
+            q(2, Fraction(1, 3)), q(2, 0), q(2, 0), q(2, 0)
+        )
+
+    def test_third_isotropic_lines(self):
+        l3, l4 = third_isotropic_lines(PIN_SYMMETRIC, line(PIN_SYMMETRIC, (1, 1, 1, 0)))
+        f = Fraction
+        assert l3.basis.rows == ((f(1), f(2, 7), f(4, 7), f(2, 7)),)
+        assert l4.basis.rows == ((f(1), f(2, 3), f(0), f(-2, 3)),)
+
+    def test_j0_without_kernels(self):
+        space = standard_hermitian_hyperbolic(3, 2)
+        j1 = line(space, (1, 0, 1, 0))
+        j2 = line(space, (0, 1, 0, -1))
+        j0 = j0_construct(space, j1, j2)
+        assert j0.basis.rows == ((q(3, 0), q(3, 1), q(3, -1), q(3, 0)),)
+
+    def test_j0_with_kernels(self):
+        # the unitary builder's route when the pairing has kernels J1, J2
+        # beside perfectly paired complements K1, K2
+        space = standard_hermitian_hyperbolic(2, 3)
+        a = canonical_subspace(space, Matrix([(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0)]))
+        b = canonical_subspace(
+            space, Matrix([(1, 0, 0, 1, 0, -1), (0, 1, -1, -R2, 0, R2)])
+        )
+        j1, k1, j2, k2 = split_off_kernels(space, a, b)
+        assert (j1.dim, k1.dim) == (1, 1)
+        comp = orthogonal_complement(space, subspace_sum(k1, k2)).basis
+        sub = restricted_space(space, comp)
+        j0_local = j0_construct(sub, *_to_local(sub, comp, j1, j2))
+        third = q(2, Fraction(1, 3), Fraction(1, 3))
+        assert j0_local.basis.rows == ((q(2, 1), q(2, 0), third, q(2, 0)),)
+        j0 = canonical_subspace(space, j0_local.basis * comp)
+        assert j0.basis.rows == (
+            (q(2, 1), q(2, 0), q(2, 0), third, -third, q(2, 0)),
+        )
 
 
 # -- the integer search against a Fraction search through space.pair ---------

@@ -17,6 +17,9 @@ matrices through a path that makes them canonical.
 A product with an adjoint is ``x.mul_adjoint(y)``: no module multiplies by
 ``y.conj_transpose()`` on the right, which would build and reduce the
 adjoint only to multiply by it.
+
+``SearchExhausted`` means a bounded search ran out (exit code 3), so only
+``isotropic._search_vector`` raises it.
 """
 
 import ast
@@ -115,4 +118,29 @@ def test_adjoint_products_use_mul_adjoint():
         and node.right.func.attr == "conj_transpose"
     ]
     assert SOURCES
+    assert found == []
+
+
+def test_only_the_vector_search_raises_search_exhausted():
+    def names_search_exhausted(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None)) == "SearchExhausted"
+
+    found, in_search = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        search = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and (path.name, fn.name) == ("isotropic.py", "_search_vector")
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc and names_search_exhausted(node):
+                if id(node) in search:
+                    in_search += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert in_search == 1
     assert found == []
