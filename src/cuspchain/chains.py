@@ -27,6 +27,7 @@ from .errors import (
     PreconditionFailed,
     SignatureMismatch,
     SignatureUnsupported,
+    _ensure,
 )
 from .exact import Matrix, rref_basis
 from .forms import (
@@ -211,8 +212,10 @@ def build_chain_orthogonal(
     core = meet  # the common line
     a_rest = canonical_subspace(space, extend_basis_rows(core.basis, a.basis))
     b_rest = canonical_subspace(space, extend_basis_rows(core.basis, b.basis))
-    if pairing_matrix(space, a_rest, b_rest).is_zero():  # pragma: no cover
-        raise PreconditionFailed("residual lines unexpectedly pair to zero")
+    _ensure(
+        not pairing_matrix(space, a_rest, b_rest).is_zero(),
+        "residual lines unexpectedly pair to zero",
+    )
     split = subspace_sum(a_rest, b_rest)
     comp = orthogonal_complement(space, split)
     sub = restricted_space(space, comp.basis)
@@ -332,9 +335,8 @@ def _build_su_chain(space, kind, a, b):
         mid3 = subspace_sum(j0, k2)
         mid4 = subspace_sum(j0, k1)
     nodes, links = _build_su_chain(space, kind, a, mid3)
-    if mid3 != mid4:
-        middle_nodes, middle_links = _build_su_chain(space, kind, mid3, mid4)
-        nodes, links = nodes + middle_nodes[1:], links + middle_links
+    middle_nodes, middle_links = _build_su_chain(space, kind, mid3, mid4)
+    nodes, links = nodes + middle_nodes[1:], links + middle_links
     tail_nodes, tail_links = _build_su_chain(space, kind, mid4, b)
     return nodes + tail_nodes[1:], links + tail_links
 
@@ -372,34 +374,53 @@ def verify_certificate(cert: ChainCertificate) -> VerificationReport:
     return VerificationReport(ok=not failures, failures=tuple(failures))
 
 
+# what checking a malformed in-memory certificate or link raises; each is
+# reported as a failure
+_CHECK_ERRORS = (
+    AttributeError, CuspChainError, TypeError, ValueError, ZeroDivisionError
+)
+
+
 def _verify_into(cert: ChainCertificate, failures: list[Failure]) -> None:
     fail = lambda link, cond, detail: failures.append(Failure(link, cond, detail))
+    try:
+        if not _check_certificate(cert, fail):
+            return
+    except _CHECK_ERRORS as exc:
+        fail(-1, "certificate-error", f"{type(exc).__name__}: {exc}")
+        return
+    for idx, link in enumerate(cert.links):
+        _verify_link(cert, idx, link, cert.nodes[idx], cert.nodes[idx + 1], failures)
+
+
+def _check_certificate(cert: ChainCertificate, fail) -> bool:
+    """Certificate-level conditions; whether the links can be checked."""
     space = cert.ambient
     if cert.kind not in KIND_TO_FORM:
         fail(-1, "certificate-kind", f"unknown kind {cert.kind!r}")
-        return
+        return False
     if space.kind != KIND_TO_FORM[cert.kind]:
         fail(
             -1,
             "ambient-kind",
             f"{cert.kind} certificate over a {space.kind} space",
         )
-        return
+        return False
     if not cert.nodes:
         fail(-1, "node-count", "certificate has no nodes")
-        return
+        return False
     if len(cert.links) != len(cert.nodes) - 1:
         fail(
             -1,
             "link-count",
             f"{len(cert.links)} links cannot join {len(cert.nodes)} nodes",
         )
-        return
+        return False
     dims = set()
     for idx, node in enumerate(cert.nodes):
         if node.space != space:
             fail(-1, "node-space", f"node {idx} lives in a different space")
-            return
+            return False
         if not node.is_canonical():
             fail(-1, "node-canonical", f"node {idx} basis is not canonical")
         if not node.is_isotropic():
@@ -407,11 +428,11 @@ def _verify_into(cert: ChainCertificate, failures: list[Failure]) -> None:
         dims.add(node.dim)
     if len(dims) != 1:
         fail(-1, "node-dimension", f"nodes of unequal dimensions {sorted(dims)}")
-        return
+        return False
     node_dim = cert.nodes[0].dim
     if node_dim == 0:
         fail(-1, "node-dimension", "nodes must be nonzero subspaces")
-        return
+        return False
     if cert.kind == ORTHOGONAL:
         sig = signature_of(space)
         if sig.plus != 2 or sig.null != 0:
@@ -439,8 +460,7 @@ def _verify_into(cert: ChainCertificate, failures: list[Failure]) -> None:
                 "chain-length",
                 f"{len(cert.links)} links exceed the bound 5 for non-maximal cusps",
             )
-    for idx, link in enumerate(cert.links):
-        _verify_link(cert, idx, link, cert.nodes[idx], cert.nodes[idx + 1], failures)
+    return True
 
 
 def _verify_link(cert, idx, link, left, right, failures):
@@ -456,9 +476,7 @@ def _verify_link(cert, idx, link, left, right, failures):
     else:
         try:
             link_type.check(cert, link, left, right, fail)
-        except (
-            AttributeError, CuspChainError, TypeError, ValueError, ZeroDivisionError
-        ) as exc:
+        except _CHECK_ERRORS as exc:
             fail("link-error", f"{type(exc).__name__}: {exc}")
 
 

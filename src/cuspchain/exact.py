@@ -474,8 +474,6 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return Fraction(1)
         re, im, den, d = self._ints
         if im is None:
             num, q = _int_det(list(re), prod(den))
@@ -488,7 +486,7 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = Matrix.hstack(self, Matrix.identity(n)) if n else Matrix([], 0)
+        aug = Matrix.hstack(self, Matrix.identity(n))
         red, pivots = aug.rref()
         if tuple(range(n)) != pivots[:n] or len(pivots) != n:
             raise ZeroDivisionError("matrix is singular")
@@ -502,8 +500,6 @@ class Matrix:
         rhs = tuple(rhs)
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side length mismatch")
-        if self.nrows == 0:
-            return tuple([_zero_like(self)] * self.ncols)
         aug = Matrix.hstack(self, Matrix.column(rhs))
         red, pivots = aug.rref()
         if self.ncols in pivots:

@@ -76,7 +76,7 @@ class FormSpace:
             # over Q, G = -G^T already forces a zero diagonal
             if self.kind == ALTERNATING and self.gram != -self.gram.transpose():
                 raise ValueError("alternating Gram matrix must be antisymmetric")
-        if self.dim and self.gram.det() == 0:
+        if self.gram.det() == 0:
             raise ValueError("degenerate Gram matrix")
 
     @property
@@ -205,8 +205,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     _same_space(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return zero_subspace(a.space)
     stacked = Matrix.vstack(a.basis, -b.basis)
     coeffs = stacked.left_kernel()  # rows (x, y) with x*A == y*B
     rows = coeffs.submatrix(cols=slice(a.dim)) * a.basis
@@ -215,8 +213,6 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 
 def subspace_contains(big: Subspace, small: Subspace) -> bool:
     _same_space(big, small)
-    if small.dim == 0:
-        return True
     stacked = Matrix.vstack(big.basis, small.basis)
     return rref_basis(stacked).nrows == rref_basis(big.basis).nrows
 
@@ -306,8 +302,6 @@ def orthogonal_complement(space: FormSpace, s: Subspace) -> Subspace:
     """All vectors pairing to zero with the given subspace."""
     if s.space != space:
         raise DimensionMismatch("subspace belongs to a different space")
-    if s.dim == 0:
-        return canonical_subspace(space, Matrix.identity(space.dim))
     # v pairs to zero with s iff (s * G) * conj(v)^T == 0, so the complement
     # is the right kernel of conj(s * G); that matrix is (G * s^H)^T up to
     # sign for all three kinds
@@ -335,8 +329,6 @@ def pairing_kernel(space: FormSpace, a: Subspace, b: Subspace) -> Subspace:
 def is_perfect_pairing(space: FormSpace, a: Subspace, b: Subspace) -> bool:
     if a.dim != b.dim:
         return False
-    if a.dim == 0:
-        return True
     return pairing_matrix(space, a, b).det() != 0
 
 
@@ -398,8 +390,7 @@ def _subquotient(space: FormSpace, iso: Subspace) -> SubquotientData:
     lift = extend_basis_rows(iso.basis, perp.basis)
     quotient_gram = (lift * space.gram).mul_adjoint(lift)
     quotient = FormSpace(space.kind, quotient_gram, space.d)
-    full = Matrix.vstack(iso.basis, lift) if iso.dim else lift
-    project = coordinate_map(full).submatrix(cols=slice(iso.dim, None))
+    project = coordinate_map(Matrix.vstack(iso.basis, lift)).submatrix(cols=slice(iso.dim, None))
     return SubquotientData(space, iso, quotient, lift, project)
 
 

@@ -54,7 +54,6 @@ from .forms import (
     signature_of,
     subspace_intersection,
     unit_vector,
-    zero_subspace,
 )
 
 
@@ -275,8 +274,6 @@ def j0_construct(space: FormSpace, j1: Subspace, j2: Subspace) -> Subspace:
     if j1.dim != j2.dim:
         raise PreconditionFailed("J1 and J2 must have equal dimension")
     k = j1.dim
-    if k == 0:
-        return zero_subspace(space)
     if not (j1.is_isotropic() and j2.is_isotropic()):
         raise PreconditionFailed("J1 and J2 must be isotropic")
     if not pairing_matrix(space, j1, j2).is_zero():

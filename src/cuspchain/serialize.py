@@ -10,8 +10,9 @@ serves ``indent`` only from its pure-Python encoder.
 Matrices are read and written through their integer arrays.  A row of JSON
 integers, of strings "p" and "p/q" in ASCII digits, or of field elements
 over one D made of those, is parsed straight to integers.  A matrix with
-any other row is read entry by entry, strings by ``Fraction(str)``; the
-integer parse gives the same values, and leaves every error to that path.
+any other row, such as one that mixes field elements with rationals, is
+read entry by entry, strings by ``Fraction(str)``; the integer parse gives
+the same values, and leaves every error to that path.
 A string rational in exponent notation ("1e3") is refused, since
 ``Fraction(str)`` would expand its exponent in time and memory that grow
 with it.  A matrix whose entries lie over two values of D is an input error.
@@ -151,14 +152,7 @@ def _row_from_json(row: list) -> tuple | None:
     over one D, as the entries (re + im*sqrt(-D)) / q; None for any other row."""
     dicts = {type(x) is dict for x in row}
     if dicts == {True, False}:  # field elements beside rationals: entry by entry
-        parts = [_row_from_json([x]) for x in row]
-        fields = {p[3] for p in parts if p is not None} - {None}
-        if None in parts or len(fields) != 1:
-            return None
-        q = lcm(*(p[2] for p in parts))
-        re = [p[0][0] * (q // p[2]) for p in parts]
-        im = [p[1][0] * (q // p[2]) if p[1] else 0 for p in parts]
-        return re, im, q, fields.pop()
+        return None
     if True not in dicts:
         parsed = _ratios_from_json(row)
         return None if parsed is None else (parsed[0], None, parsed[1], None)

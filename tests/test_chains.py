@@ -1,6 +1,7 @@
 """Chain builders and the independent certificate verifier."""
 
 import random
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from cuspchain.forms import (
     subspace_intersection,
     unit_vector,
 )
+from cuspchain.serialize import certificate_from_json, certificate_to_json
 
 from support import (
     random_orthogonal_isometry,
@@ -606,3 +608,231 @@ class TestVerifierNeverRaises:
         report = verify_certificate(bad)
         assert [(f.link, f.condition) for f in report.failures] == [(0, "link-error")]
         assert report.failures[0].detail.startswith("AttributeError: ")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"nodes": (None,) + CERTS["orth_segre"].nodes[1:]},
+            {"kind": ["x"]},
+            {"ambient": None},
+            {"links": None},
+        ],
+        ids=["node", "kind", "ambient", "links"],
+    )
+    def test_malformed_certificate_fields(self, change):
+        report = verify_certificate(replace(CERTS["orth_segre"], **change))
+        assert [(f.link, f.condition) for f in report.failures] == [
+            (-1, "certificate-error")
+        ]
+        assert report.failures[0].detail.startswith(("AttributeError: ", "TypeError: "))
+
+
+# -- one case for every condition the verifier reports -----------------------
+
+JSON = {name: certificate_to_json(cert) for name, cert in CERTS.items()}
+
+
+def _json_case(source, *changes):
+    """CERTS[source] read back from its JSON with each (path, value) set."""
+
+    def make():
+        obj = deepcopy(JSON[source])
+        for path, value in changes:
+            target = obj
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = deepcopy(value)
+        return certificate_from_json(obj)
+
+    return make
+
+
+def _link_case(source, field, value):
+    """CERTS[source] with one field of its one link replaced, in memory."""
+    cert = CERTS[source]
+    return lambda: replace(cert, links=(replace(cert.links[0], **{field: value}),))
+
+
+def _elsewhere(s):
+    """s's basis in a form space of the same shape whose Gram matrix is doubled."""
+    space = s.space
+    return Subspace(FormSpace(space.kind, 2 * space.gram, space.d), s.basis)
+
+
+def _rows(*rows):
+    return [[str(x) for x in r] for r in rows]
+
+
+NODES, LINKS = ("nodes",), ("links",)
+NODE0, NODE1 = ("nodes", 0, "basis"), ("nodes", 1, "basis")
+LINK = ("links", 0)
+PLANE, VECTOR = LINK + ("plane", "basis"), LINK + ("vector",)
+WITNESS = LINK + ("witness",)
+SPAN, COMPLEMENT = LINK + ("span", "basis"), LINK + ("complement", "basis")
+MEET = LINK + ("intersection", "basis")
+LIFT, PROJECT = LINK + ("lift",), LINK + ("project",)
+SUB = LINK + ("sub",)
+ORTH = "orth_boundary_plane"
+SYM = "product_split"
+DESCENT = "boundary_descent"
+DESCENT_NODES = JSON[DESCENT]["nodes"]
+SUB_NODES = JSON[DESCENT]["links"][0]["sub"]["nodes"]
+
+VERIFIER_CONDITIONS = {
+    # certificate level
+    "certificate-error": [lambda: replace(CERTS[SYM], links=None)],
+    "certificate-kind": [_json_case(ORTH, (("kind",), "affine"))],
+    "ambient-kind": [_json_case(ORTH, (("kind",), "symplectic"))],
+    "node-count": [_json_case(SYM, (NODES, []), (LINKS, []))],
+    "link-count": [_json_case(SYM, (LINKS, []))],
+    "node-space": [
+        lambda: replace(CERTS[SYM], nodes=(_elsewhere(CERTS[SYM].nodes[0]),) * 2)
+    ],
+    "node-canonical": [_json_case(SYM, (NODE0, _rows([2, 0, 0, 0])))],
+    "node-isotropic": [_json_case(ORTH, (NODE0, _rows([1, 1, 0, 0, 0])))],
+    "node-dimension": [
+        # unequal dimensions, zero dimension, an orthogonal 3-space
+        _json_case(SYM, (NODE1, _rows([0, 1, 0, 0], [0, 0, 1, 0]))),
+        _json_case(SYM, (NODES, [{"basis": []}]), (LINKS, [])),
+        _json_case(
+            ORTH,
+            (NODES, [{"basis": _rows(*Matrix.identity(5).rows[::2])}]),
+            (LINKS, []),
+        ),
+    ],
+    "ambient-signature": [
+        # 2U + <2> has signature (3, 2); U + <1> + <1> over Q(i) has (3, 1)
+        _json_case(ORTH, (("ambient", "gram", 4, 4), "2")),
+        _json_case(
+            "unitary_lines",
+            (
+                ("ambient", "gram"),
+                _rows([0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]),
+            ),
+        ),
+    ],
+    "chain-length": [
+        # three links between lines, six between planes
+        _json_case(
+            ORTH, (NODES, JSON[ORTH]["nodes"] * 2), (LINKS, JSON[ORTH]["links"] * 3)
+        ),
+        _json_case(
+            DESCENT,
+            (NODES, DESCENT_NODES * 3 + DESCENT_NODES[:1]),
+            (LINKS, JSON[DESCENT]["links"] * 6),
+        ),
+    ],
+    # checks shared by every link
+    "link-kind": [
+        lambda: replace(CERTS[SYM], links=CERTS[ORTH].links),
+        lambda: replace(CERTS[SYM], links=(None,)),
+    ],
+    "link-node-dimension": [_json_case("orth_segre", (LINKS, JSON[ORTH]["links"]))],
+    "link-error": [_link_case(ORTH, "plane", None)],
+    # boundary plane
+    "plane-shape": [_link_case(ORTH, "plane", _elsewhere(CERTS[ORTH].links[0].plane))],
+    "plane-canonical": [_json_case(ORTH, (PLANE + (0, 0), "2"))],
+    "plane-dimension": [_json_case(ORTH, (PLANE, _rows([1, 0, 0, 0, 0])))],
+    "plane-isotropic": [
+        _json_case(ORTH, (PLANE, _rows([1, 0, 0, 0, 0], [0, 1, 0, 0, 0])))
+    ],
+    "plane-contains-endpoints": [
+        _json_case(ORTH, (PLANE, _rows([1, 0, 0, 0, 0], [0, 0, 0, 1, 0])))
+    ],
+    # interior curve
+    "vector-shape": [_json_case("orth_interior_curve", (VECTOR, ["0", "0", "1", "1"]))],
+    "vector-positive-norm": [
+        _json_case("orth_interior_curve", (VECTOR, ["0", "0", "0", "0", "1"]))
+    ],
+    "vector-orthogonal": [
+        _json_case("orth_interior_curve", (VECTOR, ["1", "0", "1", "1", "0"]))
+    ],
+    "endpoints-pairing-nonzero": [
+        _json_case(ORTH, (LINKS, JSON["orth_interior_curve"]["links"]))
+    ],
+    # 2U isometry
+    "witness-shape": [
+        _json_case("orth_segre", (WITNESS, _rows(*Matrix.identity(5).rows[:3])))
+    ],
+    "witness-isometry": [_json_case("orth_segre", (WITNESS + (0, 4), "1"))],
+    "witness-first-plane": [
+        _json_case("orth_segre", (NODE0, _rows([1, 0, 0, 0, 0], [0, 0, 0, 1, 0])))
+    ],
+    "witness-second-plane": [
+        _json_case("orth_segre", (NODE1, _rows([0, 1, 0, 0, 0], [0, 0, 1, 0, 0])))
+    ],
+    # product split
+    "endpoints-pairing-perfect": [_json_case(SYM, (NODE1, _rows([0, 0, 1, 0])))],
+    "split-shape": [_link_case(SYM, "span", _elsewhere(CERTS[SYM].links[0].span))],
+    "split-canonical": [_json_case(SYM, (SPAN + (0, 0), "2"))],
+    "complement-canonical": [_json_case(SYM, (COMPLEMENT + (0, 2), "2"))],
+    "split-is-endpoint-span": [
+        _json_case(SYM, (SPAN, _rows([1, 0, 0, 0], [0, 1, 1, 0])))
+    ],
+    "split-nondegenerate": [_json_case(SYM, (SPAN, _rows([1, 0, 0, 0], [0, 0, 1, 0])))],
+    "complement-matches": [
+        _json_case(SYM, (COMPLEMENT, _rows([1, 0, 0, 1], [0, 0, 1, 0])))
+    ],
+    "complement-nondegenerate": [_json_case(SYM, (COMPLEMENT, _rows([0, 0, 1, 0])))],
+    "decomposition-spans": [_json_case(SYM, (COMPLEMENT, []))],
+    # boundary descent
+    "intersection-shape": [
+        _link_case(
+            DESCENT, "intersection", _elsewhere(CERTS[DESCENT].links[0].intersection)
+        )
+    ],
+    "intersection-canonical": [_json_case(DESCENT, (MEET + (0, 0), "2"))],
+    "intersection-matches": [_json_case(DESCENT, (MEET, _rows([0, 0, 1, 0])))],
+    "intersection-nonzero": [
+        _json_case(DESCENT, (NODE1, _rows([0, 1, 0, 0], [0, 0, 0, 1])), (MEET, []))
+    ],
+    "sub-kind": [_json_case(DESCENT, (SUB + ("kind",), "unitary"))],
+    "quotient-dimension": [
+        _json_case(
+            DESCENT,
+            (SUB + ("ambient",), JSON[DESCENT]["ambient"]),
+            (SUB + ("nodes",), [{"basis": _rows([1, 0, 0, 0])}]),
+            (SUB + ("links",), []),
+        )
+    ],
+    "lift-shape": [
+        _json_case(DESCENT, (LIFT, _rows([0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1])))
+    ],
+    "project-shape": [_json_case(DESCENT, (PROJECT, _rows([0, 0], [0, 0], [1, 0])))],
+    "lift-orthogonal": [_json_case(DESCENT, (LIFT, _rows([0, 1, 0, 0], [0, 0, 0, 1])))],
+    "sub-ambient": [
+        _json_case(
+            DESCENT,
+            (SUB + ("ambient",), {"kind": "symmetric", "gram": _rows([0, 1], [1, 0])}),
+        )
+    ],
+    "lift-gram": [_json_case(DESCENT, (LIFT, _rows([0, 0, 1, 0], [0, 0, 0, 2])))],
+    "project-identity": [
+        _json_case(DESCENT, (PROJECT, _rows([0, 0], [0, 0], [2, 0], [0, 1])))
+    ],
+    "project-kills-intersection": [_json_case(DESCENT, (PROJECT + (0,), ["1", "0"]))],
+    "push-residual": [_json_case(DESCENT, (PROJECT, _rows(*[[0, 0]] * 4)))],
+    "sub-endpoints": [
+        # a sub-certificate without nodes, and one with its nodes swapped
+        _json_case(DESCENT, (SUB + ("nodes",), []), (SUB + ("links",), [])),
+        _json_case(DESCENT, (SUB + ("nodes",), SUB_NODES[::-1])),
+    ],
+}
+
+
+class TestEveryVerifierCondition:
+    """Each condition the verifier names, reported for a certificate that
+    violates it; a JSON document where the parser lets the fault through."""
+
+    @pytest.mark.parametrize(
+        "condition,make",
+        [
+            pytest.param(cond, make, id=f"{cond}-{i}")
+            for cond, makes in VERIFIER_CONDITIONS.items()
+            for i, make in enumerate(makes)
+        ],
+    )
+    def test_condition_is_reported(self, condition, make):
+        report = verify_certificate(make())
+        assert not report.ok
+        assert condition in {f.condition for f in report.failures}, report.failures

@@ -20,6 +20,11 @@ adjoint only to multiply by it.
 
 ``SearchExhausted`` means a bounded search ran out (exit code 3), so only
 ``isotropic._search_vector`` raises it.
+
+Every condition the verifier can report, the literal name in each
+``fail(...)`` call of ``chains``, has a case in
+``test_chains.VERIFIER_CONDITIONS``, so a new condition lands with a
+certificate that shows it.
 """
 
 import ast
@@ -144,3 +149,21 @@ def test_only_the_vector_search_raises_search_exhausted():
                     found.append(f"{path.name}:{node.lineno}")
     assert in_search == 1
     assert found == []
+
+
+def test_every_verifier_condition_has_a_case():
+    from test_chains import VERIFIER_CONDITIONS
+
+    chains = Path(cuspchain.__file__).parent / "chains.py"
+    names = set()
+    for node in ast.walk(ast.parse(chains.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fail":
+            literals = [
+                arg.value
+                for arg in node.args
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            ]
+            if literals:  # the first string is the condition, a second the detail
+                names.add(literals[0])
+    assert "certificate-error" in names
+    assert sorted(names - VERIFIER_CONDITIONS.keys()) == []
