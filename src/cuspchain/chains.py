@@ -51,6 +51,7 @@ from .forms import (
     subspace_contains,
     subspace_intersection,
     subspace_sum,
+    zero_subspace,
 )
 from .isotropic import (
     DEFAULT_SEARCH,
@@ -288,11 +289,20 @@ def build_chain_unitary(
     return ChainCertificate(space, UNITARY, tuple(nodes), tuple(links))
 
 
-def _build_su_chain(space, kind, a, b):
-    """Shared symplectic/unitary recursion over the three pairing cases."""
+def _build_su_chain(space, kind, a, b, meet=None):
+    """Shared symplectic/unitary recursion over the three pairing cases.
+
+    ``meet`` is a & b when the caller knows it, else None and it is
+    computed.  Two callers know it, both from a & b = 0.  The descent into
+    M-perp/M, M = a & b, passes the zero subspace: a/M and b/M meet in M/M.
+    The two halves through third = j1 + (j1-perp & b), j1 a line of a, pass
+    j1 and j1-perp & b: a vector of a & third beyond j1, or of third & b
+    beyond j1-perp & b, would give a nonzero vector of a & b.
+    """
     if a == b:
         return [a], []
-    meet = subspace_intersection(a, b)
+    if meet is None:
+        meet = subspace_intersection(a, b)
     if meet.dim != 0:
         # meet = a & b is canonical and lies in a and b, so of the checks of
         # subquotient and push_subspace only the pairing with meet is left
@@ -302,7 +312,9 @@ def _build_su_chain(space, kind, a, b):
         data = _subquotient(space, meet)
         a_q = _push_subspace(data, a)
         b_q = _push_subspace(data, b)
-        sub_nodes, sub_links = _build_su_chain(data.quotient, kind, a_q, b_q)
+        sub_nodes, sub_links = _build_su_chain(
+            data.quotient, kind, a_q, b_q, zero_subspace(data.quotient)
+        )
         sub = ChainCertificate(data.quotient, kind, tuple(sub_nodes), tuple(sub_links))
         link = BoundaryDescent(
             intersection=meet, sub=sub, lift=data.lift, project=data.project
@@ -317,8 +329,8 @@ def _build_su_chain(space, kind, a, b):
         j1 = canonical_subspace(space, a.basis.submatrix(rows=[0]))
         j1_perp_b = pairing_kernel(space, j1, b)
         third = subspace_sum(j1, j1_perp_b)
-        left_nodes, left_links = _build_su_chain(space, kind, a, third)
-        right_nodes, right_links = _build_su_chain(space, kind, third, b)
+        left_nodes, left_links = _build_su_chain(space, kind, a, third, j1)
+        right_nodes, right_links = _build_su_chain(space, kind, third, b, j1_perp_b)
         return left_nodes + right_nodes[1:], left_links + right_links
     # trivial intersection, imperfect pairing: route through J0-based cusps
     j1, k1, j2, k2 = split_off_kernels(space, a, b)
@@ -487,7 +499,7 @@ def _verify_link(cert, idx, link, left, right, failures):
 def _check_boundary_plane(cert, link, left, right, fail):
     space = cert.ambient
     plane = link.plane
-    if plane.space != space or plane.basis.ncols != space.dim:
+    if plane.space != space:
         fail("plane-shape", "plane lives in a different space")
         return
     if not plane.is_canonical():
@@ -549,11 +561,11 @@ def _check_product_split(cert, link, left, right, fail):
         fail("complement-canonical", "complement basis is not canonical")
     if span != subspace_sum(left, right):
         fail("split-is-endpoint-span", "split is not the span of the endpoints")
-    if span.dim and pairing_matrix(space, span, span).det() == 0:
+    if pairing_matrix(space, span, span).det() == 0:
         fail("split-nondegenerate", "split carries a degenerate form")
     if comp != orthogonal_complement(space, span):
         fail("complement-matches", "complement is not the orthogonal complement")
-    if comp.dim and pairing_matrix(space, comp, comp).det() == 0:
+    if pairing_matrix(space, comp, comp).det() == 0:
         fail("complement-nondegenerate", "complement carries a degenerate form")
     if span.dim + comp.dim != space.dim:
         fail("decomposition-spans", "split and complement do not fill the space")

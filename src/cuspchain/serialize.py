@@ -7,12 +7,15 @@ to ASCII as ``json.dumps`` does, so equal values produce byte-identical
 documents.  Its own small emitter writes the text, because ``json.dumps``
 serves ``indent`` only from its pure-Python encoder.
 
-Matrices are read and written through their integer arrays.  A row of JSON
-integers, of strings "p" and "p/q" in ASCII digits, or of field elements
-over one D made of those, is parsed straight to integers.  A matrix with
-any other row, such as one that mixes field elements with rationals, is
-read entry by entry, strings by ``Fraction(str)``; the integer parse gives
-the same values, and leaves every error to that path.
+Matrices are read and written through their integer arrays.  A rational
+matrix, rows of strings "p" and "p/q" in ASCII digits of one width, is read
+a whole matrix at a time: one pattern match over all its rows, then
+integers.  Any other matrix is read row by row: a row of JSON integers, of
+such strings, or of field elements over one D made of those, is parsed
+straight to integers.  A matrix with any other row, such as one that mixes
+field elements with rationals, is read entry by entry, strings by
+``Fraction(str)``; the integer parses give the same values, and leave
+every error to that path.
 A string rational in exponent notation ("1e3") is refused, since
 ``Fraction(str)`` would expand its exponent in time and memory that grow
 with it.  A matrix whose entries lie over two values of D is an input error.
@@ -133,6 +136,12 @@ def _ratios_from_json(entries: list) -> tuple[list[int], int] | None:
         return None
     if not _RATIOS.fullmatch(text):
         return None
+    return _read_ratios(entries, text)
+
+
+def _read_ratios(entries: list, text: str) -> tuple[list[int], int] | None:
+    """(nums, q) of strings whose ","-join ``text`` _RATIOS accepts; None for a
+    zero q or a string int() refuses."""
     try:  # int() fails on an entry that held a "," and past its digit limit
         if "/" not in text:
             return list(map(int, entries)), 1
@@ -168,9 +177,30 @@ def _row_from_json(row: list) -> tuple | None:
     return [x * (q // a[1]) for x in a[0]], [x * (q // b[1]) for x in b[0]], q, d
 
 
+def _ratio_matrix(obj: list) -> Matrix | None:
+    """The matrix of rows of strings "p" and "p/q" of one nonzero width, read
+    with one match of _RATIOS; None for any other matrix."""
+    width = len(obj[0]) if obj else 0
+    if not width or any(len(r) != width for r in obj):
+        return None
+    try:
+        lines = [",".join(r) for r in obj]
+    except TypeError:  # an entry that is not a string
+        return None
+    if not _RATIOS.fullmatch(",".join(lines)):
+        return None
+    rows = [_read_ratios(r, line) for r, line in zip(obj, lines)]
+    if None in rows:
+        return None
+    return _canonical([r[0] for r in rows], None, [r[1] for r in rows], None, width)
+
+
 def matrix_from_json(obj, ncols: int | None = None) -> Matrix:
     if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
         raise InputFormatError("a matrix must be a list of rows")
+    mat = _ratio_matrix(obj)
+    if mat is not None:
+        return mat
     rows = [_row_from_json(r) for r in obj]
     fields = {r[3] for r in rows if r is not None} - {None}
     if (

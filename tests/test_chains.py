@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cuspchain import chains
 from cuspchain.chains import (
     BoundaryDescent,
     ChainCertificate,
@@ -32,13 +33,18 @@ from cuspchain.exact import Matrix, QuadFieldElement
 from cuspchain.forms import (
     FormSpace,
     Subspace,
+    _push_subspace,
+    _subquotient,
     canonical_subspace,
+    is_perfect_pairing,
     line,
+    pairing_kernel,
     quadratic_2u_perp_diagonal,
     restricted_space,
     standard_hermitian_hyperbolic,
     standard_symplectic,
     subspace_intersection,
+    subspace_sum,
     unit_vector,
 )
 from cuspchain.serialize import certificate_from_json, certificate_to_json
@@ -49,6 +55,7 @@ from support import (
     random_unitary_isometry,
     standard_isotropic,
     transform_subspace,
+    unitary_test_space,
 )
 
 
@@ -378,6 +385,78 @@ class TestAlternateRoutes:
                     walk(link.sub)
 
         walk(cert)
+        assert verify_certificate(cert).ok
+
+
+# The symplectic/unitary builder passes down the meets its case analysis
+# fixes instead of intersecting again; these tests check the two facts it
+# relies on, and that it no longer intersects when it knows the answer.
+
+
+@st.composite
+def isotropic_pairs(draw):
+    """(space, a, b): isotropic subspaces of one rank k >= 2 in a symplectic
+    space of genus <= 4 or a hermitian one over D in {1, 2, 3, 7}.
+
+    a is the image of span(e_1..e_k) under a random isometry; b is either
+    the image of span(e_1..e_j, f_j+1..f_k) under the same isometry, so that
+    they meet in dimension j, or the image of span(e_1..e_k) under another.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        space = standard_symplectic(draw(st.integers(min_value=2, max_value=4)))
+        isometry = random_symplectic_isometry
+    else:
+        d = draw(st.sampled_from([1, 2, 3, 7]))
+        space = unitary_test_space(d, draw(st.integers(min_value=2, max_value=3)))
+        isometry = random_unitary_isometry
+    k = draw(st.integers(min_value=2, max_value=space.dim // 2))
+    first = isometry(space, rng, rng.randint(1, 4))
+    a = transform_subspace(space, first, standard_isotropic(space, k, "e"))
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=k - 1))
+        rows = [unit_vector(space, 2 * i + (i >= j)) for i in range(k)]
+        b = transform_subspace(space, first, canonical_subspace(space, Matrix(rows)))
+    else:
+        second = isometry(space, rng, rng.randint(1, 4))
+        b = transform_subspace(space, second, standard_isotropic(space, k, "e"))
+    return space, a, b
+
+
+class TestKnownMeets:
+    @settings(max_examples=60, deadline=None)
+    @given(isotropic_pairs())
+    def test_known_meets_are_the_meets(self, pair):
+        space, a, b = pair
+        meet = subspace_intersection(a, b)
+        if meet.dim:
+            # the images of a and b in meet-perp/meet meet trivially
+            data = _subquotient(space, meet)
+            a_q, b_q = _push_subspace(data, a), _push_subspace(data, b)
+            assert subspace_intersection(a_q, b_q).dim == 0
+            return
+        assume(is_perfect_pairing(space, a, b))
+        # the third cusp j1 + (j1-perp & b) meets a in j1 and b in j1-perp & b
+        j1 = canonical_subspace(space, a.basis.submatrix(rows=[0]))
+        j1_perp_b = pairing_kernel(space, j1, b)
+        third = subspace_sum(j1, j1_perp_b)
+        assert subspace_intersection(a, third) == j1
+        assert subspace_intersection(third, b) == j1_perp_b
+
+    def test_general_position_lagrangians_intersect_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return subspace_intersection(a, b)
+
+        monkeypatch.setattr(chains, "subspace_intersection", counted)
+        space = standard_symplectic(4)
+        isometry = random_symplectic_isometry(space, random.Random(4), 4)
+        a = transform_subspace(space, isometry, standard_isotropic(space, 4, "e"))
+        b = transform_subspace(space, isometry, standard_isotropic(space, 4, "f"))
+        cert = build_chain_symplectic(space, a, b)
+        assert len(calls) == 1
         assert verify_certificate(cert).ok
 
 

@@ -940,3 +940,57 @@ class TestMulAdjoint:
         for m in (a, b):
             m.rref(), m.det(), m.right_kernel()
         assert (a._ints, b._ints) == before
+
+
+# rref_basis returns a matrix already in reduced echelon form without zero
+# rows as it is; each near miss of that form takes the elimination.
+
+
+def without_zero_rows(m: Matrix) -> Matrix:
+    red, pivots = m.rref()
+    return red.submatrix(rows=slice(len(pivots)))
+
+
+def near_misses(r: Matrix):
+    """(name, matrix) pairs with r's row space, each one step from reduced."""
+    rows, n = [list(row) for row in r.rows], r.ncols
+    if rows:
+        yield "pivot not one", Matrix([[2 * x for x in rows[0]]] + rows[1:], n)
+        d = r._ints[3] or 1
+        t = QuadFieldElement(1, 1, d)
+        yield "imaginary pivot part", Matrix([[t * x for x in rows[0]]] + rows[1:], n)
+    if len(rows) >= 2:
+        above = [x + y for x, y in zip(rows[0], rows[1])]
+        yield "nonzero above a pivot", Matrix([above] + rows[1:], n)
+        yield "decreasing pivots", Matrix([rows[1], rows[0]] + rows[2:], n)
+    if n:
+        yield "zero row", Matrix(rows + [[0] * n], n)
+
+
+class TestReducedBasisAsIs:
+    @settings(max_examples=150, deadline=None)
+    @given(any_rows())
+    def test_reduced_basis_comes_back_as_is(self, drawn):
+        rows, n = drawn
+        m = Matrix(rows, n)
+        r = rref_basis(m)
+        assert r._ints == without_zero_rows(m)._ints
+        assert rref_basis(r) is r
+        assert r._ints == without_zero_rows(r)._ints
+        for name, p in near_misses(r):
+            got = rref_basis(p)
+            assert got is not p, name
+            assert got._ints == without_zero_rows(p)._ints, name
+            assert got == r, name
+
+    @pytest.mark.parametrize("nrows", [0, 1, 3])
+    def test_zero_columns(self, nrows):
+        m = Matrix([[]] * nrows, ncols=0)
+        assert rref_basis(m).shape == (0, 0)
+        assert (rref_basis(m) is m) == (nrows == 0)
+
+    def test_imaginary_part_left_of_the_pivot(self):
+        s = QuadFieldElement(0, 1, 2)
+        m = Matrix([[s, 1]])  # the real parts alone look reduced
+        assert rref_basis(m) is not m
+        assert rref_basis(m) == Matrix([[1, 1 / s]])

@@ -289,25 +289,141 @@ def test_entries_read_as_fraction_reads_them(obj):
         assert expected[1] == Fraction(obj)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.one_of(st.sampled_from(HOSTILE[:14]), st.integers(-9, 9)),
-                 min_size=2, max_size=2),
-        min_size=1, max_size=3,
-    )
-)
-def test_matrices_read_as_before(rows):
-    def entrywise(obj):
-        return Matrix([[serialize.scalar_from_json(x) for x in r] for r in obj])
+# A rational matrix is read a whole matrix at a time; every other matrix,
+# including a ragged or empty one, falls through to the row-wise and
+# entry-wise readings.  The reference builds the Matrix from the entries.
 
-    expected = read_entry(entrywise, rows)
+
+def read_entrywise(obj):
+    try:
+        rows = [[serialize.scalar_from_json(x) for x in r] for r in obj]
+        return "value", Matrix(rows)
+    except (InputFormatError, ValueError) as exc:
+        return "error", str(exc)
+
+
+def assert_read_as_entrywise(rows):
+    expected = read_entrywise(rows)
     got = read_entry(serialize.matrix_from_json, rows)
     assert got[0] == expected[0]
     if got[0] == "error":
         assert got == expected
     else:
         assert got[1] == expected[1] and got[1].rows == expected[1].rows
+
+
+RATIO_STRINGS = st.from_regex(r"\A-?[0-9]{1,6}(/[0-9]{1,4})?\Z")
+FIELD_ELEMENT = {"a": "1/2", "b": "-3", "D": 7}
+
+
+@st.composite
+def matrices_of_strings(draw):
+    """1-4 rows of width 0-4: "p/q" strings, and now and then a hostile
+    string, a JSON integer, a field element or a row of another width."""
+    width = draw(st.integers(min_value=0, max_value=4))
+    stray = draw(st.sampled_from([None, "hostile", "integer", "field", "ragged"]))
+    rows = draw(
+        st.lists(
+            st.lists(RATIO_STRINGS, min_size=width, max_size=width),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    if stray == "ragged":
+        rows[i] = draw(st.lists(RATIO_STRINGS, max_size=4))
+    elif stray is not None and width:
+        j = draw(st.integers(min_value=0, max_value=width - 1))
+        rows[i][j] = draw(
+            {
+                "hostile": st.sampled_from(HOSTILE),
+                "integer": st.integers(-(10**30), 10**30),
+                "field": st.just(FIELD_ELEMENT),
+            }[stray]
+        )
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(
+            st.lists(
+                st.one_of(st.sampled_from(HOSTILE[:14]), st.integers(-9, 9)),
+                min_size=2,
+                max_size=2,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        matrices_of_strings(),
+    )
+)
+def test_matrices_read_as_before(rows):
+    assert_read_as_entrywise(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["1,2"]],
+        [["1/2,3"], ["4"]],
+        [["1", "2"], ["3,4"]],
+        [["0/0", "1"]],
+        [["1", "2/0"], ["3", "4"]],
+        [["1/2"], ["1/" + "7" * 4400]],
+        [["9" * 5000, "1"]],
+        [["٣"]],
+        [[" 7 "]],
+        [["1_000"]],
+        [["1", 2], ["3", "4"]],
+        [["1", "2"], []],
+        [[], []],
+        [["1"], ["2", "3"]],
+        [["1", FIELD_ELEMENT]],
+    ],
+    ids=range(15),
+)
+def test_fallbacks_read_as_entrywise(rows):
+    assert_read_as_entrywise(rows)
+
+
+# 24 x 32, rows of the two endpoint bases of a genus-16 Lagrangian chain
+CERT_LARGE_ROWS = [
+    "1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 1 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 1 0 0 0 0 -3/2 -1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 -2 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 1 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0",
+    "1 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 1 0 0 0 0 0 0 1 -1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 1 0 0 0 -1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 1 0 1 3/2 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 1 -1 -1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0",
+]
+
+
+def test_a_large_certificate_matrix_reads_as_entrywise():
+    rows = [r.split() for r in CERT_LARGE_ROWS]
+    assert (len(rows), len(rows[0])) == (24, 32)
+    assert_read_as_entrywise(rows)
+    for stray in ("1/0", 7, FIELD_ELEMENT, "2/4"):
+        rows[23][31] = stray
+        assert_read_as_entrywise(rows)
 
 
 def test_mixed_fields_are_an_input_error():
