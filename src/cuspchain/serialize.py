@@ -7,15 +7,16 @@ to ASCII as ``json.dumps`` does, so equal values produce byte-identical
 documents.  Its own small emitter writes the text, because ``json.dumps``
 serves ``indent`` only from its pure-Python encoder.
 
-Matrices are read and written through their integer arrays.  A rational
-matrix, rows of strings "p" and "p/q" in ASCII digits of one width, is read
-a whole matrix at a time: one pattern match over all its rows, then
-integers.  Any other matrix is read row by row: a row of JSON integers, of
-such strings, or of field elements over one D made of those, is parsed
-straight to integers.  A matrix with any other row, such as one that mixes
-field elements with rationals, is read entry by entry, strings by
-``Fraction(str)``; the integer parses give the same values, and leave
-every error to that path.
+Matrices are read and written through their integer arrays, and a JSON
+matrix has two readings.  The integer reader takes a matrix of one nonzero
+width whose entries share one encoding: all JSON integers, all strings "p"
+and "p/q" in ASCII digits, or all field elements over one valid D whose "a"
+parts and "b" parts are such entries.  It reads a whole matrix at a time,
+strings by one pattern match over all of them, straight to integer rows
+over per-row denominators.  Every other matrix (empty, ragged, mixing
+encodings or values of D, or holding any other entry) is read entry by
+entry, strings by ``Fraction(str)``.  That reading is the reference: the
+integer reader gives the same values and leaves every error to it.
 A string rational in exponent notation ("1e3") is refused, since
 ``Fraction(str)`` would expand its exponent in time and memory that grow
 with it.  A matrix whose entries lie over two values of D is an input error.
@@ -46,9 +47,7 @@ CERTIFICATE_FORMAT = 1
 
 
 def fraction_to_json(q: Fraction | int) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio_to_json(q.numerator, q.denominator)
 
 
 def scalar_to_json(x) -> Any:
@@ -124,104 +123,81 @@ def matrix_to_json(m: Matrix) -> list:
 _RATIOS = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
 
 
-def _ratios_from_json(entries: list) -> tuple[list[int], int] | None:
-    """(nums, q): the entries as nums / q, for JSON integers or strings "p" and
-    "p/q" in ASCII digits; None for any other entry, a zero q or a string
-    int() refuses.  Fraction(str) reads each accepted string as p/q too."""
-    if all(type(x) is int for x in entries):
-        return list(entries), 1
-    try:
-        text = ",".join(entries)
-    except TypeError:  # an entry that is not a string
-        return None
-    if not _RATIOS.fullmatch(text):
-        return None
-    return _read_ratios(entries, text)
-
-
-def _read_ratios(entries: list, text: str) -> tuple[list[int], int] | None:
-    """(nums, q) of strings whose ","-join ``text`` _RATIOS accepts; None for a
-    zero q or a string int() refuses."""
-    try:  # int() fails on an entry that held a "," and past its digit limit
-        if "/" not in text:
-            return list(map(int, entries)), 1
-        parts = [x.partition("/") for x in entries]
-        nums = [int(p) for p, _, _ in parts]
-        dens = [int(q) if q else 1 for _, _, q in parts]
-    except ValueError:
-        return None
-    if 0 in dens:
-        return None
-    q = lcm(*dens)
-    return [n * (q // t) for n, t in zip(nums, dens)], q
-
-
-def _row_from_json(row: list) -> tuple | None:
-    """(re, im, q, D): a row of rationals (im and D None) or of field elements
-    over one D, as the entries (re + im*sqrt(-D)) / q; None for any other row."""
-    dicts = {type(x) is dict for x in row}
-    if dicts == {True, False}:  # field elements beside rationals: entry by entry
-        return None
-    if True not in dicts:
-        parsed = _ratios_from_json(row)
-        return None if parsed is None else (parsed[0], None, parsed[1], None)
-    fields = [x.get("D") for x in row]
-    a = _ratios_from_json([x.get("a") for x in row])
-    b = _ratios_from_json([x.get("b") for x in row])
-    if a is None or b is None or any(type(d) is not int for d in fields):
-        return None
-    d = fields[0]
-    if fields.count(d) != len(fields):
-        return None
-    q = lcm(a[1], b[1])
-    return [x * (q // a[1]) for x in a[0]], [x * (q // b[1]) for x in b[0]], q, d
-
-
-def _ratio_matrix(obj: list) -> Matrix | None:
-    """The matrix of rows of strings "p" and "p/q" of one nonzero width, read
-    with one match of _RATIOS; None for any other matrix."""
-    width = len(obj[0]) if obj else 0
-    if not width or any(len(r) != width for r in obj):
-        return None
+def _integer_rows(obj: list) -> tuple[list, list] | None:
+    """(nums, dens): rows of entries, all JSON integers or all strings "p" and
+    "p/q" in ASCII digits, as the rows nums[i] / dens[i]; None for any other
+    rows, a zero q or a string int() refuses.  Fraction(str) reads each
+    accepted string as p/q too."""
+    if all(type(x) is int for r in obj for x in r):
+        return [list(r) for r in obj], [1] * len(obj)
     try:
         lines = [",".join(r) for r in obj]
     except TypeError:  # an entry that is not a string
         return None
     if not _RATIOS.fullmatch(",".join(lines)):
         return None
-    rows = [_read_ratios(r, line) for r, line in zip(obj, lines)]
-    if None in rows:
+    nums, dens = [], []
+    try:  # int() fails on an entry that held a "," and past its digit limit
+        for r, line in zip(obj, lines):
+            if "/" not in line:
+                nums.append(list(map(int, r)))
+                dens.append(1)
+                continue
+            parts = [x.partition("/") for x in r]
+            qs = [int(t) if t else 1 for _, _, t in parts]
+            if 0 in qs:
+                return None
+            q = lcm(*qs)
+            nums.append([int(p) * (q // t) for (p, _, _), t in zip(parts, qs)])
+            dens.append(q)
+    except ValueError:
         return None
-    return _canonical([r[0] for r in rows], None, [r[1] for r in rows], None, width)
+    return nums, dens
+
+
+def _integer_matrix(obj: list) -> Matrix | None:
+    """The matrix of rows of one nonzero width, read straight to integers:
+    rows of rationals as _integer_rows reads them, or of field elements
+    {"a", "b", "D"} over one valid D whose "a" parts and "b" parts each are
+    such rows; None for any other matrix."""
+    width = len(obj[0]) if obj else 0
+    if not width or any(len(r) != width for r in obj):
+        return None
+    if type(obj[0][0]) is not dict:
+        rows = _integer_rows(obj)
+        return None if rows is None else _canonical(rows[0], None, rows[1], None, width)
+    d = obj[0][0].get("D")
+    if not _is_field(d) or any(
+        type(x) is not dict or type(x.get("D")) is not int or x["D"] != d
+        for r in obj
+        for x in r
+    ):
+        return None
+    a = _integer_rows([[x.get("a") for x in r] for r in obj])
+    b = _integer_rows([[x.get("b") for x in r] for r in obj])
+    if a is None or b is None:
+        return None
+    re, im, den = [], [], []
+    for xs, p, ys, t in zip(*a, *b):
+        q = lcm(p, t)
+        re.append([x * (q // p) for x in xs])
+        im.append([y * (q // t) for y in ys])
+        den.append(q)
+    return _canonical(re, im, den, d, width)
 
 
 def matrix_from_json(obj, ncols: int | None = None) -> Matrix:
     if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
         raise InputFormatError("a matrix must be a list of rows")
-    mat = _ratio_matrix(obj)
+    mat = _integer_matrix(obj)
     if mat is not None:
         return mat
-    rows = [_row_from_json(r) for r in obj]
-    fields = {r[3] for r in rows if r is not None} - {None}
-    if (
-        not obj
-        or None in rows
-        or len(fields) > 1
-        or not all(map(_is_field, fields))
-    ):
-        # the entry-by-entry reading, which raises on the first bad entry
-        rows = [[scalar_from_json(x) for x in r] for r in obj]
-        try:
-            return Matrix(rows, ncols=ncols if not rows else None)
-        except (MixedDiscriminants, ValueError) as exc:
-            raise InputFormatError(str(exc)) from exc
-    width = len(obj[0])
-    if any(len(r) != width for r in obj):
-        raise InputFormatError("ragged matrix rows")
-    d = fields.pop() if fields else None
-    re = [r[0] for r in rows]
-    im = None if d is None else [r[1] or [0] * width for r in rows]
-    return _canonical(re, im, [r[2] for r in rows], d, width)
+    # the entry-by-entry reading, which raises on the first bad entry
+    rows = [[scalar_from_json(x) for x in r] for r in obj]
+    try:
+        return Matrix(rows, ncols=ncols if not rows else None)
+    except (MixedDiscriminants, ValueError) as exc:
+        raise InputFormatError(str(exc)) from exc
 
 
 def vector_to_json(v) -> list:
@@ -299,10 +275,9 @@ def certificate_from_json(obj, descents: int | None = None) -> ChainCertificate:
     """
     if not isinstance(obj, dict):
         raise InputFormatError("a certificate must be an object")
-    if obj.get("format") != CERTIFICATE_FORMAT:
-        raise InputFormatError(
-            f"unsupported certificate format {obj.get('format')!r}"
-        )
+    fmt = obj.get("format")
+    if type(fmt) is not int or fmt != CERTIFICATE_FORMAT:
+        raise InputFormatError(f"unsupported certificate format {fmt!r}")
     kind = obj.get("kind")
     if not isinstance(kind, str):
         raise InputFormatError("certificate kind must be a string")
@@ -365,10 +340,8 @@ def link_to_json(link: Link) -> dict:
     return out
 
 
-def link_from_json(obj, space: FormSpace, descents: int | None = None) -> Link:
+def link_from_json(obj, space: FormSpace, descents: int) -> Link:
     """The link obj encodes; ``descents`` as in certificate_from_json, for space."""
-    if descents is None:
-        descents = space.dim // 2
     if not isinstance(obj, dict):
         raise InputFormatError("a link must be an object")
     tag = obj.get("type")

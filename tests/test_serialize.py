@@ -1,8 +1,12 @@
 """JSON round trips and canonical emission."""
 
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from cuspchain.chains import (
     build_chain_symplectic,
     build_chain_unitary,
 )
-from cuspchain.errors import InputFormatError
+from cuspchain.errors import InputFormatError, MixedDiscriminants
 from cuspchain.exact import Matrix, QuadFieldElement
 from cuspchain.forms import (
     canonical_subspace,
@@ -198,9 +202,16 @@ def test_canonical_text_of_documents_is_json_dumps_text():
 
 def test_certificate_format_guard():
     cert = next(certificate_samples())
+    for fmt in (2, True, 1.0, "1", None):
+        encoded = serialize.certificate_to_json(cert)
+        encoded["format"] = fmt
+        with pytest.raises(InputFormatError, match="unsupported certificate format"):
+            serialize.certificate_from_json(encoded)
+    # a boundary descent's sub-certificate is held to the same format
     encoded = serialize.certificate_to_json(cert)
-    encoded["format"] = 2
-    with pytest.raises(InputFormatError):
+    descent = next(link for link in encoded["links"] if "sub" in link)
+    descent["sub"]["format"] = True
+    with pytest.raises(InputFormatError, match="unsupported certificate format True"):
         serialize.certificate_from_json(encoded)
 
 
@@ -289,16 +300,17 @@ def test_entries_read_as_fraction_reads_them(obj):
         assert expected[1] == Fraction(obj)
 
 
-# A rational matrix is read a whole matrix at a time; every other matrix,
-# including a ragged or empty one, falls through to the row-wise and
-# entry-wise readings.  The reference builds the Matrix from the entries.
+# A matrix whose entries share one encoding is read a whole matrix at a time
+# by the integer reader; every other matrix, including a ragged or empty one,
+# falls through to the entry-wise reading.  The reference builds the Matrix
+# from the entries.
 
 
 def read_entrywise(obj):
     try:
         rows = [[serialize.scalar_from_json(x) for x in r] for r in obj]
         return "value", Matrix(rows)
-    except (InputFormatError, ValueError) as exc:
+    except (InputFormatError, MixedDiscriminants, ValueError) as exc:
         return "error", str(exc)
 
 
@@ -344,7 +356,59 @@ def matrices_of_strings(draw):
     return rows
 
 
-@settings(max_examples=300, deadline=None)
+VALID_DS = [1, 2, 3, 7]
+BAD_DS = [True, 2.0, 4, 2**40]
+
+
+@st.composite
+def matrices_of_field_elements(draw):
+    """1-3 rows of width 1-3 of field elements over one D, with "a" parts and
+    "b" parts each all "p/q" strings or all JSON integers; now and then a
+    hostile part, a part of the other encoding, a D that differs between
+    rows, or a D of True, 2.0, 4 or 2**40."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    nrows = draw(st.integers(min_value=1, max_value=3))
+    d = draw(st.sampled_from(VALID_DS))
+    encodings = [RATIO_STRINGS, st.integers(-(10**30), 10**30)]
+    # the encodings of the "a" and "b" parts, and of a stray part
+    parts = {p: draw(st.permutations(encodings)) for p in "ab"}
+    rows = [
+        [
+            {"a": draw(parts["a"][0]), "b": draw(parts["b"][0]), "D": d}
+            for _ in range(width)
+        ]
+        for _ in range(nrows)
+    ]
+    stray = draw(st.sampled_from([None, "hostile", "encoding", "rows", "bad-d"]))
+    i = draw(st.integers(min_value=0, max_value=nrows - 1))
+    j = draw(st.integers(min_value=0, max_value=width - 1))
+    part = draw(st.sampled_from("ab"))
+    if stray == "hostile":
+        rows[i][j][part] = draw(st.sampled_from(HOSTILE))
+    elif stray == "encoding":
+        rows[i][j][part] = draw(parts[part][1])
+    elif stray == "rows":
+        other = draw(st.sampled_from(VALID_DS))
+        for x in rows[i]:
+            x["D"] = other
+    elif stray == "bad-d":
+        rows[i][j]["D"] = draw(st.sampled_from(BAD_DS))
+    return rows
+
+
+@st.composite
+def integer_matrices_with_a_string_row(draw):
+    """1-4 rows of width 1-4 of JSON integers, one of them a row of "p/q"
+    strings instead."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(-(10**30), 10**30), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    rows[i] = draw(st.lists(RATIO_STRINGS, min_size=width, max_size=width))
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
 @given(
     st.one_of(
         st.lists(
@@ -357,6 +421,8 @@ def matrices_of_strings(draw):
             max_size=3,
         ),
         matrices_of_strings(),
+        matrices_of_field_elements(),
+        integer_matrices_with_a_string_row(),
     )
 )
 def test_matrices_read_as_before(rows):
@@ -449,3 +515,76 @@ def test_field_parameter_is_bounded_before_trial_division():
         serialize.matrix_from_json([[{"a": "1", "b": "1", "D": big}]])
     with pytest.raises(InputFormatError, match="2\\*\\*32"):
         serialize.form_space_from_json({"kind": "hermitian", "gram": [["1"]], "D": big})
+
+
+# -- the traffic of the integer reader --------------------------------------------
+#
+# Every matrix the program writes, and every non-empty matrix the benchmark's
+# generator writes, is read by the integer reader, not entry by entry.
+
+
+@st.composite
+def exact_matrices(draw):
+    """1-4 rows of width 1-5 over Q or Q(sqrt(-D)), D in {1, 2, 3, 7}: now
+    and then zero rows, no imaginary parts or 200-bit numerators."""
+    d = draw(st.sampled_from([None, *VALID_DS]))
+    width = draw(st.integers(min_value=1, max_value=5))
+    bits = draw(st.sampled_from([4, 200]))
+    part = st.builds(Fraction, st.integers(-(2**bits), 2**bits), st.integers(1, 60))
+    row = st.one_of(
+        st.just([0] * width), st.lists(part, min_size=width, max_size=width)
+    )
+    re = draw(st.lists(row, min_size=1, max_size=4))
+    if d is None:
+        return Matrix(re)
+    im = draw(
+        st.one_of(
+            st.just([[0] * width] * len(re)),
+            st.lists(row, min_size=len(re), max_size=len(re)),
+        )
+    )
+    return Matrix(
+        [[QuadFieldElement(x, y, d) for x, y in zip(r, s)] for r, s in zip(re, im)]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_matrices())
+def test_written_matrices_take_the_integer_reader(m):
+    obj = serialize.matrix_to_json(m)
+    read = serialize._integer_matrix(obj)
+    assert read is not None
+    assert read == m and read.rows == m.rows
+    with mock.patch.object(serialize, "scalar_from_json", side_effect=AssertionError):
+        assert serialize.matrix_from_json(obj).rows == m.rows
+
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def input_matrices(doc):
+    """The non-empty matrices of a JSON document: lists of lists of entries."""
+    if isinstance(doc, dict):
+        for value in doc.values():
+            yield from input_matrices(value)
+    elif isinstance(doc, list) and doc and all(isinstance(r, list) for r in doc):
+        if any(isinstance(x, list) for r in doc for x in r):
+            for r in doc:  # a list of matrices
+                yield from input_matrices(r)
+        elif doc[0]:
+            yield doc
+
+
+def test_benchmark_inputs_take_the_integer_reader(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look it up
+    spec.loader.exec_module(gen)
+    for workload, generate in gen.WORKLOADS.items():
+        count = 0
+        for inst in generate(1):
+            for doc in inst.files.values():
+                for obj in input_matrices(doc):
+                    assert serialize._integer_matrix(obj) is not None, (workload, obj)
+                    count += 1
+        assert count, workload
