@@ -334,18 +334,14 @@ def _build_su_chain(space, kind, a, b, meet=None):
         return left_nodes + right_nodes[1:], left_links + right_links
     # trivial intersection, imperfect pairing: route through J0-based cusps
     j1, k1, j2, k2 = split_off_kernels(space, a, b)
-    if k1.dim == 0:
-        j0 = j0_construct(space, j1, j2)
-        mid3 = mid4 = j0
-    else:
-        span = subspace_sum(k1, k2)
-        comp = orthogonal_complement(space, span)
-        sub = restricted_space(space, comp.basis)
-        j1_local, j2_local = _to_local(sub, comp.basis, j1, j2)
-        j0_local = j0_construct(sub, j1_local, j2_local)
-        j0 = canonical_subspace(space, j0_local.basis * comp.basis)
-        mid3 = subspace_sum(j0, k2)
-        mid4 = subspace_sum(j0, k1)
+    span = subspace_sum(k1, k2)
+    comp = orthogonal_complement(space, span)
+    sub = restricted_space(space, comp.basis)
+    j1_local, j2_local = _to_local(sub, comp.basis, j1, j2)
+    j0_local = j0_construct(sub, j1_local, j2_local)
+    j0 = canonical_subspace(space, j0_local.basis * comp.basis)
+    mid3 = subspace_sum(j0, k2)
+    mid4 = subspace_sum(j0, k1)
     nodes, links = _build_su_chain(space, kind, a, mid3)
     middle_nodes, middle_links = _build_su_chain(space, kind, mid3, mid4)
     nodes, links = nodes + middle_nodes[1:], links + middle_links

@@ -25,7 +25,6 @@ from .exact import (
     _canonical,
     _one_denominator,
     hnf,
-    smith,
 )
 from .forms import HERMITIAN, SYMMETRIC, FormSpace, preserves_form
 from .levels import minimal_multiplier
@@ -369,26 +368,20 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
     Solved exactly: X is in the order when vec(X) * R(l) * B^-1 is integral
     for each basis element l, with B = vec_basis() and R(l) the Kronecker
     form of left multiplication by l.  The four R(l) * B^-1, side by side,
-    are one 4x16 system; its solutions are extracted through the Smith
-    normal form.  The result contains the identity, is closed under
-    multiplication and stabilizes the lattice, all checked on a few products
-    of the same form.
+    are one 4x16 system A.  With A = A0 / denom for an integer A0, x * A is
+    integral exactly when x pairs into denom * Z with the column lattice of
+    A0, whose basis C is read off the Hermite form of A0^T; so the solutions
+    are the rows of denom * (C^-1)^T.  The result contains the identity, is
+    closed under multiplication and stabilizes the lattice, all checked on a
+    few products of the same form.
     """
     # column block m of vec(X) * stacked holds the coordinates of l_m * X
     stacked = _side_by_side(_left_multiplications(lattice.basis) * lattice._dual)
     denom = stacked.denominator_lcm()
-    s, u, _ = smith(stacked * denom)
-    # With S = U * ints * V, the rows x with x * ints in denom * Z^16 are
-    # exactly y * U for y in the row lattice diag(denom / s_i).
-    diag = [s[i, i] for i in range(4)]
-    _ensure(all(dv != 0 for dv in diag), "stability system must have full rank")
-    scale_rows = Matrix(
-        [
-            [denom / diag[i] if i == j else Fraction(0) for j in range(4)]
-            for i in range(4)
-        ]
-    )
-    basis_rows = _canonical_lattice_rows(scale_rows * u)
+    h, _ = hnf((stacked * denom).transpose())
+    cols = h.submatrix(rows=slice(4))
+    _ensure(all(cols[i, i] for i in range(4)), "stability system must have full rank")
+    basis_rows = _canonical_lattice_rows(cols.inverse().transpose() * denom)
     order = MatrixLattice(_unvec_rows(basis_rows))
     vecs, o_inv = order.vec_basis(), order._dual
     identity = _integral_parts(_vec_rows([I2]) * o_inv)[0]

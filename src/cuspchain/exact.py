@@ -32,6 +32,12 @@ n+1 integer determinants.
 There is no entry-wise path; reduced echelon forms and determinants are
 unique, so they, and everything built from them, match exact entry-wise
 arithmetic.
+
+The integer normal forms share one kernel, ``_echelon``: a row echelon by
+unimodular row steps, with extra columns riding along, so ``[A | I]`` gives
+the transform too.  ``hnf`` then reduces above each pivot, and ``smith``
+alternates echelons of rows and of columns.  H and S are canonical; U is
+unique only for full row rank, and Smith's U and V never are.
 """
 
 from __future__ import annotations
@@ -947,51 +953,42 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-# Unimodular steps on lists of integer rows, applied alike to each of mats
-# (a normal form and its transforms).  With g = gcd(a, b) = x*a + y*b, the
-# xgcd step [[x, y], [-b/g, a/g]] takes (a, b) to (g, 0).
+def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
+    """Bring integer rows to row echelon form on their first ncols columns.
 
-
-def _bezout(a: int, b: int) -> tuple[int, int, int, int]:
-    """(x, y, a/g, b/g) of the xgcd step on (a, b)."""
-    g, x, y = _xgcd(a, b)
-    return x, y, a // g, b // g
-
-
-def _bezout_rows(mats, i: int, k: int, a: int, b: int) -> None:
-    """Rows i and k become x*r_i + y*r_k and (-b*r_i + a*r_k)/g."""
-    x, y, aa, bb = _bezout(a, b)
-    for m in mats:
-        p, q = m[i], m[k]
-        m[i] = [x * s + y * t for s, t in zip(p, q)]
-        m[k] = [-bb * s + aa * t for s, t in zip(p, q)]
-
-
-def _bezout_cols(mats, j: int, k: int, a: int, b: int) -> None:
-    """_bezout_rows on columns j and k."""
-    x, y, aa, bb = _bezout(a, b)
-    for m in mats:
-        for row in m:
-            s, t = row[j], row[k]
-            row[j], row[k] = x * s + y * t, -bb * s + aa * t
-
-
-def _sub_rows(mats, i: int, k: int, q: int) -> None:
-    """Row i becomes r_i - q*r_k."""
-    for m in mats:
-        m[i] = [s - q * t for s, t in zip(m[i], m[k])]
-
-
-def _sub_cols(mats, j: int, k: int, q: int) -> None:
-    """Column j becomes c_j - q*c_k."""
-    for m in mats:
-        for row in m:
-            row[j] -= q * row[k]
-
-
-def _negate_row(mats, i: int) -> None:
-    for m in mats:
-        m[i] = [-x for x in m[i]]
+    In place, by unimodular row steps only; returns the pivot columns.  Below
+    each pivot, a row whose entry the pivot divides loses a multiple of the
+    pivot row, and any other pair takes the xgcd step [[x, y], [-b/g, a/g]],
+    which takes the entries (a, b) to (g, 0) with g = gcd(a, b) = x*a + y*b.
+    Pivots are made positive.  Columns past ncols ride along, so [A | I]
+    ends as [E | U] with U * A = E.
+    """
+    pivots = []
+    r, m = 0, len(rows)
+    for c in range(ncols):
+        if r == m:
+            break
+        p = rows[r]
+        for i in range(r + 1, m):
+            q = rows[i]
+            a, b = p[c], q[c]
+            if not b:
+                continue
+            if a and not b % a:
+                f = b // a
+                rows[i] = [t - f * s for s, t in zip(p, q)]
+            else:
+                g, x, y = _xgcd(a, b)
+                a, b = a // g, b // g
+                p, rows[i] = (
+                    [x * s + y * t for s, t in zip(p, q)],
+                    [a * t - b * s for s, t in zip(p, q)],
+                )
+        if p[c]:
+            rows[r] = p if p[c] > 0 else [-s for s in p]
+            pivots.append(c)
+            r += 1
+    return pivots
 
 
 def _require_int_rows(mat: Matrix) -> list[list[int]]:
@@ -1000,6 +997,17 @@ def _require_int_rows(mat: Matrix) -> list[list[int]]:
     if d is not None or any(q != 1 for q in den):
         raise ValueError("integer matrix required")
     return [list(r) for r in re]
+
+
+def _with_identity(rows: list[list[int]]) -> list[list[int]]:
+    """[rows | I]: each row followed by the matching row of the identity."""
+    m = len(rows)
+    return [r + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+
+
+def _transposed(a: list[list[int]], t: list[list[int]], width: int) -> tuple:
+    """[X | T] and T2 as [X^T | T2] and T, with X the first width columns."""
+    return [[r[j] for r in a] + t[j] for j in range(width)], [r[width:] for r in a]
 
 
 def _integer_matrix(rows: list[list[int]], ncols: int) -> Matrix:
@@ -1012,107 +1020,60 @@ def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
     Convention: pivots positive, entries above each pivot reduced into
     [0, pivot).  Deterministic, so equal row lattices give equal H.
     """
-    h = _require_int_rows(mat)
-    m, n = len(h), mat.ncols
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if h[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            h[r], h[pr] = h[pr], h[r]
-            u[r], u[pr] = u[pr], u[r]
-        for i in range(r + 1, m):
-            if h[i][c] != 0:
-                _bezout_rows((h, u), r, i, h[r][c], h[i][c])
-        if h[r][c] < 0:
-            _negate_row((h, u), r)
+    n = mat.ncols
+    hu = _with_identity(_require_int_rows(mat))
+    for r, c in enumerate(_echelon(hu, n)):
+        p = hu[r]
         for i in range(r):
-            q = h[i][c] // h[r][c]
-            if q:
-                _sub_rows((h, u), i, r, q)
-        r += 1
-    return _integer_matrix(h, n), _integer_matrix(u, m)
+            f = hu[i][c] // p[c]
+            if f:
+                hu[i] = [t - f * s for s, t in zip(p, hu[i])]
+    return (
+        _integer_matrix([row[:n] for row in hu], n),
+        _integer_matrix([row[n:] for row in hu], len(hu)),
+    )
 
 
 def smith(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form S = U * mat * V.
 
-    S is diagonal with nonnegative invariant factors d1 | d2 | ...; U and V
-    are unimodular.
+    S is diagonal with nonnegative invariant factors d1 | d2 | ..., zeros
+    last; U and V are unimodular.  Row echelons of [S | U] and of
+    [S^T | V^T] take turns until S is diagonal (Kannan and Bachem, 1979).
+    Where some d_i does not divide d_(i+1), column i+1 is added to
+    column i and the turns go on.
+
+    The loop ends.  While S is nonzero, its corner entry is a positive g from
+    the second echelon on, and each echelon replaces g by the gcd of its
+    column or row: a proper divisor of g, unless g divides that column or
+    row, when the echelon clears it and keeps g.  So after finitely many
+    echelons the first row and column hold g alone, and no later step
+    touches them; the same holds for the block left over.  Adding column
+    i+1 to column i then replaces d_i by a proper divisor, gcd(d_i, d_(i+1))
+    or less, and keeps d_1 .. d_(i-1), so (d_1, d_2, ...) falls
+    lexicographically, which it can do only finitely often.
     """
-    s = _require_int_rows(mat)
-    m, n = len(s), mat.ncols
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def clear_row_entry(i):
-        # zero s[i][t]; the xgcd branch strictly shrinks |pivot|
-        a, b = s[t][t], s[i][t]
-        if b % a == 0:
-            _sub_rows((s, u), i, t, b // a)
-        else:
-            _bezout_rows((s, u), t, i, a, b)
-
-    def clear_col_entry(j):
-        a, b = s[t][t], s[t][j]
-        if b % a == 0:
-            _sub_cols((s, v), j, t, b // a)
-        else:
-            _bezout_cols((s, v), t, j, a, b)
-
-    t = 0
-    bound = min(m, n)
-    while t < bound:
-        # pick the remaining entry of least magnitude as pivot
-        pos = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = abs(s[i][j])
-                if val and (best is None or val < best):
-                    best, pos = val, (i, j)
-        if pos is None:
+    m, n = mat.nrows, mat.ncols
+    su, vt = _with_identity(_require_int_rows(mat)), _with_identity([[]] * n)
+    while True:
+        _echelon(su, n)
+        if any(row[j] for i, row in enumerate(su) for j in range(n) if j != i):
+            svt, u = _transposed(su, vt, n)
+            _echelon(svt, m)
+            su, vt = _transposed(svt, u, m)
+            continue
+        d = [su[i][i] for i in range(min(m, n))]
+        i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+        if i is None:
             break
-        pi, pj = pos
-        if pi != t:
-            s[t], s[pi] = s[pi], s[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in s:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, m):
-                if s[i][t]:
-                    clear_row_entry(i)
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    clear_col_entry(j)
-            if any(s[i][t] for i in range(t + 1, m)):
-                continue
-            if any(s[t][j] for j in range(t + 1, n)):
-                continue
-            # force divisibility of the remaining block by the pivot
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i][j] % s[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            _sub_rows((s, u), t, bad, -1)
-        if s[t][t] < 0:
-            _negate_row((s, u), t)
-        t += 1
-    return _integer_matrix(s, n), _integer_matrix(u, m), _integer_matrix(v, n)
+        for row in su:
+            row[i] += row[i + 1]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[i + 1])]
+    return (
+        _integer_matrix([row[:n] for row in su], n),
+        _integer_matrix([row[n:] for row in su], m),
+        _integer_matrix([list(c) for c in zip(*vt)], n),
+    )
 
 
 def descending_range(h: int) -> range:

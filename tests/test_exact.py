@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspchain import embeddings
 from cuspchain.errors import MixedDiscriminants
 from cuspchain.exact import (
     Matrix,
@@ -36,6 +37,53 @@ small_matrices = st.integers(min_value=1, max_value=6).flatmap(
         )
     )
 )
+
+
+def _order_system():
+    """The integer 4x16 stability system that order_of_lattice solves."""
+    lattice = embeddings.MatrixLattice(
+        (
+            Matrix([[1, 2], [0, 3]]),
+            Matrix([[0, Fraction(1, 2)], [1, 0]]),
+            Matrix([[2, 0], [Fraction(1, 3), 1]]),
+            Matrix([[1, 1], [1, 2]]),
+        )
+    )
+    left = embeddings._left_multiplications(lattice.basis) * lattice._dual
+    stacked = embeddings._side_by_side(left)
+    return stacked * stacked.denominator_lcm()
+
+
+def _random_rows(seed, m, n, bound):
+    rng = random.Random(seed)
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+
+# Normal-form inputs of the shapes the package meets: the order system, its
+# transpose and random matrices of both shapes, empty and zero matrices, and
+# one 10x10 with entries up to 10**6 (too large for the minor-gcd oracle).
+NORMAL_FORM_INPUTS = {
+    "order-4x16": _order_system(),
+    "order-16x4": _order_system().transpose(),
+    "random-4x16": mat(_random_rows(1, 4, 16, 20)),
+    "random-16x4": mat(_random_rows(2, 16, 4, 20)),
+    "rank-2-4x16": mat(_random_rows(3, 4, 2, 9)) * mat(_random_rows(4, 2, 16, 9)),
+    "empty-0x3": Matrix([], ncols=3),
+    "empty-0x0": Matrix.identity(0),
+    "zero-1x3": Matrix.zero(1, 3),
+    "zero-2x2": Matrix.zero(2, 2),
+    "zero-3x1": Matrix.zero(3, 1),
+    "random-4x4": mat(_random_rows(5, 4, 4, 9)),
+    "large-10x10": mat(_random_rows(6, 10, 10, 10**6)),
+}
+
+
+def _int_rows(m):
+    return [[int(x) for x in r] for r in m.rows]
+
+
+def _nonsingular(m):
+    return m.nrows == m.ncols and m.det() != 0
 
 
 class TestQuadFieldElement:
@@ -303,6 +351,16 @@ class TestHNF:
         transformed = Matrix(u) * m
         assert hnf(transformed)[0] == hnf(m)[0]
 
+    @pytest.mark.parametrize("name", NORMAL_FORM_INPUTS)
+    def test_normal_form_inputs(self, name):
+        m = NORMAL_FORM_INPUTS[name]
+        h, u = hnf(m)
+        assert u * m == h
+        assert abs(u.det()) == 1
+        assert _int_rows(h) == oracle_hnf(_int_rows(m))
+        if _nonsingular(m):
+            assert u == h * m.inverse()  # U is unique for a nonsingular input
+
 
 class TestSmith:
     def test_identity(self):
@@ -355,6 +413,23 @@ class TestSmith:
             for i in range(3):
                 prod *= s[i, i]
             assert prod == abs(m.det())
+
+    @pytest.mark.parametrize("name", NORMAL_FORM_INPUTS)
+    def test_normal_form_inputs(self, name):
+        m = NORMAL_FORM_INPUTS[name]
+        s, u, v = smith(m)
+        assert u * m * v == s
+        assert abs(u.det()) == 1 and abs(v.det()) == 1
+        diag = [int(s[i, i]) for i in range(min(s.shape))]
+        assert s == Matrix(
+            [[diag[i] if i == j else 0 for j in range(s.ncols)] for i in range(s.nrows)],
+            ncols=s.ncols,
+        )
+        assert all(d >= 0 for d in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert (b == 0) if a == 0 else (b % a == 0)
+        if min(m.shape) <= 4:
+            assert diag == oracle_invariant_factors(_int_rows(m))
 
 
 class TestCanonicalBasis:

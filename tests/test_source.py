@@ -18,6 +18,11 @@ A product with an adjoint is ``x.mul_adjoint(y)``: no module multiplies by
 ``y.conj_transpose()`` on the right, which would build and reduce the
 adjoint only to multiply by it.
 
+Integer normal forms take one unimodular row echelon, ``exact._echelon``:
+``hnf`` and ``smith`` both call it, and it is the only caller of
+``exact._xgcd``, so each row or column step is written once and a second
+hand-written elimination cannot grow back beside it.
+
 ``SearchExhausted`` means a bounded search ran out (exit code 3), so only
 ``isotropic._search_vector`` raises it.
 
@@ -124,6 +129,28 @@ def test_adjoint_products_use_mul_adjoint():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_normal_forms_share_one_echelon():
+    def reads(fn, name):
+        return any(
+            isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+            and getattr(node, "id", getattr(node, "attr", None)) == name
+            for node in ast.walk(fn)
+        )
+
+    functions = [
+        (path.name, fn)
+        for path in SOURCES
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+    ]
+    exact = {fn.name: fn for name, fn in functions if name == "exact.py"}
+    xgcd_users = [f"{name}:{fn.name}" for name, fn in functions if reads(fn, "_xgcd")]
+    assert xgcd_users == ["exact.py:_echelon"]
+    assert reads(exact["hnf"], "_echelon")
+    assert reads(exact["smith"], "_echelon")
 
 
 def test_only_the_vector_search_raises_search_exhausted():
