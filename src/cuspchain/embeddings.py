@@ -1,4 +1,4 @@
-"""Explicit models and maps used as chain witnesses and test surfaces.
+"""Explicit models and maps behind the ``demo`` command and the tests.
 
 Contains the trace-zero 2x2 model of the signature (2, 1) quadric with its
 SL2 conjugation action, the rational Veronese and Segre parametrizations,
@@ -23,11 +23,12 @@ from .exact import (
     Matrix,
     QuadFieldElement,
     _canonical,
+    _echelon,
     _one_denominator,
+    _require_int_rows,
     hnf,
 )
 from .forms import HERMITIAN, SYMMETRIC, FormSpace, preserves_form
-from .levels import minimal_multiplier
 
 
 @dataclass(frozen=True)
@@ -355,13 +356,6 @@ def _rational(m: Matrix) -> Matrix:
     return m
 
 
-def _canonical_lattice_rows(rows: Matrix) -> Matrix:
-    """HNF-canonical basis of a full rational row lattice."""
-    scale = rows.denominator_lcm()
-    h, _ = hnf(rows * scale)
-    return h * Fraction(1, scale)
-
-
 def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
     """The right order { X in M2(Q) : lattice * X inside lattice }.
 
@@ -370,19 +364,22 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
     form of left multiplication by l.  The four R(l) * B^-1, side by side,
     are one 4x16 system A.  With A = A0 / denom for an integer A0, x * A is
     integral exactly when x pairs into denom * Z with the column lattice of
-    A0, whose basis C is read off the Hermite form of A0^T; so the solutions
-    are the rows of denom * (C^-1)^T.  The result contains the identity, is
-    closed under multiplication and stabilizes the lattice, all checked on a
-    few products of the same form.
+    A0.  Any basis C of it will do, here the top of the row echelon of A0^T,
+    and the solutions are the rows of denom * (C^-1)^T, whose Hermite form
+    is the result's basis.  It contains the identity, is closed under
+    multiplication and stabilizes the lattice, all checked on a few products
+    of the same form.
     """
     # column block m of vec(X) * stacked holds the coordinates of l_m * X
     stacked = _side_by_side(_left_multiplications(lattice.basis) * lattice._dual)
     denom = stacked.denominator_lcm()
-    h, _ = hnf((stacked * denom).transpose())
-    cols = h.submatrix(rows=slice(4))
-    _ensure(all(cols[i, i] for i in range(4)), "stability system must have full rank")
-    basis_rows = _canonical_lattice_rows(cols.inverse().transpose() * denom)
-    order = MatrixLattice(_unvec_rows(basis_rows))
+    rows = _require_int_rows((stacked * denom).transpose())
+    _ensure(_echelon(rows, 4) == [0, 1, 2, 3], "stability system must have full rank")
+    cols = _canonical(rows[:4], None, [1] * 4, None, 4)
+    solutions = cols.inverse().transpose() * denom
+    scale = solutions.denominator_lcm()
+    h, _ = hnf(solutions * scale)
+    order = MatrixLattice(_unvec_rows(h * Fraction(1, scale)))
     vecs, o_inv = order.vec_basis(), order._dual
     identity = _integral_parts(_vec_rows([I2]) * o_inv)[0]
     # column block i of the first: the coordinates of x_i * y for y in the
@@ -399,8 +396,9 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
 
 
 def order_containment_scale(order: MatrixLattice, maximal: MatrixLattice) -> int:
-    """Minimal positive N0 with N0 * maximal inside order."""
-    change = order.vec_basis() * maximal.vec_basis().inverse()
+    """Minimal positive N0 with N0 * maximal inside order: the least common
+    denominator of change^-1, for change = O * M^-1 with vec bases O and M."""
+    change = order.vec_basis() * maximal._dual
     if not change.is_integral():
         raise NotContained("the first order is not contained in the second")
-    return minimal_multiplier(maximal.vec_basis(), order.vec_basis())
+    return change.inverse().denominator_lcm()

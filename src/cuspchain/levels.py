@@ -71,11 +71,9 @@ def congruence_membership(gamma: Matrix, lat: FullLattice, n: int) -> bool:
         raise NotAnIsometry("matrix does not preserve the form")
     if n < 1:
         raise ValueError("the level N must be a positive integer")
-    b_inv = lat.basis.inverse()
-    action = lat.basis * gamma.transpose() * b_inv
-    if action.denominator_lcm() != 1:
-        return False
-    if action.inverse().denominator_lcm() != 1:
-        return False
-    difference = lat.basis * (gamma - Matrix.identity(space.dim)).transpose() * b_inv
-    return (difference * Fraction(1, n)).is_integral()
+    action = lat.basis * gamma.transpose() * lat.basis.inverse()
+    # One test also decides that action is unimodular: action - I in
+    # n * M(Z[sqrt(-d)]) makes action integral, so det(action) = det(gamma)
+    # is integral, and it has norm 1 because gamma preserves the form (det
+    # +-1 over Q).  A unit, it divides the adjugate: action^-1 is integral.
+    return ((action - Matrix.identity(space.dim)) * Fraction(1, n)).is_integral()

@@ -30,7 +30,7 @@ from cuspchain.embeddings import (
 from cuspchain.errors import NotContained, NotDeterminantOne, PostconditionFailed
 from cuspchain.exact import Matrix, QuadFieldElement, hnf, smith
 from cuspchain.forms import Signature, preserves_form, signature_of, standard_2u
-from cuspchain.levels import FullLattice, congruence_membership
+from cuspchain.levels import FullLattice, congruence_membership, minimal_multiplier
 
 from support import mobius, random_sl2, run_optimized
 
@@ -455,6 +455,12 @@ class TestKroneckerOrders:
         with pytest.raises(PostconditionFailed, match="^order does not stabilize the lattice$"):
             order_of_lattice(lattice)
 
+    def test_full_rank_check(self, monkeypatch):
+        real = embeddings._echelon
+        monkeypatch.setattr(embeddings, "_echelon", lambda rows, n: real(rows, n)[:-1])
+        with pytest.raises(PostconditionFailed, match="^stability system must have full rank$"):
+            order_of_lattice(lattice_from_positions([1, 1, 1, 2]))
+
     def test_field_elements_are_refused(self):
         root = QuadFieldElement(0, 1, 2)
         with pytest.raises(ValueError, match="rational"):
@@ -514,6 +520,17 @@ class TestOrderContainmentScale:
         with pytest.raises(NotContained):
             order_containment_scale(half, self.max_order())
 
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_lattices())
+    def test_matches_minimal_multiplier(self, lattice):
+        order, maximal = order_of_lattice(lattice), self.max_order()
+        if all(maximal.contains_each(order.basis)):
+            expected = minimal_multiplier(maximal.vec_basis(), order.vec_basis())
+            assert order_containment_scale(order, maximal) == expected
+        else:
+            with pytest.raises(NotContained):
+                order_containment_scale(order, maximal)
+
 
 def test_sl2_element_validation():
     with pytest.raises(NotDeterminantOne):
@@ -542,6 +559,10 @@ calls = {
     ),
     "su11": lambda: embeddings.sl2_su11_image(2, SL2Element.identity()),
     "order": lambda: order_of_lattice(lattice),
+    "rank": lambda: (
+        setattr(embeddings, "_echelon", lambda rows, n: [0, 1, 2]),
+        order_of_lattice(lattice),
+    ),
 }
 out = {"optimize": sys.flags.optimize}
 for name, call in calls.items():
@@ -564,4 +585,5 @@ def test_postconditions_survive_python_O():
         "pair": ["PostconditionFailed", "SL2 x SL2 image does not preserve 2U"],
         "su11": ["PostconditionFailed", "SU(1, 1) image does not preserve the form"],
         "order": ["PostconditionFailed", "order does not contain the identity"],
+        "rank": ["PostconditionFailed", "stability system must have full rank"],
     }

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from cuspchain.errors import AmbientMismatch, NotAnIsometry
-from cuspchain.exact import Matrix
+from cuspchain.exact import Matrix, QuadFieldElement
 from cuspchain.forms import (
+    HERMITIAN,
     FormSpace,
     hyperbolic_plane,
     standard_symplectic,
@@ -21,7 +22,14 @@ from cuspchain.levels import (
     minimal_multiplier,
 )
 
-from support import symplectic_transvection
+from support import (
+    orthogonal_test_space,
+    random_orthogonal_isometry,
+    random_symplectic_isometry,
+    random_unitary_isometry,
+    symplectic_transvection,
+    unitary_test_space,
+)
 
 
 def brute_multiplier(inner: Matrix, outer: Matrix, bound: int) -> int:
@@ -178,6 +186,48 @@ class TestCongruenceMembership:
             if congruence_membership(t, lat_prime, nprime):
                 assert congruence_membership(t, lat, n)
                 found += 1
+
+    def test_matches_definition_across_form_kinds(self):
+        # the definition written out: gamma acts on the lattice by an integral
+        # matrix with integral inverse, and B (gamma - I)^T B^-1 / n is integral
+        def defined(gamma, lat, n):
+            b, b_inv = lat.basis, lat.basis.inverse()
+            action = b * gamma.transpose() * b_inv
+            difference = b * (gamma - Matrix.identity(b.nrows)).transpose() * b_inv
+            return (
+                action.is_integral()
+                and action.inverse().is_integral()
+                and (difference * Fraction(1, n)).is_integral()
+            )
+
+        rng = random.Random(103)
+        kinds = [(standard_symplectic(2), random_symplectic_isometry),
+                 (orthogonal_test_space([-2]), random_orthogonal_isometry)]
+        kinds += [(unitary_test_space(d, 2), random_unitary_isometry) for d in (1, 2, 3, 7)]
+        answers = []
+        for space, isometry in kinds:
+            lattices = [FullLattice(space, Matrix.identity(space.dim))]
+            while len(lattices) < 3:
+                rows = [[Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2]))
+                         for _ in range(space.dim)] for _ in range(space.dim)]
+                if Matrix(rows).det() != 0:
+                    lattices.append(FullLattice(space, Matrix(rows)))
+            for _ in range(16):
+                gamma = isometry(space, rng, rng.randint(1, 3))
+                for lat in lattices:
+                    for n in (1, 2, 3):
+                        expected = defined(gamma, lat, n)
+                        assert congruence_membership(gamma, lat, n) == expected
+                        answers.append(expected)
+        assert 0 < sum(answers) < len(answers)
+
+    def test_unit_determinant_beyond_plus_minus_one(self):
+        # over Q(sqrt(-1)) the units include sqrt(-1), the determinant here
+        space = FormSpace(HERMITIAN, Matrix.identity(2), 1)
+        lat = FullLattice(space, Matrix.identity(2))
+        gamma = Matrix([[QuadFieldElement(0, 1, 1), 0], [0, 1]])
+        assert congruence_membership(gamma, lat, 1)
+        assert not congruence_membership(gamma, lat, 2)
 
 
 def test_lattice_contains():

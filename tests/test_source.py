@@ -22,6 +22,9 @@ Integer normal forms take one unimodular row echelon, ``exact._echelon``:
 ``hnf`` and ``smith`` both call it, and it is the only caller of
 ``exact._xgcd``, so each row or column step is written once and a second
 hand-written elimination cannot grow back beside it.
+``embeddings.order_of_lattice`` also reads the echelon directly: any basis
+of its stability system's column lattice will do, so it skips the
+transform and the reduction above the pivots that ``hnf`` adds.
 
 ``SearchExhausted`` means a bounded search ran out (exit code 3), so only
 ``isotropic._search_vector`` raises it.
