@@ -6,7 +6,10 @@ the SL2 x SL2 action on 2U, the hermitian structure on M2(Q) by left
 multiplication of sqrt(-D), and right-order arithmetic for full lattices in
 M2(Q).  The right orders work on vec(X) = (x00, x01, x10, x11): left
 multiplication by a matrix is one 4x4 Kronecker block acting on vec, so the
-stability system and the checks of an order are a few stacked products.
+stability system and the checks of an order are a few stacked products,
+each tested for integrality as a whole.  The 2x2 models read and build
+single entries (traces, adjugates, SL2 entries, M2 coordinates); they are
+the module's only entry-wise code.
 
 Matrices of linear maps act on column coordinate vectors.
 """
@@ -28,7 +31,7 @@ from .exact import (
     _require_int_rows,
     hnf,
 )
-from .forms import HERMITIAN, SYMMETRIC, FormSpace, preserves_form
+from .forms import HERMITIAN, SYMMETRIC, FormSpace, preserves_form, standard_2u
 
 
 @dataclass(frozen=True)
@@ -165,8 +168,6 @@ def sl2_pair_orthogonal_image(g1: SL2Element, g3: SL2Element) -> Matrix:
     second; both preserve the 2U Gram matrix exactly and the two factor
     images commute.
     """
-    from .forms import standard_2u
-
     image = _sl2_first_factor(g1) * _sl2_second_factor(g3)
     _ensure(
         preserves_form(standard_2u(), image), "SL2 x SL2 image does not preserve 2U"
@@ -192,8 +193,7 @@ def m2_hermitian_pair(a: Matrix, b: Matrix, d: int) -> QuadFieldElement:
     first = Fraction(_tr(a * bstar))
     second = Fraction(_tr(_jd(d) * a * bstar))
     # 1/sqrt(-d) = -sqrt(-d)/d
-    inv_root = QuadFieldElement(0, Fraction(-1, d), d)
-    return QuadFieldElement(first, 0, d) + inv_root * second
+    return QuadFieldElement(first, -second / d, d)
 
 
 @dataclass(frozen=True)
@@ -297,23 +297,6 @@ def _side_by_side(m: Matrix) -> Matrix:
     )
 
 
-def _integral_parts(coords: Matrix, width: int = 0) -> tuple[bool, ...]:
-    """Integrality of each row of a rational matrix, or of each block of
-    ``width`` columns.
-
-    Read off the stored integers: a row is integral when its denominator is
-    one, an entry when its row's denominator divides it.
-    """
-    re, _, den, _ = coords._ints
-    if not width:
-        return tuple(q == 1 for q in den)
-    rows = [(r, q) for r, q in zip(re, den) if q != 1]
-    return tuple(
-        all(x % q == 0 for r, q in rows for x in r[c : c + width])
-        for c in range(0, coords.ncols, width)
-    )
-
-
 @dataclass(frozen=True)
 class MatrixLattice:
     """A full Z-lattice in M2(Q), given by four Z-independent 2x2 matrices."""
@@ -346,7 +329,10 @@ class MatrixLattice:
 
         Raises ValueError for a matrix that is not rational.
         """
-        return _integral_parts(_vec_rows([_rational(m) for m in mats]) * self._dual)
+        coords = _vec_rows([_rational(m) for m in mats]) * self._dual
+        return tuple(
+            coords.submatrix(rows=[i]).is_integral() for i in range(coords.nrows)
+        )
 
 
 def _rational(m: Matrix) -> Matrix:
@@ -381,17 +367,14 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
     h, _ = hnf(solutions * scale)
     order = MatrixLattice(_unvec_rows(h * Fraction(1, scale)))
     vecs, o_inv = order.vec_basis(), order._dual
-    identity = _integral_parts(_vec_rows([I2]) * o_inv)[0]
-    # column block i of the first: the coordinates of x_i * y for y in the
-    # order's basis; row i of the second: those of l_m * x_i for each l_m
-    closed = _integral_parts(
-        vecs * _side_by_side(_left_multiplications(order.basis) * o_inv), 4
+    _ensure(
+        (_vec_rows([I2]) * o_inv).is_integral(), "order does not contain the identity"
     )
-    stable = _integral_parts(vecs * stacked)
-    _ensure(identity, "order does not contain the identity")
-    for i in range(4):
-        _ensure(closed[i], "order must be multiplicatively closed")
-        _ensure(stable[i], "order does not stabilize the lattice")
+    # column block i of closed: the coordinates of x_i * y for y in the
+    # order's basis; row i of vecs * stacked: those of l_m * x_i for each l_m
+    closed = vecs * _side_by_side(_left_multiplications(order.basis) * o_inv)
+    _ensure(closed.is_integral(), "order must be multiplicatively closed")
+    _ensure((vecs * stacked).is_integral(), "order does not stabilize the lattice")
     return order
 
 

@@ -14,7 +14,9 @@ as its rational form in 2n variables); signatures come from a fraction-free
 Y, which is never built.  Rows of a span become coordinates on its
 independent basis B by one product with the right inverse
 ``B^H (B B^H)^-1`` of :func:`coordinate_map`, for subquotient projections
-and restricted spaces alike.
+and restricted spaces alike.  Vectors reach a space's field as one-row
+matrices (:meth:`FormSpace.coerce_vector`, :func:`unit_vector`), never one
+scalar at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
     AlternatingHasNoSignature,
     DimensionMismatch,
     FormKindMismatch,
+    MixedDiscriminants,
     NotIsotropic,
     NotNested,
 )
@@ -83,33 +86,30 @@ class FormSpace:
     def dim(self) -> int:
         return self.gram.nrows
 
-    def _coerce(self, x):
-        if self.kind == HERMITIAN:
-            if isinstance(x, QuadFieldElement):
-                if x.d != self.d:
-                    raise ValueError(
-                        f"entry over d={x.d} in a space over d={self.d}"
-                    )
-                return x
-            return QuadFieldElement(Fraction(x), 0, self.d)
-        if type(x) is Fraction:
-            return x
-        if isinstance(x, QuadFieldElement):
-            raise ValueError("imaginary entry in a rational form space")
-        return Fraction(x)
-
     def zero_scalar(self):
         if self.kind == HERMITIAN:
             return QuadFieldElement(0, 0, self.d)
         return Fraction(0)
 
     def coerce_vector(self, v: Sequence) -> tuple:
-        v = tuple(self._coerce(x) for x in v)
+        """v over the space's field, read as a one-row matrix.
+
+        An entry off the field is named before a wrong length; of entries
+        over two fields, the first one off the space's field is named.
+        """
+        v = tuple(v)
+        try:
+            row = Matrix([v])
+        except MixedDiscriminants:
+            for x in v:  # name the first entry off the space's field
+                self.coerce_field(Matrix([[x]]))
+            raise
+        row = self.coerce_field(row)
         if len(v) != self.dim:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in a space of dimension {self.dim}"
             )
-        return v
+        return row.rows[0]
 
     def coerce_matrix(self, m: Matrix) -> Matrix:
         """m over the space's field; a matrix already over it comes back as is.
@@ -205,8 +205,8 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     _same_space(a, b)
-    stacked = Matrix.vstack(a.basis, -b.basis)
-    coeffs = stacked.left_kernel()  # rows (x, y) with x*A == y*B
+    stacked = Matrix.vstack(a.basis, b.basis)
+    coeffs = stacked.left_kernel()  # rows (x, y) with x*A == -y*B
     rows = coeffs.submatrix(cols=slice(a.dim)) * a.basis
     return canonical_subspace(a.space, rows)
 
@@ -472,9 +472,7 @@ def hermitian_perp_diagonal(d: int, copies: int, diagonal: Sequence) -> FormSpac
 
 
 def unit_vector(space: FormSpace, index: int) -> tuple:
-    v = [space.zero_scalar()] * space.dim
-    v[index] = v[index] + 1
-    return tuple(v)
+    return space.coerce_field(Matrix.identity(space.dim)).rows[index]
 
 
 def line(space: FormSpace, v: Sequence) -> Subspace:

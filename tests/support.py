@@ -114,7 +114,7 @@ def random_orthogonal_isometry(space: FormSpace, rng: random.Random, factors=3) 
 def hermitian_shear(space: FormSpace, ei: int, fi: int, m: int) -> Matrix:
     """f -> f + m*sqrt(-d)*e on one hyperbolic pair, rest fixed."""
     t = QuadFieldElement(0, m, space.d)
-    rows = [list(r) for r in Matrix.identity(space.dim).map_entries(space._coerce).rows]
+    rows = [list(r) for r in space.coerce_field(Matrix.identity(space.dim)).rows]
     rows[ei][fi] = rows[ei][fi] + t
     mat = Matrix(rows)
     assert preserves_form(space, mat)
@@ -122,7 +122,7 @@ def hermitian_shear(space: FormSpace, ei: int, fi: int, m: int) -> Matrix:
 
 
 def hermitian_swap(space: FormSpace, ei: int, fi: int) -> Matrix:
-    rows = [list(r) for r in Matrix.identity(space.dim).map_entries(space._coerce).rows]
+    rows = [list(r) for r in space.coerce_field(Matrix.identity(space.dim)).rows]
     rows[ei][ei], rows[fi][fi] = space.zero_scalar(), space.zero_scalar()
     one = space.zero_scalar() + 1
     rows[ei][fi], rows[fi][ei] = one, one
@@ -135,7 +135,7 @@ def hermitian_mixer(space: FormSpace, pair1, pair2, t: QuadFieldElement) -> Matr
     """e1 -> e1 + t*e2 and f2 -> f2 - conj(t)*f1 across two hyperbolic pairs."""
     e1, f1 = pair1
     e2, f2 = pair2
-    rows = [list(r) for r in Matrix.identity(space.dim).map_entries(space._coerce).rows]
+    rows = [list(r) for r in space.coerce_field(Matrix.identity(space.dim)).rows]
     rows[e2][e1] = rows[e2][e1] + t
     rows[f1][f2] = rows[f1][f2] - t.conjugate()
     mat = Matrix(rows)
@@ -150,7 +150,7 @@ def hermitian_anisotropic_shear(
     uu = space.norm(unit_vector(space, ui))
     alpha = -beta.conjugate() * uu
     gamma = -(beta * beta.conjugate()) * Fraction(uu, 2)
-    rows = [list(r) for r in Matrix.identity(space.dim).map_entries(space._coerce).rows]
+    rows = [list(r) for r in space.coerce_field(Matrix.identity(space.dim)).rows]
     rows[ui][fi] = rows[ui][fi] + beta
     rows[ei][fi] = rows[ei][fi] + gamma
     rows[ei][ui] = rows[ei][ui] + alpha
@@ -174,7 +174,7 @@ def random_unitary_isometry(space: FormSpace, rng: random.Random, factors=3) -> 
         pairs.append((i, i + 1))
         i += 2
     anis = list(range(2 * len(pairs), space.dim))
-    out = Matrix.identity(space.dim).map_entries(space._coerce)
+    out = space.coerce_field(Matrix.identity(space.dim))
     for _ in range(factors):
         choice = rng.random()
         ei, fi = rng.choice(pairs)

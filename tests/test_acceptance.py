@@ -390,7 +390,7 @@ def _conditions_hold(cert, idx, link):
                 return False
             if lift * space.gram * lift.conj_transpose() != sub.ambient.gram:
                 return False
-            if lift * project != Matrix.identity(m).map_entries(space._coerce):
+            if lift * project != space.coerce_field(Matrix.identity(m)):
                 return False
             if not (meet.basis * project).is_zero():
                 return False

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import cuspchain
 from cuspchain import chains, serialize
 from cuspchain.cli import COMMANDS, Group, main
+from cuspchain.exact import QuadFieldElement
 from cuspchain.forms import line, standard_symplectic, unit_vector
 
 from support import (
@@ -329,6 +330,55 @@ def test_bad_command_line_is_input_error(argv, capsys):
     if "--bogus" in argv:
         # named even when required flags are missing as well
         assert "--bogus" in payload["detail"]
+
+
+UNIT_MATRICES = [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
+                 [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]]
+ORDER_OF_BAD = ["demo", "order", "--lattice", "{bad}"]
+LEVEL_OF_BAD = ["level", "--space", "{space}", "--lattice", "{bad}",
+                "--lattice-prime", "{bad}", "--N", "1"]
+
+# case: (text or JSON document of the file {bad}, argv, part of the detail);
+# {space}, {i1} and {i2} are the symplectic_files, {dir} is a directory
+INPUT_ERRORS = {
+    "file-not-json": ("{", ["analyze", "--space", "{bad}"], "is not valid JSON"),
+    "lattice-without-basis": ({}, LEVEL_OF_BAD, "a lattice must be an object with a basis"),
+    "singular-lattice": ({"basis": [["1", "0", "0", "0"]] * 4}, LEVEL_OF_BAD,
+                         "lattice basis is singular"),
+    "order-without-matrices": ({}, ORDER_OF_BAD, "an order demo input needs a matrices list"),
+    "order-of-three-matrices": ({"matrices": UNIT_MATRICES[:3]}, ORDER_OF_BAD,
+                                "exactly four 2x2 matrices are required"),
+    "help-with-a-value": ("", ["analyze", "--help=x"], "--help takes no value"),
+    "out-is-a-directory": (
+        "", ["chain", "--space", "{space}", "--i1", "{i1}", "--i2", "{i2}", "--out", "{dir}"],
+        "cannot write",
+    ),
+    "order-of-3x3-matrices": ({"matrices": [[["1", "0", "0"]] * 3] * 4}, ORDER_OF_BAD,
+                              "a matrix lattice needs four 2x2 matrices"),
+    "order-of-dependent-matrices": ({"matrices": UNIT_MATRICES[:3] + UNIT_MATRICES[:1]},
+                                    ORDER_OF_BAD, "matrix lattice basis is not full rank"),
+    "space-not-an-object": ([], ["analyze", "--space", "{bad}"],
+                            "a form space must be an object"),
+    "link-not-an-object": (
+        {"format": 1, "kind": "orthogonal", "nodes": [], "links": [1],
+         "ambient": {"kind": "symmetric", "gram": [["1"]]}},
+        ["verify", "--cert", "{bad}"], "a link must be an object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_error_is_one_diagnosis(case, symplectic_files, tmp_path, capsys):
+    text, argv, detail = INPUT_ERRORS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text if isinstance(text, str) else json.dumps(text), encoding="utf-8")
+    paths = dict(symplectic_files, bad=str(bad), dir=str(tmp_path))
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 2 and out == ""
+    diagnosis = json.loads(err)
+    assert diagnosis.keys() == {"error", "detail"}
+    assert diagnosis["error"] == "InputFormatError"
+    assert detail in diagnosis["detail"]
 
 
 def run_alone(argv):
@@ -732,10 +782,9 @@ def test_deep_boundary_descent_is_input_error(tmp_path, capsys):
 
 
 def test_demo_order_failed_self_check_is_named(tmp_path, capsys, monkeypatch):
-    from cuspchain import embeddings
+    from cuspchain.exact import Matrix
 
-    never = lambda coords, width=0: (False,) * coords.nrows
-    monkeypatch.setattr(embeddings, "_integral_parts", never)
+    monkeypatch.setattr(Matrix, "is_integral", lambda self: False)
     lattice_file = write(
         tmp_path / "lat.json",
         {"matrices": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
@@ -817,6 +866,80 @@ def test_mixed_fields_in_a_witness_are_an_input_error(tmp_path, capsys):
         "condition": "link-error",
         "detail": "ValueError: entry over d=7 in a space over d=3",
     }
+
+
+def interior_curve_certificate() -> dict:
+    from cuspchain.forms import quadratic_2u_perp_diagonal
+
+    space = quadratic_2u_perp_diagonal([-2])
+    cert = chains.build_chain_orthogonal(
+        space, line(space, unit_vector(space, 0)), line(space, unit_vector(space, 1))
+    )
+    return serialize.certificate_to_json(cert)
+
+
+def over(d):
+    return {"a": "0", "b": "1", "D": d}
+
+
+@pytest.mark.parametrize(
+    "vector, detail",
+    [
+        (["0", "0", "1", "1"], "vector of length 4 in a space of dimension 5"),
+        ([over(3), "0", "1", "1", "0"], "imaginary entry in a rational form space"),
+        ([over(2), over(3), "1", "1", "0"], "imaginary entry in a rational form space"),
+        # an entry off the field is named before the length
+        ([over(3), "0", "1", "1"], "imaginary entry in a rational form space"),
+    ],
+)
+def test_interior_curve_vector_shape_report(tmp_path, capsys, vector, detail):
+    payload = interior_curve_certificate()
+    assert payload["links"][0]["type"] == "orth_interior_curve"
+    payload["links"][0]["vector"] = vector
+    code, out, err = run(capsys, ["verify", "--cert", write(tmp_path / "c.json", payload)])
+    assert code == 1 and err == ""
+    assert out == (
+        '{\n  "failures": [\n    {\n      "condition": "vector-shape",\n'
+        f'      "detail": "{detail}",\n      "link": 0\n    }}\n  ],\n'
+        '  "ok": false\n}\n'
+    )
+
+
+# The arithmetic operators of QuadFieldElement (those perfbench counts as
+# exact.quad_ops); the library computes over Q(sqrt(-D)) without them.
+QUAD_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+            "__truediv__", "__rtruediv__", "__neg__", "conjugate", "norm")
+
+
+def test_hermitian_commands_need_no_field_element_arithmetic(tmp_path, capsys, monkeypatch):
+    # two planes [[0, s], [-s, 0]] with s = sqrt(-2): imaginary Gram entries
+    s, minus_s = over(2), {"a": "0", "b": "-1", "D": 2}
+    gram = [["0", s, "0", "0"], [minus_s, "0", "0", "0"],
+            ["0", "0", "0", s], ["0", "0", minus_s, "0"]]
+    space = write(tmp_path / "space.json", {"kind": "hermitian", "gram": gram, "D": 2})
+    i1 = write(tmp_path / "i1.json", {"basis": [["1", "0", "0", "0"], ["0", "0", "1", "0"]]})
+    i2 = write(tmp_path / "i2.json", {"basis": [["0", "1", "0", "0"], ["0", "0", "0", "1"]]})
+    cert = tmp_path / "cert.json"
+
+    def outputs():
+        code, out, _ = run(capsys, ["chain", "--space", space, "--i1", i1, "--i2", i2])
+        cert.write_text(out, encoding="utf-8")
+        found = [(code, out)]
+        for argv in (["verify", "--cert", str(cert)], ["analyze", "--space", space],
+                     ["isotropic", "--space", space], ["demo", "hermitian-m2", "--D", "2"]):
+            found.append(run(capsys, argv)[:2])
+        return found
+
+    plain = outputs()
+    assert [code for code, _ in plain] == [0] * 5
+    assert json.loads(plain[1][1])["ok"] is True
+
+    def refuse(*args):
+        raise AssertionError("QuadFieldElement arithmetic was called")
+
+    for name in QUAD_OPS:
+        monkeypatch.setattr(QuadFieldElement, name, refuse)
+    assert outputs() == plain
 
 
 # -- verify on mutated certificates ------------------------------------------------

@@ -429,16 +429,20 @@ class TestKroneckerOrders:
         assert block == Matrix([vec(bm * e) for e in UNITS])
 
     def failing_only(self, monkeypatch, which):
-        """Patch the membership reader so that only one check reads False."""
-        real = embeddings._integral_parts
+        """Patch the integrality test so that only one check reads False.
 
-        def reader(coords, width=0):
-            kind = "identity" if coords.nrows == 1 else "closure" if width else "stability"
-            out = real(coords, width)
-            return (False,) * len(out) if kind == which else out
+        The order tests the identity, closure and stability products in that
+        order; the last two are both 4x16, so the calls are told apart by
+        their order, not by their shape.
+        """
+        lattice = lattice_from_positions([1, 1, 1, 2])
+        real, kinds = Matrix.is_integral, iter(("identity", "closure", "stability"))
 
-        monkeypatch.setattr(embeddings, "_integral_parts", reader)
-        return lattice_from_positions([1, 1, 1, 2])
+        def integral(coords):
+            return next(kinds) != which and real(coords)
+
+        monkeypatch.setattr(Matrix, "is_integral", integral)
+        return lattice
 
     def test_identity_check(self, monkeypatch):
         lattice = self.failing_only(monkeypatch, "identity")
@@ -548,17 +552,26 @@ from cuspchain.embeddings import SL2Element, MatrixLattice, order_of_lattice
 from cuspchain.exact import Matrix
 
 embeddings.preserves_form = lambda *args: False
-embeddings._integral_parts = lambda coords, width=0: (False,) * coords.nrows
 lattice = MatrixLattice(tuple(
     Matrix([[int(k == 0), int(k == 1)], [int(k == 2), int(k == 3)]]) for k in range(4)
 ))
+real = Matrix.is_integral
+
+def order_failing(which):
+    # the order tests its identity, closure and stability products in turn
+    kinds = iter(("identity", "closure", "stability"))
+    Matrix.is_integral = lambda self: next(kinds) != which and real(self)
+    return order_of_lattice(lattice)
+
 calls = {
     "conjugation": lambda: embeddings.sl2_conjugation_image(SL2Element.identity()),
     "pair": lambda: embeddings.sl2_pair_orthogonal_image(
         SL2Element.identity(), SL2Element.identity()
     ),
     "su11": lambda: embeddings.sl2_su11_image(2, SL2Element.identity()),
-    "order": lambda: order_of_lattice(lattice),
+    "order": lambda: order_failing("identity"),
+    "closure": lambda: order_failing("closure"),
+    "stability": lambda: order_failing("stability"),
     "rank": lambda: (
         setattr(embeddings, "_echelon", lambda rows, n: [0, 1, 2]),
         order_of_lattice(lattice),
@@ -585,5 +598,7 @@ def test_postconditions_survive_python_O():
         "pair": ["PostconditionFailed", "SL2 x SL2 image does not preserve 2U"],
         "su11": ["PostconditionFailed", "SU(1, 1) image does not preserve the form"],
         "order": ["PostconditionFailed", "order does not contain the identity"],
+        "closure": ["PostconditionFailed", "order must be multiplicatively closed"],
+        "stability": ["PostconditionFailed", "order does not stabilize the lattice"],
         "rank": ["PostconditionFailed", "stability system must have full rank"],
     }

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuspchain.errors import AlternatingHasNoSignature, NotIsotropic, NotNested
+from cuspchain.errors import (
+    AlternatingHasNoSignature,
+    DimensionMismatch,
+    NotIsotropic,
+    NotNested,
+)
 from cuspchain.exact import (
     Matrix,
     QuadFieldElement,
@@ -56,10 +61,19 @@ def test_form_space_validation():
         FormSpace("hermitian", Matrix([[1]]))  # missing d
 
 
-@pytest.mark.parametrize("d", [4, 0, -3, 2**32 + 15, 10**14 + 31, 3.0])
+SQUAREFREE_COMPOSITES = (6, 10, 15, 30)
+
+
+@pytest.mark.parametrize(
+    "d", [4, 0, -3, 2**32 + 15, 10**14 + 31, 3.0, 12, 18, 50, *SQUAREFREE_COMPOSITES]
+)
 def test_field_parameter_is_checked_for_any_gram(d):
-    # the empty Gram matrix has no determinant entry to check d by
+    # the empty Gram matrix has no determinant entry to check d by; the
+    # composites reach the division step of the squarefree test
     for gram in (Matrix([], ncols=0), Matrix([[1, 0], [0, -1]])):
+        if d in SQUAREFREE_COMPOSITES:
+            assert FormSpace("hermitian", gram, d).d == d
+            continue
         with pytest.raises(ValueError, match="squarefree"):
             FormSpace("hermitian", gram, d)
 
@@ -75,6 +89,40 @@ def test_coerce_matrix_refuses_other_fields():
     assert herm.coerce_matrix(rational) == rational
     assert all(x.d == 3 for x in herm.coerce_matrix(rational).entries())
     assert hyperbolic_plane().coerce_matrix(rational) is rational
+
+
+@pytest.mark.parametrize("x", [0.5, "1/3", True])
+def test_vectors_refuse_inexact_entries(x):
+    space = quadratic_2u_perp_diagonal([])
+    with pytest.raises(TypeError, match="not exact scalars"):
+        space.coerce_vector([x, 0, 0, 0])
+    with pytest.raises(TypeError, match="not exact scalars"):
+        line(space, [x, 0, 0, 0])
+
+
+def test_coerce_vector_names_the_first_entry_off_the_field():
+    q = lambda d: QuadFieldElement(1, 1, d)
+    herm = standard_hermitian_hyperbolic(3, 2)
+    for v, d in (([q(7), q(5), 0, 0], 7), ([q(3), 1, q(5), q(7)], 5)):
+        with pytest.raises(ValueError, match=f"^entry over d={d} in a space over d=3$"):
+            herm.coerce_vector(v)
+    with pytest.raises(ValueError, match="^imaginary entry in a rational form space$"):
+        quadratic_2u_perp_diagonal([]).coerce_vector([0, q(5), q(7), 0])
+    # an entry off the field is named before a wrong length
+    with pytest.raises(ValueError, match="^entry over d=7"):
+        herm.coerce_vector([q(7)])
+    with pytest.raises(DimensionMismatch, match="^vector of length 1 in a space of dimension 4$"):
+        herm.coerce_vector([q(3)])
+    assert herm.coerce_vector([q(3), 1, 0, 0]) == (q(3), 1, 0, 0)
+    assert all(x.d == 3 for x in herm.coerce_vector([1, 0, 0, 0]))
+
+
+def test_unit_vector_indices():
+    herm = standard_hermitian_hyperbolic(3, 2)
+    assert unit_vector(herm, -1) == unit_vector(herm, 3) == (0, 0, 0, 1)
+    assert all(x.d == 3 for x in unit_vector(herm, 0))
+    with pytest.raises(IndexError):
+        unit_vector(herm, 4)
 
 
 def test_hermitian_gram_must_be_self_adjoint():
@@ -134,7 +182,7 @@ class TestSignature:
         base = signature_of(space)
         n = space.dim
         for _ in range(50):
-            t = [list(r) for r in Matrix.identity(n).map_entries(space._coerce).rows]
+            t = [list(r) for r in space.coerce_field(Matrix.identity(n)).rows]
             for _ in range(4):
                 i, j = rng.randrange(n), rng.randrange(n)
                 if i != j:
