@@ -29,7 +29,7 @@ from .errors import (
     SignatureUnsupported,
     _ensure,
 )
-from .exact import Matrix, rref_basis
+from .exact import Matrix, as_fraction, rref_basis
 from .forms import (
     ALTERNATING,
     HERMITIAN,
@@ -513,14 +513,16 @@ def _check_boundary_plane(cert, link, left, right, fail):
 def _check_interior_curve(cert, link, left, right, fail):
     space = cert.ambient
     try:
-        v = space.coerce_vector(link.vector)
+        v = space.coerce_row(link.vector)
     except (CuspChainError, ValueError) as exc:
         fail("vector-shape", str(exc))
         return
-    if space.norm(v) <= 0:
-        fail("vector-positive-norm", f"(v, v) = {space.norm(v)} is not positive")
+    vg = v * space.gram
+    norm = as_fraction(vg.mul_adjoint(v)[0, 0])
+    if norm <= 0:
+        fail("vector-positive-norm", f"(v, v) = {norm} is not positive")
     span = subspace_sum(left, right)
-    if not (Matrix([v]) * space.gram).mul_adjoint(span.basis).is_zero():
+    if not vg.mul_adjoint(span.basis).is_zero():
         fail("vector-orthogonal", "vector is not orthogonal to both endpoints")
     if pairing_matrix(space, left, right).is_zero():
         fail("endpoints-pairing-nonzero", "endpoints pair to zero")

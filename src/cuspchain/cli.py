@@ -40,8 +40,15 @@ BUILDERS = {
 
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            # positions in the message count in the text as text mode reads it,
+            # with "\r\n" read as "\n"
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -98,7 +105,7 @@ def _cmd_chain(space: str, i1: str, i2: str, max_height: int) -> tuple[dict, int
     i1 = serialize.subspace_from_json(_load_json(i1), space)
     i2 = serialize.subspace_from_json(_load_json(i2), space)
     cert = BUILDERS[space.kind](space, i1, i2, SearchConfig(max_height))
-    return serialize.certificate_to_json(cert), EXIT_OK
+    return serialize.certificate_to_json(cert, plain=False), EXIT_OK
 
 
 def _cmd_verify(cert: str) -> tuple[dict, int]:
@@ -124,7 +131,7 @@ def _signature(space: FormSpace) -> list[int]:
 
 def _space_demo(space: FormSpace, basis) -> tuple[dict, int]:
     return {
-        "space": serialize.form_space_to_json(space),
+        "space": serialize.form_space_to_json(space, plain=False),
         "basis": list(basis),
         "signature": _signature(space),
     }, EXIT_OK
@@ -178,7 +185,7 @@ def _demo_order(lattice: str) -> tuple[dict, int]:
         raise  # a failed self-check of the program, not bad input
     except (CuspChainError, ValueError) as exc:
         raise InputFormatError(str(exc)) from exc
-    return {"order": [serialize.matrix_to_json(m) for m in order.basis]}, EXIT_OK
+    return {"order": order.basis}, EXIT_OK
 
 
 # -- the command table ---------------------------------------------------------

@@ -15,7 +15,7 @@ Y, which is never built.  Rows of a span become coordinates on its
 independent basis B by one product with the right inverse
 ``B^H (B B^H)^-1`` of :func:`coordinate_map`, for subquotient projections
 and restricted spaces alike.  Vectors reach a space's field as one-row
-matrices (:meth:`FormSpace.coerce_vector`, :func:`unit_vector`), never one
+matrices (:meth:`FormSpace.coerce_row`, :func:`unit_vector`), never one
 scalar at a time.
 """
 
@@ -92,7 +92,11 @@ class FormSpace:
         return Fraction(0)
 
     def coerce_vector(self, v: Sequence) -> tuple:
-        """v over the space's field, read as a one-row matrix.
+        """v over the space's field: the entries of coerce_row(v)."""
+        return self.coerce_row(v).rows[0]
+
+    def coerce_row(self, v: Sequence) -> Matrix:
+        """v over the space's field, as a one-row matrix.
 
         An entry off the field is named before a wrong length; of entries
         over two fields, the first one off the space's field is named.
@@ -109,7 +113,7 @@ class FormSpace:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in a space of dimension {self.dim}"
             )
-        return row.rows[0]
+        return row
 
     def coerce_matrix(self, m: Matrix) -> Matrix:
         """m over the space's field; a matrix already over it comes back as is.
@@ -476,4 +480,4 @@ def unit_vector(space: FormSpace, index: int) -> tuple:
 
 
 def line(space: FormSpace, v: Sequence) -> Subspace:
-    return canonical_subspace(space, [space.coerce_vector(v)])
+    return canonical_subspace(space, space.coerce_row(v))

@@ -7,16 +7,26 @@ to ASCII as ``json.dumps`` does, so equal values produce byte-identical
 documents.  Its own small emitter writes the text, because ``json.dumps``
 serves ``indent`` only from its pure-Python encoder.
 
-Matrices are read and written through their integer arrays, and a JSON
-matrix has two readings.  The integer reader takes a matrix of one nonzero
-width whose entries share one encoding: all JSON integers, all strings "p"
-and "p/q" in ASCII digits, or all field elements over one valid D whose "a"
-parts and "b" parts are such entries.  It reads a whole matrix at a time,
-strings by one pattern match over all of them, straight to integer rows
-over per-row denominators.  Every other matrix (empty, ragged, mixing
-encodings or values of D, or holding any other entry) is read entry by
-entry, strings by ``Fraction(str)``.  That reading is the reference: the
-integer reader gives the same values and leaves every error to it.
+Matrices are read and written through their integer arrays.  The encoders
+(``*_to_json``) return plain JSON; with ``plain=False`` they leave each
+matrix a ``Matrix``, which ``dumps_canonical`` writes straight from its
+integer rows, one "p" / "p/q" text per entry and one template per field
+element, as the text of ``matrix_to_json``'s rows.  The command line hands
+such documents to ``dumps_canonical``, so no per-entry string or dict is
+built for its output.
+
+A JSON matrix has two readings.  The integer reader takes a matrix of one
+nonzero width whose entries share one encoding: all JSON integers, all
+strings "p" and "p/q" in ASCII digits, or all field elements over one valid
+D whose "a" parts and "b" parts are such entries.  It reads a whole matrix
+at a time straight to integer rows over per-row denominators.  Strings of
+digits, "-" and "," alone take one ``json.loads`` of their joined rows,
+kept when the rows it gives have the input's shape; other strings take one
+pattern match over all of them and are read row by row.  Every other matrix
+(empty, ragged, mixing encodings or values of D, or holding any other
+entry) is read entry by entry, strings by ``Fraction(str)``.  That reading
+is the reference: the integer reader gives the same values and leaves
+every error to it.
 A string rational in exponent notation ("1e3") is refused, since
 ``Fraction(str)`` would expand its exponent in time and memory that grow
 with it.  A matrix whose entries lie over two values of D is an input error.
@@ -121,20 +131,33 @@ def matrix_to_json(m: Matrix) -> list:
 
 # one or more "p" / "p/q" strings joined by ","
 _RATIOS = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
+# the characters of "p" strings joined by ",": in a JSON array they can only
+# spell integers -?(0|[1-9][0-9]*), each of which int() reads alike
+_INTEGER_TEXT = re.compile(r"[-0-9,]*")
 
 
 def _integer_rows(obj: list) -> tuple[list, list] | None:
     """(nums, dens): rows of entries, all JSON integers or all strings "p" and
     "p/q" in ASCII digits, as the rows nums[i] / dens[i]; None for any other
     rows, a zero q or a string int() refuses.  Fraction(str) reads each
-    accepted string as p/q too."""
+    accepted string as p/q too.  Rows of "p" strings alone are read by one
+    json.loads where it gives every entry, and row by row otherwise."""
     if all(type(x) is int for r in obj for x in r):
         return [list(r) for r in obj], [1] * len(obj)
     try:
         lines = [",".join(r) for r in obj]
     except TypeError:  # an entry that is not a string
         return None
-    if not _RATIOS.fullmatch(",".join(lines)):
+    text = ",".join(lines)
+    if _INTEGER_TEXT.fullmatch(text):
+        try:  # JSON refuses "--1" and a leading zero, and int() past its digit limit
+            nums = json.loads("[[" + "],[".join(lines) + "]]")
+        except ValueError:
+            nums = None
+        # an entry that held a "," or was empty changes its row's length
+        if nums is not None and list(map(len, nums)) == list(map(len, obj)):
+            return nums, [1] * len(obj)
+    if not _RATIOS.fullmatch(text):
         return None
     nums, dens = [], []
     try:  # int() fails on an entry that held a "," and past its digit limit
@@ -210,8 +233,13 @@ def vector_from_json(obj) -> tuple:
     return tuple(scalar_from_json(x) for x in obj)
 
 
-def form_space_to_json(space: FormSpace) -> dict:
-    out = {"kind": space.kind, "gram": matrix_to_json(space.gram)}
+def _matrix(m: Matrix, plain: bool):
+    """The matrix leaf of an encoder's document: plain JSON, or m itself."""
+    return matrix_to_json(m) if plain else m
+
+
+def form_space_to_json(space: FormSpace, plain: bool = True) -> dict:
+    out = {"kind": space.kind, "gram": _matrix(space.gram, plain)}
     if space.kind == HERMITIAN:
         out["D"] = space.d
     return out
@@ -231,8 +259,8 @@ def form_space_from_json(obj) -> FormSpace:
         raise InputFormatError(str(exc)) from exc
 
 
-def subspace_to_json(s: Subspace) -> dict:
-    return {"basis": matrix_to_json(s.basis)}
+def subspace_to_json(s: Subspace, plain: bool = True) -> dict:
+    return {"basis": _matrix(s.basis, plain)}
 
 
 def subspace_from_json(obj, space: FormSpace) -> Subspace:
@@ -255,13 +283,13 @@ def _leaf_from_json(obj) -> ManinDrinfeldLeaf:
     return ManinDrinfeldLeaf(note=obj["note"])
 
 
-def certificate_to_json(cert: ChainCertificate) -> dict:
+def certificate_to_json(cert: ChainCertificate, plain: bool = True) -> dict:
     return {
         "format": CERTIFICATE_FORMAT,
         "kind": cert.kind,
-        "ambient": form_space_to_json(cert.ambient),
-        "nodes": [subspace_to_json(n) for n in cert.nodes],
-        "links": [link_to_json(l) for l in cert.links],
+        "ambient": form_space_to_json(cert.ambient, plain),
+        "nodes": [subspace_to_json(n, plain) for n in cert.nodes],
+        "links": [link_to_json(l, plain) for l in cert.links],
     }
 
 
@@ -303,40 +331,46 @@ def _sub_certificate_from_json(obj, descents: int) -> ChainCertificate:
     return certificate_from_json(obj, descents - 1)
 
 
-# Link field codecs by the names ``chains.LINK_TYPES`` declares: an encoder,
-# and a decoder of (JSON value, ambient space, fields decoded so far,
-# descents left).
+# Link field codecs by the names ``chains.LINK_TYPES`` declares: an encoder
+# of (value, plain), and a decoder of (JSON value, ambient space, fields
+# decoded so far, descents left).
 FIELD_CODECS = {
     "subspace": (
         subspace_to_json,
         lambda obj, space, done, left: subspace_from_json(obj, space),
     ),
     "ambient_matrix": (
-        matrix_to_json,
+        _matrix,
         lambda obj, space, done, left: matrix_from_json(obj, ncols=space.dim),
     ),
     "quotient_matrix": (
-        matrix_to_json,
+        _matrix,
         lambda obj, space, done, left: matrix_from_json(
             obj, ncols=done["sub"].ambient.dim
         ),
     ),
-    "vector": (vector_to_json, lambda obj, space, done, left: vector_from_json(obj)),
+    "vector": (
+        lambda v, plain: vector_to_json(v),
+        lambda obj, space, done, left: vector_from_json(obj),
+    ),
     "certificate": (
         certificate_to_json,
         lambda obj, space, done, left: _sub_certificate_from_json(obj, left),
     ),
-    "leaf": (_leaf_to_json, lambda obj, space, done, left: _leaf_from_json(obj)),
+    "leaf": (
+        lambda leaf, plain: _leaf_to_json(leaf),
+        lambda obj, space, done, left: _leaf_from_json(obj),
+    ),
 }
 
 
-def link_to_json(link: Link) -> dict:
+def link_to_json(link: Link, plain: bool = True) -> dict:
     link_type = LINK_TYPES.get(type(link))
     if link_type is None:
         raise InputFormatError(f"unknown link type {type(link).__name__}")
     out = {"type": link_type.tag}
     for name, codec in link_type.fields:
-        out[name] = FIELD_CODECS[codec][0](getattr(link, name))
+        out[name] = FIELD_CODECS[codec][0](getattr(link, name), plain)
     return out
 
 
@@ -389,7 +423,8 @@ def dumps_canonical(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, one newline.
 
     The text is the one ``json.dumps`` writes with sorted keys and an indent
-    of 2, and a newline, for every value whose dict keys are strings.
+    of 2, and a newline, for every value whose dict keys are strings, with
+    each ``Matrix`` in it read as its ``matrix_to_json`` rows.
     """
     out: list[str] = []
     _emit(obj, "\n", out)
@@ -427,7 +462,47 @@ def _emit(obj, nl: str, out: list[str]) -> None:
                 _emit(item, inner, out)
                 sep = "," + inner
             out += (nl, "]")
+    elif isinstance(obj, Matrix):
+        _emit_matrix(obj, nl, out)
     elif type(obj) is int:
         out.append(repr(obj))
     else:  # None, bools, floats: the C encoder writes them as the indent one does
         out.append(json.dumps(obj))
+
+
+def _emit_matrix(m: Matrix, nl: str, out: list[str]) -> None:
+    """Append the canonical text of matrix_to_json(m) to out, written row by
+    row from m's integer arrays; nl as in _emit."""
+    re, im, den, d = m._ints
+    if not re:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    entry = inner + "  "
+    if not m.ncols:
+        rows = ["[]"] * len(re)
+    elif d is None:
+        sep = '",' + entry + '"'
+        rows = [
+            "[" + entry + '"' + sep.join(
+                map(str, r) if q == 1 else [_ratio_to_json(x, q) for x in r]
+            ) + '"' + inner + "]"
+            for r, q in zip(re, den)
+        ]
+    else:
+        part = entry + "  "
+        # one field element {"D", "a", "b"} at this depth, keys sorted
+        element = (
+            "{" + part + f'"D": {d},' + part + '"a": "%s",' + part + '"b": "%s"'
+            + entry + "}"
+        )
+        sep = "," + entry
+        rows = []
+        for r, i, q in zip(re, im or [[0] * m.ncols] * len(re), den):
+            if q == 1:
+                texts = [element % xy for xy in zip(r, i)]
+            else:
+                texts = [element % (_ratio_to_json(x, q), _ratio_to_json(y, q))
+                         for x, y in zip(r, i)]
+            rows.append("[" + entry + sep.join(texts) + inner + "]")
+    out += ("[", inner, ("," + inner).join(rows), nl, "]")

@@ -263,6 +263,46 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
         assert json.loads(err)["error"] == "InputFormatError"
 
 
+SPACE_TEXT = '{\n  "gram": [["0", "1"], ["-1", "0"]],\n  "kind": "alternating"\n}\n'
+# Input files read as bytes and decoded as UTF-8: what each encoding problem
+# reports.  A syntax error's position counts "\r\n" as one character, as a
+# text-mode reading does.
+ENCODING_CASES = {
+    "bom": (
+        b"\xef\xbb\xbf" + SPACE_TEXT.encode(),
+        "InputFormatError",
+        "{path} is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig):"
+        " line 1 column 1 (char 0)",
+    ),
+    "invalid-utf8": (
+        b'{"kind": "\xff"}\n',
+        "UnicodeDecodeError",
+        "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+    ),
+    "utf16": (
+        SPACE_TEXT.encode("utf-16"),
+        "UnicodeDecodeError",
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
+    "crlf-syntax-error": (
+        SPACE_TEXT.replace("\n", "\r\n").replace('"gram":', '"gram"').encode(),
+        "InputFormatError",
+        "{path} is not valid JSON: Expecting ':' delimiter: line 2 column 10 (char 11)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ENCODING_CASES)
+def test_undecodable_input_is_one_diagnosis(case, tmp_path, capsys):
+    data, error, detail = ENCODING_CASES[case]
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, ["analyze", "--space", str(path)])
+    assert (code, out) == (2, "")
+    expected = {"detail": detail.format(path=path), "error": error}
+    assert err == json.dumps(expected, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("d", [3.7, True])
 def test_non_integer_field_parameter_is_input_error(tmp_path, capsys, d):
     space_file = write(

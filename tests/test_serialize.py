@@ -198,6 +198,15 @@ def test_canonical_text_of_documents_is_json_dumps_text():
     ]
     for doc in documents:
         assert serialize.dumps_canonical(doc) == json_text(doc)
+    # the documents the command line writes keep their matrices as Matrix values
+    assert isinstance(serialize.form_space_to_json(herm, plain=False)["gram"], Matrix)
+    for encode, value in (
+        (serialize.certificate_to_json, symplectic),
+        (serialize.certificate_to_json, unitary),
+        (serialize.form_space_to_json, herm),
+    ):
+        doc = encode(value, plain=False)
+        assert serialize.dumps_canonical(doc) == json_text(encode(value))
 
 
 def test_certificate_format_guard():
@@ -429,6 +438,31 @@ def test_matrices_read_as_before(rows):
     assert_read_as_entrywise(rows)
 
 
+# A matrix of "p" strings alone is read by one json.loads of its joined rows;
+# an entry that JSON reads otherwise than int(), or whose "," would split it,
+# sends the matrix back to the row-by-row reading.
+ONE_PARSE_HOSTILE = ["1,2", "1],[2", "007", " 7 ", "-0", "1/2", "9" * 4000, "9" * 5000]
+
+
+@pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 1)])
+@pytest.mark.parametrize("stray", ONE_PARSE_HOSTILE, ids=range(len(ONE_PARSE_HOSTILE)))
+def test_one_parse_strays_read_as_entrywise(stray, at):
+    rows = [["1", "-2", "30"], ["0", "5", "-6"], ["7", "-80", "9"]]
+    rows[at[0]][at[1]] = stray
+    assert_read_as_entrywise(rows)
+    quad = [[{"a": x, "b": "-1", "D": 3} for x in r] for r in rows]
+    assert_read_as_entrywise(quad)
+    assert_read_as_entrywise([[{"a": "2", "b": x, "D": 3} for x in r] for r in rows])
+
+
+def test_p_strings_are_read_by_one_parse():
+    rows = [["1", "-2", "30"], ["0", "5", "-6"]]
+    with mock.patch.object(serialize.json, "loads", wraps=json.loads) as loads:
+        m = serialize.matrix_from_json(rows)
+    assert loads.call_count == 1
+    assert m.rows == ((1, -2, 30), (0, 5, -6))
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -588,3 +622,52 @@ def test_benchmark_inputs_take_the_integer_reader(monkeypatch):
                     assert serialize._integer_matrix(obj) is not None, (workload, obj)
                     count += 1
         assert count, workload
+
+
+# -- the Matrix leaves of dumps_canonical --------------------------------------
+#
+# dumps_canonical writes a Matrix in a document from its integer arrays, as
+# the text json.dumps writes for its matrix_to_json rows at that depth.
+
+WRITTEN_MATRICES = st.one_of(
+    exact_matrices(),
+    st.integers(min_value=0, max_value=4).map(lambda n: Matrix([], ncols=n)),
+    st.integers(min_value=1, max_value=3).map(lambda k: Matrix([[]] * k)),
+)
+
+
+@st.composite
+def matrix_documents(draw, depth=None):
+    """A matrix nested 0-3 levels deep in lists and dicts, beside JSON
+    scalars and other matrices."""
+    if depth is None:
+        depth = draw(st.integers(min_value=0, max_value=3))
+    if depth == 0:
+        return draw(WRITTEN_MATRICES)
+    items = [draw(matrix_documents(depth - 1))]
+    items += draw(st.lists(st.one_of(JSON_SCALARS, WRITTEN_MATRICES), max_size=2))
+    if draw(st.booleans()):
+        return draw(st.permutations(items))
+    keys = draw(
+        st.lists(st.text(max_size=4), min_size=len(items), max_size=len(items),
+                 unique=True)
+    )
+    return dict(zip(keys, items))
+
+
+def plain_document(doc):
+    """doc with each Matrix replaced by its matrix_to_json rows."""
+    if isinstance(doc, Matrix):
+        return serialize.matrix_to_json(doc)
+    if isinstance(doc, dict):
+        return {k: plain_document(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [plain_document(v) for v in doc]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_documents())
+def test_matrix_leaves_are_written_as_json_dumps_writes_their_rows(doc):
+    assert serialize.dumps_canonical(doc) == json_text(plain_document(doc))
+

@@ -26,6 +26,15 @@ hand-written elimination cannot grow back beside it.
 of its stability system's column lattice will do, so it skips the
 transform and the reduction above the pivots that ``hnf`` adds.
 
+The command line writes matrices through ``serialize.dumps_canonical``:
+``cli`` never calls ``serialize.matrix_to_json``, because its outputs carry
+``Matrix`` values, which ``dumps_canonical`` writes from their integer rows.
+The public functions of ``serialize`` are a fixed set, and any new helper
+there is private: the benchmark's tracer files a public ``serialize``
+function under the writing layer only when its name holds "to_json" or
+starts with "dumps", and under the reading layer otherwise, so a new public
+writer would be timed as reading.
+
 ``SearchExhausted`` means a bounded search ran out (exit code 3), so only
 ``isotropic._search_vector`` raises it.
 
@@ -154,6 +163,35 @@ def test_normal_forms_share_one_echelon():
     assert xgcd_users == ["exact.py:_echelon"]
     assert reads(exact["hnf"], "_echelon")
     assert reads(exact["smith"], "_echelon")
+
+
+def test_cli_leaves_matrices_to_dumps_canonical():
+    cli = Path(cuspchain.__file__).parent / "cli.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+        if getattr(node, "id", getattr(node, "attr", None)) == "matrix_to_json"
+    ]
+    assert found == []
+
+
+SERIALIZE_PUBLIC = {
+    "fraction_to_json", "scalar_to_json", "scalar_from_json", "matrix_to_json",
+    "matrix_from_json", "vector_to_json", "vector_from_json", "form_space_to_json",
+    "form_space_from_json", "subspace_to_json", "subspace_from_json",
+    "certificate_to_json", "certificate_from_json", "link_to_json",
+    "link_from_json", "report_to_json", "report_from_json", "dumps_canonical",
+}
+
+
+def test_new_serialize_helpers_are_private():
+    serialize = Path(cuspchain.__file__).parent / "serialize.py"
+    public = {
+        node.name
+        for node in ast.parse(serialize.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert public == SERIALIZE_PUBLIC
 
 
 def test_only_the_vector_search_raises_search_exhausted():
