@@ -54,8 +54,8 @@ from .forms import (
     zero_subspace,
 )
 from .isotropic import (
-    DEFAULT_SEARCH,
-    SearchConfig,
+    MAX_HEIGHT,
+    _check_max_height,
     _search_vector,
     j0_construct,
     split_off_kernels,
@@ -183,9 +183,12 @@ def build_chain_orthogonal(
     space: FormSpace,
     i1: Subspace,
     i2: Subspace,
-    cfg: SearchConfig = DEFAULT_SEARCH,
+    max_height: int = MAX_HEIGHT,
 ) -> ChainCertificate:
-    """Certificate joining two isotropic lines or planes of a (2, n) space."""
+    """Certificate joining two isotropic lines or planes of a (2, n) space.
+
+    Only an interior curve searches, through shells up to ``max_height``."""
+    _check_max_height(max_height)
     a, b = _check_endpoints(space, ORTHOGONAL, i1, i2)
     sig = signature_of(space)
     if sig.plus != 2 or sig.null != 0:
@@ -202,7 +205,7 @@ def build_chain_orthogonal(
             plane = subspace_sum(a, b)
             link = OrthBoundaryPlane(plane=plane)
         else:
-            link = OrthInteriorCurve(vector=_interior_vector(space, a, b, cfg))
+            link = OrthInteriorCurve(vector=_interior_vector(space, a, b, max_height))
         return ChainCertificate(space, ORTHOGONAL, (a, b), (link,))
     meet = subspace_intersection(a, b)
     if meet.dim == 0:
@@ -235,13 +238,13 @@ def build_chain_orthogonal(
 
 
 def _interior_vector(
-    space: FormSpace, a: Subspace, b: Subspace, cfg: SearchConfig
+    space: FormSpace, a: Subspace, b: Subspace, max_height: int
 ) -> tuple:
     span = subspace_sum(a, b)
     comp = orthogonal_complement(space, span)
     sub = restricted_space(space, comp.basis)
     local = _search_vector(
-        sub, lambda n: n > 0, cfg.max_height, "positive vector orthogonal to both lines"
+        sub, lambda n: n > 0, max_height, "positive vector orthogonal to both lines"
     )
     return tuple((Matrix([local]) * comp.basis).rows[0])
 
@@ -257,28 +260,18 @@ def _segre_witness(space: FormSpace, j1: Subspace, j2: Subspace) -> Matrix:
 
 
 def build_chain_symplectic(
-    space: FormSpace,
-    i1: Subspace,
-    i2: Subspace,
-    cfg: SearchConfig = DEFAULT_SEARCH,
+    space: FormSpace, i1: Subspace, i2: Subspace
 ) -> ChainCertificate:
-    """Certificate joining two isotropic subspaces of a symplectic space.
-
-    It never searches; ``cfg`` keeps the signature all builders share."""
+    """Certificate joining two isotropic subspaces of a symplectic space."""
     a, b = _check_endpoints(space, SYMPLECTIC, i1, i2)
     nodes, links = _build_su_chain(space, SYMPLECTIC, a, b)
     return ChainCertificate(space, SYMPLECTIC, tuple(nodes), tuple(links))
 
 
 def build_chain_unitary(
-    space: FormSpace,
-    i1: Subspace,
-    i2: Subspace,
-    cfg: SearchConfig = DEFAULT_SEARCH,
+    space: FormSpace, i1: Subspace, i2: Subspace
 ) -> ChainCertificate:
-    """Certificate joining two isotropic K-subspaces of a hermitian space.
-
-    It never searches; ``cfg`` keeps the signature all builders share."""
+    """Certificate joining two isotropic K-subspaces of a hermitian space."""
     a, b = _check_endpoints(space, UNITARY, i1, i2)
     sig = signature_of(space)
     if sig.plus > sig.minus:

@@ -22,8 +22,8 @@ from .errors import (
     PostconditionFailed,
     SearchExhausted,
 )
-from .forms import ALTERNATING, FormSpace, signature_of, standard_2u
-from .isotropic import DEFAULT_SEARCH, SearchConfig, find_isotropic_vector
+from .forms import ALTERNATING, SYMMETRIC, FormSpace, signature_of, standard_2u
+from .isotropic import MAX_HEIGHT, find_isotropic_vector
 from .serialize import dumps_canonical
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def _positive_int(text: str) -> int:
 def _cmd_analyze(space: str, max_height: int) -> tuple[dict, int]:
     space = _load_space(space)
     signature = None if space.kind == ALTERNATING else _signature(space)
-    vector = find_isotropic_vector(space, SearchConfig(max_height))
+    vector = find_isotropic_vector(space, max_height)
     return {
         "kind": space.kind,
         "dim": space.dim,
@@ -92,7 +92,7 @@ def _cmd_analyze(space: str, max_height: int) -> tuple[dict, int]:
 
 
 def _cmd_isotropic(space: str, max_height: int) -> tuple[dict, int]:
-    vector = find_isotropic_vector(_load_space(space), SearchConfig(max_height))
+    vector = find_isotropic_vector(_load_space(space), max_height)
     return {
         "found": vector is not None,
         "vector": serialize.vector_to_json(vector) if vector else None,
@@ -104,7 +104,9 @@ def _cmd_chain(space: str, i1: str, i2: str, max_height: int) -> tuple[dict, int
     space = _load_space(space)
     i1 = serialize.subspace_from_json(_load_json(i1), space)
     i2 = serialize.subspace_from_json(_load_json(i2), space)
-    cert = BUILDERS[space.kind](space, i1, i2, SearchConfig(max_height))
+    # only the orthogonal builder searches
+    bound = {"max_height": max_height} if space.kind == SYMMETRIC else {}
+    cert = BUILDERS[space.kind](space, i1, i2, **bound)
     return serialize.certificate_to_json(cert, plain=False), EXIT_OK
 
 
@@ -218,9 +220,7 @@ class Group(NamedTuple):
 
 
 _SPACE = Flag("space", "form space (JSON file)")
-_MAX_HEIGHT = Flag(
-    "max-height", "hard cap on search height", _positive_int, DEFAULT_SEARCH.max_height
-)
+_MAX_HEIGHT = Flag("max-height", "hard cap on search height", _positive_int, MAX_HEIGHT)
 _RATIONAL = serialize._fraction_from_json
 
 COMMANDS = Group(

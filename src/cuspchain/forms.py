@@ -36,7 +36,6 @@ from .errors import (
 )
 from .exact import (
     Matrix,
-    QuadFieldElement,
     _check_field,
     _in_field,
     _one_denominator,
@@ -85,15 +84,6 @@ class FormSpace:
     @property
     def dim(self) -> int:
         return self.gram.nrows
-
-    def zero_scalar(self):
-        if self.kind == HERMITIAN:
-            return QuadFieldElement(0, 0, self.d)
-        return Fraction(0)
-
-    def coerce_vector(self, v: Sequence) -> tuple:
-        """v over the space's field: the entries of coerce_row(v)."""
-        return self.coerce_row(v).rows[0]
 
     def coerce_row(self, v: Sequence) -> Matrix:
         """v over the space's field, as a one-row matrix.
@@ -392,8 +382,7 @@ def _subquotient(space: FormSpace, iso: Subspace) -> SubquotientData:
     """subquotient of a canonical isotropic subspace of the space, unchecked."""
     perp = orthogonal_complement(space, iso)
     lift = extend_basis_rows(iso.basis, perp.basis)
-    quotient_gram = (lift * space.gram).mul_adjoint(lift)
-    quotient = FormSpace(space.kind, quotient_gram, space.d)
+    quotient = restricted_space(space, lift)
     project = coordinate_map(Matrix.vstack(iso.basis, lift)).submatrix(cols=slice(iso.dim, None))
     return SubquotientData(space, iso, quotient, lift, project)
 

@@ -17,7 +17,6 @@ so that a violation raises :class:`PostconditionFailed`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -57,18 +56,14 @@ from .forms import (
 )
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Hard cap on the shell height that vector searches reach."""
-
-    max_height: int = 50
-
-    def __post_init__(self):
-        if self.max_height < 1:
-            raise ValueError("need max_height >= 1")
+# Default hard cap on the shell height that vector searches reach.
+MAX_HEIGHT = 50
 
 
-DEFAULT_SEARCH = SearchConfig()
+def _check_max_height(max_height: int) -> None:
+    """Refuse a search bound below 1, before any work is done."""
+    if max_height < 1:
+        raise ValueError("need max_height >= 1")
 
 
 def _candidate_vectors(form: list[list[int]], max_height: int):
@@ -141,14 +136,16 @@ def _exact_vector(space: FormSpace, raw: tuple) -> tuple:
 
 
 def find_isotropic_vector(
-    space: FormSpace, cfg: SearchConfig = DEFAULT_SEARCH
+    space: FormSpace, max_height: int = MAX_HEIGHT
 ) -> tuple | None:
     """First primitive isotropic vector at minimal shell height, or None.
 
     Alternating spaces return the first basis vector (every vector is
     isotropic).  Definite spaces short-circuit to None: they contain no
-    nonzero isotropic vector at any height.
+    nonzero isotropic vector at any height.  Shells above ``max_height``
+    are not searched.
     """
+    _check_max_height(max_height)
     if space.dim == 0:
         return None
     if space.kind == ALTERNATING:
@@ -157,9 +154,7 @@ def find_isotropic_vector(
     if sig.plus == 0 or sig.minus == 0:
         return None
     try:
-        return _search_vector(
-            space, lambda n: n == 0, cfg.max_height, "isotropic vector"
-        )
+        return _search_vector(space, lambda n: n == 0, max_height, "isotropic vector")
     except SearchExhausted:
         return None
 

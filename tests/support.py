@@ -16,6 +16,7 @@ from pathlib import Path
 import cuspchain
 from cuspchain.exact import Matrix, QuadFieldElement
 from cuspchain.forms import (
+    HERMITIAN,
     FormSpace,
     Subspace,
     canonical_subspace,
@@ -32,6 +33,13 @@ def transform_subspace(space: FormSpace, m: Matrix, s: Subspace) -> Subspace:
     return canonical_subspace(space, s.basis * m.transpose())
 
 
+def field_zero(space: FormSpace):
+    """0 in the space's field: over Q(sqrt(-d)) for a hermitian space, else Q."""
+    if space.kind == HERMITIAN:
+        return QuadFieldElement(0, 0, space.d)
+    return Fraction(0)
+
+
 def _columns_from_action(space: FormSpace, image_of_basis) -> Matrix:
     cols = [image_of_basis(unit_vector(space, j)) for j in range(space.dim)]
     return Matrix(cols).transpose()
@@ -42,7 +50,7 @@ def _columns_from_action(space: FormSpace, image_of_basis) -> Matrix:
 
 def symplectic_transvection(space: FormSpace, v, c) -> Matrix:
     """x -> x + c * w(x, v) * v; integral and symplectic for integral v, c."""
-    v = space.coerce_vector(v)
+    v = space.coerce_row(v).rows[0]
 
     def act(x):
         factor = space.pair(x, v) * c
@@ -69,8 +77,8 @@ def random_symplectic_isometry(space: FormSpace, rng: random.Random, factors=3) 
 
 def orthogonal_eichler(space: FormSpace, e, a) -> Matrix:
     """x -> x + (x,a)e - (x,e)a - ((a,a)/2)(x,e)e for isotropic e with a _|_ e."""
-    e = space.coerce_vector(e)
-    a = space.coerce_vector(a)
+    e = space.coerce_row(e).rows[0]
+    a = space.coerce_row(a).rows[0]
     assert space.pair(e, e) == 0 and space.pair(e, a) == 0
     half = space.norm(a) / 2
 
@@ -123,8 +131,8 @@ def hermitian_shear(space: FormSpace, ei: int, fi: int, m: int) -> Matrix:
 
 def hermitian_swap(space: FormSpace, ei: int, fi: int) -> Matrix:
     rows = [list(r) for r in space.coerce_field(Matrix.identity(space.dim)).rows]
-    rows[ei][ei], rows[fi][fi] = space.zero_scalar(), space.zero_scalar()
-    one = space.zero_scalar() + 1
+    rows[ei][ei], rows[fi][fi] = field_zero(space), field_zero(space)
+    one = field_zero(space) + 1
     rows[ei][fi], rows[fi][ei] = one, one
     mat = Matrix(rows)
     assert preserves_form(space, mat)

@@ -351,7 +351,7 @@ def _conditions_hold(cert, idx, link):
                 and subspace_contains(plane, right)
             )
         if isinstance(link, OrthInteriorCurve):
-            v = space.coerce_vector(link.vector)
+            v = space.coerce_row(link.vector).rows[0]
             span = subspace_sum(left, right)
             return (
                 space.norm(v) > 0

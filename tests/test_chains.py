@@ -78,6 +78,13 @@ class TestOrthogonalBuilder:
         assert cert.links[0].plane == plane(self.space, 0, 2)
         assert verify_certificate(cert).ok
 
+    def test_bound_below_one_is_refused(self):
+        # a boundary plane never searches; the bound is checked first
+        e1 = line(self.space, unit_vector(self.space, 0))
+        e2 = line(self.space, unit_vector(self.space, 2))
+        with pytest.raises(ValueError, match="^need max_height >= 1$"):
+            build_chain_orthogonal(self.space, e1, e2, max_height=0)
+
     def test_pairing_lines_interior_curve(self):
         e1 = line(self.space, unit_vector(self.space, 0))
         f1 = line(self.space, unit_vector(self.space, 1))
@@ -86,7 +93,7 @@ class TestOrthogonalBuilder:
         link = cert.links[0]
         assert isinstance(link, OrthInteriorCurve)
         # search returns e2 + f2, of norm 2
-        assert link.vector == self.space.coerce_vector((0, 0, 1, 1, 0))
+        assert link.vector == self.space.coerce_row((0, 0, 1, 1, 0)).rows[0]
         assert verify_certificate(cert).ok
 
     def test_disjoint_planes_single_isometry_link(self):

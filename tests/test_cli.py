@@ -472,7 +472,8 @@ def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chain", "--help"])
     assert exc.value.code == 0
-    assert "--max-height" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[--max-height MAX-HEIGHT]  hard cap on search height (default 50)" in out
 
 
 def table_rows(group=COMMANDS, words=()):

@@ -49,6 +49,8 @@ from cuspchain.forms import (
     zero_subspace,
 )
 
+from support import field_zero
+
 
 def test_form_space_validation():
     with pytest.raises(ValueError):
@@ -95,26 +97,26 @@ def test_coerce_matrix_refuses_other_fields():
 def test_vectors_refuse_inexact_entries(x):
     space = quadratic_2u_perp_diagonal([])
     with pytest.raises(TypeError, match="not exact scalars"):
-        space.coerce_vector([x, 0, 0, 0])
+        space.coerce_row([x, 0, 0, 0]).rows[0]
     with pytest.raises(TypeError, match="not exact scalars"):
         line(space, [x, 0, 0, 0])
 
 
-def test_coerce_vector_names_the_first_entry_off_the_field():
+def test_coerce_row_names_the_first_entry_off_the_field():
     q = lambda d: QuadFieldElement(1, 1, d)
     herm = standard_hermitian_hyperbolic(3, 2)
     for v, d in (([q(7), q(5), 0, 0], 7), ([q(3), 1, q(5), q(7)], 5)):
         with pytest.raises(ValueError, match=f"^entry over d={d} in a space over d=3$"):
-            herm.coerce_vector(v)
+            herm.coerce_row(v).rows[0]
     with pytest.raises(ValueError, match="^imaginary entry in a rational form space$"):
-        quadratic_2u_perp_diagonal([]).coerce_vector([0, q(5), q(7), 0])
+        quadratic_2u_perp_diagonal([]).coerce_row([0, q(5), q(7), 0]).rows[0]
     # an entry off the field is named before a wrong length
     with pytest.raises(ValueError, match="^entry over d=7"):
-        herm.coerce_vector([q(7)])
+        herm.coerce_row([q(7)]).rows[0]
     with pytest.raises(DimensionMismatch, match="^vector of length 1 in a space of dimension 4$"):
-        herm.coerce_vector([q(3)])
-    assert herm.coerce_vector([q(3), 1, 0, 0]) == (q(3), 1, 0, 0)
-    assert all(x.d == 3 for x in herm.coerce_vector([1, 0, 0, 0]))
+        herm.coerce_row([q(3)]).rows[0]
+    assert herm.coerce_row([q(3), 1, 0, 0]).rows[0] == (q(3), 1, 0, 0)
+    assert all(x.d == 3 for x in herm.coerce_row([1, 0, 0, 0]).rows[0])
 
 
 def test_unit_vector_indices():
@@ -457,7 +459,7 @@ def reference_signature(space: FormSpace) -> Signature:
 
 def reference_pair(space: FormSpace, u, v):
     gu = Matrix([u]) * space.gram
-    total = space.zero_scalar()
+    total = field_zero(space)
     for x, y in zip(gu.rows[0], v):
         total = total + x * conjugate_scalar(y)
     return total

@@ -44,7 +44,6 @@ from cuspchain.forms import (
     zero_subspace,
 )
 from cuspchain.isotropic import (
-    SearchConfig,
     _candidate_vectors,
     _search_vector,
     dual_isotropic_basis,
@@ -57,7 +56,7 @@ from cuspchain.isotropic import (
     third_isotropic_lines,
 )
 
-from support import run_optimized
+from support import field_zero, run_optimized
 
 
 def diag_space(entries):
@@ -82,11 +81,18 @@ class TestFindIsotropicVector:
             for y in range(-10, 11):
                 if (x, y) != (0, 0):
                     assert x * x - 3 * y * y != 0
-        assert find_isotropic_vector(space, SearchConfig(max_height=10)) is None
+        assert find_isotropic_vector(space, 10) is None
 
     def test_definite_short_circuits(self):
         assert find_isotropic_vector(diag_space([1, 1, 1])) is None
         assert find_isotropic_vector(diag_space([-2, -3])) is None
+
+    def test_bound_below_one_is_refused_whatever_the_space(self):
+        # definite and alternating spaces never search; the bound is checked first
+        spaces = (diag_space([1, 1, 1]), standard_symplectic(1), diag_space([1, -1]))
+        for space in spaces:
+            with pytest.raises(ValueError, match="^need max_height >= 1$"):
+                find_isotropic_vector(space, 0)
 
     def test_alternating_returns_first_basis_vector(self):
         space = standard_symplectic(2)
@@ -94,9 +100,7 @@ class TestFindIsotropicVector:
 
     def test_monotone_in_cap(self):
         space = quadratic_2u_perp_diagonal([-2])
-        found = [
-            find_isotropic_vector(space, SearchConfig(max_height=cap)) for cap in (1, 3, 50)
-        ]
+        found = [find_isotropic_vector(space, cap) for cap in (1, 3, 50)]
         assert found[0] is not None
         assert found[0] == found[1] == found[2]
 
@@ -111,7 +115,7 @@ class TestFindIsotropicVector:
     def test_primitivity(self):
         # the shell order would otherwise hit (2, 0) before (1, 0) at height 2
         space = hyperbolic_plane()
-        v = find_isotropic_vector(space, SearchConfig(max_height=2))
+        v = find_isotropic_vector(space, 2)
         assert v == (1, 0)
 
 
@@ -123,7 +127,7 @@ class TestHyperbolicComplete:
 
     def test_sum_of_isotropics(self):
         space = standard_2u()
-        v = space.coerce_vector((1, 0, 1, 0))  # e1 + e2
+        v = space.coerce_row((1, 0, 1, 0)).rows[0]  # e1 + e2
         w = hyperbolic_complete(space, v)
         assert space.pair(v, w) == 1
         assert space.pair(w, w) == 0
@@ -135,7 +139,7 @@ class TestHyperbolicComplete:
 
     def test_hermitian(self):
         space = standard_hermitian_hyperbolic(7, 2)
-        v = space.coerce_vector((1, 0, 1, 0))
+        v = space.coerce_row((1, 0, 1, 0)).rows[0]
         w = hyperbolic_complete(space, v)
         assert space.pair(v, w) == 1
         assert space.pair(w, w) == 0
@@ -311,7 +315,7 @@ def entrywise_pairings(space, xs, ys):
                     for p, a in enumerate(x)
                     for q, b in enumerate(y)
                 ),
-                space.zero_scalar(),
+                field_zero(space),
             )
             for y in ys.rows
         ]
@@ -565,7 +569,7 @@ class TestIntegerSearchAgainstFractionSearch:
     @settings(max_examples=60, deadline=None)
     @given(symmetric_spaces(), caps)
     def test_symmetric_isotropic(self, space, cap):
-        ours = find_isotropic_vector(space, SearchConfig(max_height=cap))
+        ours = find_isotropic_vector(space, cap)
         assert same_vector(ours, reference_find(space, cap))
         ours = searched(space, lambda n: n == 0, cap)
         assert same_vector(ours, reference_search(space, lambda v: space.pair(v, v) == 0, cap))
@@ -582,7 +586,7 @@ class TestIntegerSearchAgainstFractionSearch:
     def test_hermitian_isotropic(self, data, cap):
         # width 2n: keep the cube small at cap 3
         space = data.draw(hermitian_spaces(max_dim=2 if cap < 3 else 1))
-        ours = find_isotropic_vector(space, SearchConfig(max_height=cap))
+        ours = find_isotropic_vector(space, cap)
         assert same_vector(ours, reference_find(space, cap))
         ours = searched(space, lambda n: n == 0, cap)
         assert same_vector(ours, reference_search(space, lambda v: space.pair(v, v) == 0, cap))

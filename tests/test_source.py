@@ -42,6 +42,11 @@ Every condition the verifier can report, the literal name in each
 ``fail(...)`` call of ``chains``, has a case in
 ``test_chains.VERIFIER_CONDITIONS``, so a new condition lands with a
 certificate that shows it.
+
+There is no dead configuration: every parameter of a public function or
+method (a name with no leading underscore), other than ``self`` and
+``cls``, is read in its body, so no function takes a value only to keep a
+signature that others share.
 """
 
 import ast
@@ -235,3 +240,26 @@ def test_every_verifier_condition_has_a_case():
                 names.add(literals[0])
     assert "certificate-error" in names
     assert sorted(names - VERIFIER_CONDITIONS.keys()) == []
+
+
+def test_public_parameters_are_read():
+    found = []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
+            params += [p for p in (a.vararg, a.kwarg) if p]
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            found += [
+                f"{path.name}:{fn.lineno} {fn.name}({p.arg})"
+                for p in params
+                if p.arg not in ("self", "cls", *read)
+            ]
+    assert found == []
