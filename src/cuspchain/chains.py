@@ -564,9 +564,7 @@ def _check_product_split(cert, link, left, right, fail):
 
 def _check_boundary_descent(cert, link, left, right, fail):
     space = cert.ambient
-    meet = subspace_intersection(
-        canonical_subspace(space, left.basis), canonical_subspace(space, right.basis)
-    )
+    meet = subspace_intersection(left, right)
     if link.intersection.space != space:
         fail("intersection-shape", "intersection lives in a different space")
         return

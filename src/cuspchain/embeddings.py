@@ -7,18 +7,20 @@ multiplication of sqrt(-D), and right-order arithmetic for full lattices in
 M2(Q).  The right orders work on vec(X) = (x00, x01, x10, x11): left
 multiplication by a matrix is one 4x4 Kronecker block acting on vec, so the
 stability system and the checks of an order are a few stacked products,
-each tested for integrality as a whole.  The 2x2 models read and build
-single entries (traces, adjugates, SL2 entries, M2 coordinates); they are
-the module's only entry-wise code.
+each tested for integrality as a whole.  A lattice inverts its vec basis
+once, when it is built: that inverse is the rank test of the basis and the
+coordinate map that every membership and stability check multiplies by.
+The 2x2 models read and build single entries (traces, adjugates, SL2
+entries, M2 coordinates); they are the module's only entry-wise code.
 
 Matrices of linear maps act on column coordinate vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 from .errors import NotContained, NotDeterminantOne, _ensure
@@ -28,7 +30,6 @@ from .exact import (
     _canonical,
     _echelon,
     _one_denominator,
-    _require_int_rows,
     hnf,
 )
 from .forms import HERMITIAN, SYMMETRIC, FormSpace, preserves_form, standard_2u
@@ -291,17 +292,25 @@ def _left_multiplications(mats: Sequence[Matrix]) -> Matrix:
 
 
 def _side_by_side(m: Matrix) -> Matrix:
-    """The consecutive 4-row blocks of m, stacked side by side."""
-    return Matrix.hstack(
-        *(m.submatrix(rows=slice(i, i + 4)) for i in range(0, m.nrows, 4))
-    )
+    """The consecutive 4-row blocks of a rational m, stacked side by side.
+
+    Row r joins the rows r, r + 4, ... of m's integers over one denominator.
+    """
+    re, _, q = _one_denominator(m._ints)
+    rows = [list(chain.from_iterable(re[r::4])) for r in range(4)]
+    return _canonical(rows, None, [q] * 4, None, m.nrows // 4 * m.ncols)
 
 
 @dataclass(frozen=True)
 class MatrixLattice:
-    """A full Z-lattice in M2(Q), given by four Z-independent 2x2 matrices."""
+    """A full Z-lattice in M2(Q), given by four Z-independent 2x2 matrices.
+
+    ``_dual`` is vec_basis()^-1, computed once when the lattice is built:
+    vec(X) * _dual holds the coordinates of X in the basis.
+    """
 
     basis: tuple[Matrix, Matrix, Matrix, Matrix]
+    _dual: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = tuple(
@@ -310,16 +319,14 @@ class MatrixLattice:
         if len(basis) != 4 or any(m.shape != (2, 2) for m in basis):
             raise ValueError("a matrix lattice needs four 2x2 matrices")
         object.__setattr__(self, "basis", basis)
-        if self.vec_basis().det() == 0:
-            raise ValueError("matrix lattice basis is not full rank")
+        try:
+            dual = self.vec_basis().inverse()
+        except ZeroDivisionError:
+            raise ValueError("matrix lattice basis is not full rank") from None
+        object.__setattr__(self, "_dual", dual)
 
     def vec_basis(self) -> Matrix:
         return _vec_rows(self.basis)
-
-    @cached_property
-    def _dual(self) -> Matrix:
-        """vec_basis()^-1: vec(X) * _dual holds the coordinates of X in the basis."""
-        return self.vec_basis().inverse()
 
     def contains(self, m: Matrix) -> bool:
         return self.contains_each([m])[0]
@@ -358,15 +365,16 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
     """
     # column block m of vec(X) * stacked holds the coordinates of l_m * X
     stacked = _side_by_side(_left_multiplications(lattice.basis) * lattice._dual)
-    denom = stacked.denominator_lcm()
-    rows = _require_int_rows((stacked * denom).transpose())
+    a0, _, denom = _one_denominator(stacked._ints)
+    rows = [list(col) for col in zip(*a0)]  # A0^T
     _ensure(_echelon(rows, 4) == [0, 1, 2, 3], "stability system must have full rank")
-    cols = _canonical(rows[:4], None, [1] * 4, None, 4)
-    solutions = cols.inverse().transpose() * denom
+    cols_t = _canonical([list(c) for c in zip(*rows[:4])], None, [1] * 4, None, 4)
+    solutions = cols_t.inverse() * denom  # denom * (C^-1)^T = denom * (C^T)^-1
     scale = solutions.denominator_lcm()
     h, _ = hnf(solutions * scale)
-    order = MatrixLattice(_unvec_rows(h * Fraction(1, scale)))
-    vecs, o_inv = order.vec_basis(), order._dual
+    vecs = h * Fraction(1, scale)
+    order = MatrixLattice(_unvec_rows(vecs))
+    o_inv = order._dual
     _ensure(
         (_vec_rows([I2]) * o_inv).is_integral(), "order does not contain the identity"
     )

@@ -300,7 +300,12 @@ def orthogonal_complement(space: FormSpace, s: Subspace) -> Subspace:
     # is the right kernel of conj(s * G); that matrix is (G * s^H)^T up to
     # sign for all three kinds
     m = (s.basis * space.gram).conjugate()
-    return canonical_subspace(space, m.right_kernel())
+    # The kernel of m with its columns reversed, read back in reverse, is
+    # already reduced: each row's leading 1 sits in a free column and its
+    # other entries in later pivot columns, so no second elimination runs.
+    flip = slice(None, None, -1)
+    kernel = m.submatrix(cols=flip).right_kernel()
+    return canonical_subspace(space, kernel.submatrix(rows=flip, cols=flip))
 
 
 def pairing_kernels(

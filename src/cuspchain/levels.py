@@ -4,12 +4,14 @@ Given commensurable full lattices L and L' in one form space, the sandwich
 N1 L' <= N L <= L <= N2^-1 L' yields the level N' = N1 N2 at which the
 principal congruence isometries of (L', N') land inside those of (L, N).
 The multipliers are minimal, read off the denominators of the exact
-change-of-basis matrices.
+change-of-basis matrices.  Each lattice inverts its basis once, when it is
+built; that inversion is also the test that the basis is nonsingular, and
+every change of basis into the lattice reads the kept inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AmbientMismatch, NotAnIsometry
@@ -19,28 +21,39 @@ from .forms import FormSpace, preserves_form
 
 @dataclass(frozen=True)
 class FullLattice:
-    """A full-rank lattice in a form space, given by rational basis rows."""
+    """A full-rank lattice in a form space, given by rational basis rows.
+
+    ``_inverse`` is basis^-1, computed once when the lattice is built.
+    """
 
     space: FormSpace
     basis: Matrix
+    _inverse: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = self.space.coerce_matrix(self.basis)
         object.__setattr__(self, "basis", basis)
         if basis.nrows != self.space.dim:
             raise ValueError("a full lattice needs dim-many basis rows")
-        if basis.det() == 0:
-            raise ValueError("lattice basis is singular")
+        try:
+            inverse = basis.inverse()
+        except ZeroDivisionError:
+            raise ValueError("lattice basis is singular") from None
+        object.__setattr__(self, "_inverse", inverse)
 
 
 def minimal_multiplier(inner: Matrix, outer: Matrix) -> int:
     """Least k >= 1 with k * rowlattice(inner) inside rowlattice(outer)."""
-    change = inner * outer.inverse()
-    return change.denominator_lcm()
+    return _multiplier(inner, outer.inverse())
+
+
+def _multiplier(inner: Matrix, outer_inverse: Matrix) -> int:
+    """minimal_multiplier(inner, outer), given outer^-1."""
+    return (inner * outer_inverse).denominator_lcm()
 
 
 def lattice_contains(outer: FullLattice, inner: FullLattice) -> bool:
-    return minimal_multiplier(inner.basis, outer.basis) == 1
+    return _multiplier(inner.basis, outer._inverse) == 1
 
 
 def containment_level(
@@ -51,9 +64,9 @@ def containment_level(
         raise AmbientMismatch("lattices live in different form spaces")
     if n < 1:
         raise ValueError("the level N must be a positive integer")
-    scaled = lat.basis * n
-    n1 = minimal_multiplier(lat_prime.basis, scaled)
-    n2 = minimal_multiplier(lat.basis, lat_prime.basis)
+    # N L has the basis n * lat.basis, whose inverse is lat's divided by n
+    n1 = _multiplier(lat_prime.basis, lat._inverse * Fraction(1, n))
+    n2 = _multiplier(lat.basis, lat_prime._inverse)
     return n1, n2, n1 * n2
 
 
@@ -71,7 +84,7 @@ def congruence_membership(gamma: Matrix, lat: FullLattice, n: int) -> bool:
         raise NotAnIsometry("matrix does not preserve the form")
     if n < 1:
         raise ValueError("the level N must be a positive integer")
-    action = lat.basis * gamma.transpose() * lat.basis.inverse()
+    action = lat.basis * gamma.transpose() * lat._inverse
     # One test also decides that action is unimodular: action - I in
     # n * M(Z[sqrt(-d)]) makes action integral, so det(action) = det(gamma)
     # is integral, and it has norm 1 because gamma preserves the form (det

@@ -19,14 +19,14 @@ A JSON matrix has two readings.  The integer reader takes a matrix of one
 nonzero width whose entries share one encoding: all JSON integers, all
 strings "p" and "p/q" in ASCII digits, or all field elements over one valid
 D whose "a" parts and "b" parts are such entries.  It reads a whole matrix
-at a time straight to integer rows over per-row denominators.  Strings of
-digits, "-" and "," alone take one ``json.loads`` of their joined rows,
-kept when the rows it gives have the input's shape; other strings take one
-pattern match over all of them and are read row by row.  Every other matrix
-(empty, ragged, mixing encodings or values of D, or holding any other
-entry) is read entry by entry, strings by ``Fraction(str)``.  That reading
-is the reference: the integer reader gives the same values and leaves
-every error to it.
+at a time straight to integer rows over per-row denominators.  Strings
+take one ``json.loads`` of their joined rows, a row that holds a "p/q" as
+the lists [p] and [p, q] of its entries, kept when JSON reads every p and q
+alike to ``int()`` and the rows it gives have the input's shape.  Every
+other matrix (empty, ragged, mixing encodings or values of D, holding any
+other entry, or strings JSON reads otherwise, such as "007") is read entry
+by entry, strings by ``Fraction(str)``.  That reading is the reference:
+the integer reader gives the same values and leaves every error to it.
 A string rational in exponent notation ("1e3") is refused, since
 ``Fraction(str)`` would expand its exponent in time and memory that grow
 with it.  A matrix whose entries lie over two values of D is an input error.
@@ -129,19 +129,20 @@ def matrix_to_json(m: Matrix) -> list:
     ]
 
 
-# one or more "p" / "p/q" strings joined by ","
-_RATIOS = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
-# the characters of "p" strings joined by ",": in a JSON array they can only
-# spell integers -?(0|[1-9][0-9]*), each of which int() reads alike
-_INTEGER_TEXT = re.compile(r"[-0-9,]*")
+# the characters of "p" and "p/q" strings joined by ","
+_RATIO_TEXT = re.compile(r"[-0-9,/]*")
 
 
 def _integer_rows(obj: list) -> tuple[list, list] | None:
     """(nums, dens): rows of entries, all JSON integers or all strings "p" and
     "p/q" in ASCII digits, as the rows nums[i] / dens[i]; None for any other
-    rows, a zero q or a string int() refuses.  Fraction(str) reads each
-    accepted string as p/q too.  Rows of "p" strings alone are read by one
-    json.loads where it gives every entry, and row by row otherwise."""
+    rows, a q < 1 or a string JSON does not read as int() would.
+    Fraction(str) reads each accepted string as p/q too.
+
+    The strings are read by one json.loads: a row without a "/" as its
+    integers, a row with one as the lists [p] and [p, q] of its entries,
+    each written "[" + entry + "]" with "," for "/".
+    """
     if all(type(x) is int for r in obj for x in r):
         return [list(r) for r in obj], [1] * len(obj)
     try:
@@ -149,33 +150,41 @@ def _integer_rows(obj: list) -> tuple[list, list] | None:
     except TypeError:  # an entry that is not a string
         return None
     text = ",".join(lines)
-    if _INTEGER_TEXT.fullmatch(text):
-        try:  # JSON refuses "--1" and a leading zero, and int() past its digit limit
-            nums = json.loads("[[" + "],[".join(lines) + "]]")
-        except ValueError:
-            nums = None
-        # an entry that held a "," or was empty changes its row's length
-        if nums is not None and list(map(len, nums)) == list(map(len, obj)):
-            return nums, [1] * len(obj)
-    if not _RATIOS.fullmatch(text):
+    if not _RATIO_TEXT.fullmatch(text):
         return None
-    nums, dens = [], []
-    try:  # int() fails on an entry that held a "," and past its digit limit
-        for r, line in zip(obj, lines):
-            if "/" not in line:
-                nums.append(list(map(int, r)))
-                dens.append(1)
-                continue
-            parts = [x.partition("/") for x in r]
-            qs = [int(t) if t else 1 for _, _, t in parts]
-            if 0 in qs:
-                return None
-            q = lcm(*qs)
-            nums.append([int(p) * (q // t) for (p, _, _), t in zip(parts, qs)])
-            dens.append(q)
+    ratios = "/" in text
+    if ratios:
+        # an entry that held a "," would pass for a "/" once bracketed
+        if text.count(",") != sum(map(len, obj)) - 1:
+            return None
+        lines = [
+            "[" + "],[".join(r).replace("/", ",") + "]" if "/" in line else line
+            for r, line in zip(obj, lines)
+        ]
+    # JSON refuses "--1", a leading zero and an empty p or q, and int() past
+    # its digit limit; the entry-wise reading takes what it refuses
+    try:
+        rows = json.loads("[[" + "],[".join(lines) + "]]")
     except ValueError:
         return None
-    return nums, dens
+    # an entry that held a "," or was empty changes its row's length
+    if list(map(len, rows)) != list(map(len, obj)):
+        return None
+    dens = [1] * len(rows)
+    if not ratios:
+        return rows, dens
+    for i, line in enumerate(lines):
+        if "[" in line:  # the lists [p] and [p, q]
+            r = rows[i]
+            if not set(map(len, r)) <= {1, 2}:
+                return None
+            qs = [x[1] for x in r if len(x) == 2]
+            if min(qs) < 1:
+                return None
+            q = lcm(*qs)
+            rows[i] = [x[0] * q if len(x) == 1 else x[0] * (q // x[1]) for x in r]
+            dens[i] = q
+    return rows, dens
 
 
 def _integer_matrix(obj: list) -> Matrix | None:

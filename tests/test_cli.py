@@ -25,6 +25,7 @@ from cuspchain.exact import QuadFieldElement
 from cuspchain.forms import line, standard_symplectic, unit_vector
 
 from support import (
+    random_symplectic_isometry,
     random_unitary_isometry,
     standard_isotropic,
     transform_subspace,
@@ -421,6 +422,45 @@ def test_input_error_is_one_diagnosis(case, symplectic_files, tmp_path, capsys):
     assert detail in diagnosis["detail"]
 
 
+# singular lattice bases: every level and order input below is refused with
+# exit 2, empty stdout and exactly this stderr
+UNIT_ROWS = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+             ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+SINGULAR_LEVEL_BASES = [
+    [UNIT_ROWS[0]] * 4,
+    UNIT_ROWS[:2] + [["1", "1", "0", "0"], UNIT_ROWS[3]],
+    [["1/2", "0", "1", "0"], *UNIT_ROWS[1:3], ["-1", "0", "-2", "0"]],
+    [["0", "0", "0", "0"], *UNIT_ROWS[1:]],
+]
+SINGULAR_ORDER_MATRICES = [
+    UNIT_MATRICES[:3] + UNIT_MATRICES[:1],
+    UNIT_MATRICES[:3] + [[["0", "0"], ["0", "0"]]],
+    UNIT_MATRICES[:3] + [[["1", "-1/2"], ["3", "0"]]],
+    [UNIT_MATRICES[1]] * 4,
+]
+
+
+def diagnosis_text(detail: str) -> str:
+    return '{\n  "detail": ' + json.dumps(detail) + ',\n  "error": "InputFormatError"\n}\n'
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_singular_lattices_exit_2_with_fixed_stderr(case, symplectic_files, tmp_path,
+                                                    capsys):
+    bad = write(tmp_path / "bad.json", {"basis": SINGULAR_LEVEL_BASES[case]})
+    good = write(tmp_path / "good.json", {"basis": UNIT_ROWS})
+    for lattice, lattice_prime in ((bad, good), (good, bad)):
+        argv = ["level", "--space", symplectic_files["space"], "--lattice", lattice,
+                "--lattice-prime", lattice_prime, "--N", "2"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == diagnosis_text(f"{bad}: lattice basis is singular")
+    order = write(tmp_path / "order.json", {"matrices": SINGULAR_ORDER_MATRICES[case]})
+    code, out, err = run(capsys, ["demo", "order", "--lattice", order])
+    assert (code, out) == (2, "")
+    assert err == diagnosis_text("matrix lattice basis is not full rank")
+
+
 def run_alone(argv):
     """(exit code, stdout, stderr) of the command in a fresh interpreter."""
     paths = [str(Path(cuspchain.__file__).resolve().parents[1])]
@@ -720,9 +760,10 @@ def hermitian_instances():
                     yield key, space, i1, i2
 
 
-def stdout_digests(tmp_path, capsys) -> dict:
+def chain_and_verify(tmp_path, capsys, instances) -> dict:
+    """key -> (chain stdout, verify stdout) for each (key, space, i1, i2)."""
     out = {}
-    for k, (key, space, i1, i2) in enumerate(hermitian_instances()):
+    for k, (key, space, i1, i2) in enumerate(instances):
         files = {
             name: write(tmp_path / f"{k}.{name}.json", doc)
             for name, doc in (
@@ -739,17 +780,19 @@ def stdout_digests(tmp_path, capsys) -> dict:
         cert.write_text(chain_out, encoding="utf-8")
         code, verify_out, _ = run(capsys, ["verify", "--cert", str(cert)])
         assert code == 0
-        out[key] = tuple(
-            hashlib.sha256(text.encode()).hexdigest()[:16]
-            for text in (chain_out, verify_out)
-        )
+        out[key] = chain_out, verify_out
     return out
 
 
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 # First 16 hex digits of the sha256 of each instance's `chain` stdout, and of
-# the `verify` stdout every one of them gives, recorded while hermitian
-# matrices were still reduced entry by entry.
-HERMITIAN_VERIFY_DIGEST = "80a05d2beed2e295"
+# the `verify` stdout every one of them gives (that of every passing
+# certificate), recorded while hermitian matrices were still reduced entry by
+# entry.
+VERIFY_DIGEST = "80a05d2beed2e295"
 HERMITIAN_GOLDEN = {
     "D1 copies1 neg[] rank1 s0": "2e5263f7867d8e9f",
     "D1 copies1 neg[] rank1 s1": "2e5263f7867d8e9f",
@@ -795,9 +838,92 @@ HERMITIAN_GOLDEN = {
 
 
 def test_hermitian_certificate_bytes_unchanged(tmp_path, capsys):
-    digests = stdout_digests(tmp_path, capsys)
-    assert {k: chain for k, (chain, _) in digests.items()} == HERMITIAN_GOLDEN
-    assert {verify for _, verify in digests.values()} == {HERMITIAN_VERIFY_DIGEST}
+    outs = chain_and_verify(tmp_path, capsys, hermitian_instances())
+    assert {k: digest(chain) for k, (chain, _) in outs.items()} == HERMITIAN_GOLDEN
+    assert {digest(verify) for _, verify in outs.values()} == {VERIFY_DIGEST}
+
+
+def symplectic_instances():
+    """(key, space, i1, i2) for genus 2-6, each rank and two seeds."""
+    for genus in range(2, 7):
+        space = standard_symplectic(genus)
+        for rank in range(1, genus + 1):
+            base = standard_isotropic(space, rank, "e")
+            for seed in (0, 1):
+                rng = random.Random(100 * genus + 10 * rank + seed)
+                i1, i2 = (
+                    transform_subspace(
+                        space,
+                        random_symplectic_isometry(space, rng, rng.randint(2, 4)),
+                        base,
+                    )
+                    for _ in range(2)
+                )
+                yield f"g{genus} rank{rank} s{seed}", space, i1, i2
+
+
+def descent_depth(cert: dict) -> int:
+    return max(
+        (1 + descent_depth(link["sub"])
+         for link in cert["links"] if link["type"] == "boundary_descent"),
+        default=0,
+    )
+
+
+# First 16 hex digits of the sha256 of each instance's `chain` stdout and the
+# descent depth of its certificate, recorded while `orthogonal_complement`
+# still reduced each kernel a second time.
+SYMPLECTIC_GOLDEN = {
+    "g2 rank1 s0": ("15b6888c6189bb58", 0),
+    "g2 rank1 s1": ("0a03dc2e923844d2", 0),
+    "g2 rank2 s0": ("1a570acb4dce630e", 1),
+    "g2 rank2 s1": ("2892bb07ca5cb3d1", 1),
+    "g3 rank1 s0": ("52abd881dc569ed7", 0),
+    "g3 rank1 s1": ("d71cc30c89973985", 0),
+    "g3 rank2 s0": ("fc8a47f173f3d945", 1),
+    "g3 rank2 s1": ("387b06d80b3a5cdd", 1),
+    "g3 rank3 s0": ("fce66d7481fc10e6", 2),
+    "g3 rank3 s1": ("705d0590aa5f1413", 2),
+    "g4 rank1 s0": ("80a10609635551f5", 0),
+    "g4 rank1 s1": ("20f7c68133183674", 0),
+    "g4 rank2 s0": ("52e5e4f3cbdd97f7", 1),
+    "g4 rank2 s1": ("8a783cac474f2708", 1),
+    "g4 rank3 s0": ("fdc2528f1f88b077", 2),
+    "g4 rank3 s1": ("b9e41f513e2b5222", 2),
+    "g4 rank4 s0": ("21abc5083f9a2012", 3),
+    "g4 rank4 s1": ("bfad171191e22181", 3),
+    "g5 rank1 s0": ("f986b58e2401e5d4", 0),
+    "g5 rank1 s1": ("d61d9dbbe8fc54d2", 0),
+    "g5 rank2 s0": ("c208ed23a024fe18", 1),
+    "g5 rank2 s1": ("0d7bd4b49c8eb682", 0),
+    "g5 rank3 s0": ("60dd81ea32d5496f", 1),
+    "g5 rank3 s1": ("52ef987e40344061", 2),
+    "g5 rank4 s0": ("335155959d719bb3", 3),
+    "g5 rank4 s1": ("9d4a8d8a7ab75b39", 3),
+    "g5 rank5 s0": ("023aaf73f13d679f", 4),
+    "g5 rank5 s1": ("cf7ed0ff0185a41d", 4),
+    "g6 rank1 s0": ("33b44acf701458c9", 0),
+    "g6 rank1 s1": ("27e8d79bb766cb7f", 0),
+    "g6 rank2 s0": ("d3c40e3bfd485159", 1),
+    "g6 rank2 s1": ("083529337eff973a", 1),
+    "g6 rank3 s0": ("c3fcb9b2609a44c1", 2),
+    "g6 rank3 s1": ("ed8f736e0e66f3d0", 2),
+    "g6 rank4 s0": ("57ff45c2a872a4f3", 3),
+    "g6 rank4 s1": ("75dce4cde52879e3", 1),
+    "g6 rank5 s0": ("ea6f32dd4cf83ec9", 3),
+    "g6 rank5 s1": ("7c4497485929c401", 3),
+    "g6 rank6 s0": ("8e716e1f0fbf0717", 3),
+    "g6 rank6 s1": ("714143bb28d55a8d", 4),
+}
+
+
+def test_symplectic_certificate_bytes_unchanged(tmp_path, capsys):
+    outs = chain_and_verify(tmp_path, capsys, symplectic_instances())
+    assert {
+        k: (digest(chain), descent_depth(json.loads(chain)))
+        for k, (chain, _) in outs.items()
+    } == SYMPLECTIC_GOLDEN
+    assert {digest(verify) for _, verify in outs.values()} == {VERIFY_DIGEST}
 
 
 def test_deep_boundary_descent_is_input_error(tmp_path, capsys):

@@ -465,6 +465,29 @@ class TestKroneckerOrders:
         with pytest.raises(PostconditionFailed, match="^stability system must have full rank$"):
             order_of_lattice(lattice_from_positions([1, 1, 1, 2]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_lattices())
+    def test_kept_dual_is_the_vec_basis_inverse(self, lattice):
+        dual = lattice.vec_basis().inverse()
+        assert lattice._dual == dual and lattice._dual._ints == dual._ints
+        order = order_of_lattice(lattice)
+        assert order._dual._ints == order.vec_basis().inverse()._ints
+
+    @pytest.mark.parametrize(
+        "mats",
+        [
+            (I2, E12, E21, Matrix([[0, 0], [0, 0]])),
+            (I2, E12, E21, E21),
+            (I2, E12, E21, E12 * Fraction(-3, 2)),
+            (I2, E12, E21, I2 + E12 - E21 * 4),
+            (E12, E12, E12, E12),
+        ],
+        ids=range(5),
+    )
+    def test_dependent_bases_are_refused(self, mats):
+        with pytest.raises(ValueError, match="^matrix lattice basis is not full rank$"):
+            MatrixLattice(mats)
+
     def test_field_elements_are_refused(self):
         root = QuadFieldElement(0, 1, 2)
         with pytest.raises(ValueError, match="rational"):

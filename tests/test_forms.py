@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -552,6 +553,37 @@ class TestAgainstEntrywiseReference:
         # every pivot is a leading minor of P * G * P^T: Hadamard's bound
         form, _ = integer_form(space)
         assert max(abs(p).bit_length() for p in _congruent_pivots(form)) <= n * 32
+
+
+@st.composite
+def alternating_grams(draw):
+    """Nondegenerate alternating Grams of dimension 2-8 with mixed denominators."""
+    n = 2 * draw(st.integers(min_value=1, max_value=4))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw(mixed_fractions)
+            rows[i][j], rows[j][i] = x, -x
+    gram = Matrix(rows)
+    assume(gram.det() != 0)
+    return FormSpace("alternating", gram)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(symmetric_grams(), alternating_grams(), hermitian_grams()), st.data())
+def test_complement_is_the_reduced_kernel_after_one_elimination(space, data):
+    # dense rows, dependent ones and none at all: the complement is the
+    # canonical span of the kernel of conj(s * G), reduced by the kernel's
+    # own elimination alone
+    rows = data.draw(st.lists(vectors(space), max_size=space.dim + 1))
+    s = Subspace(space, Matrix(rows, space.dim))
+    m = (s.basis * space.gram).conjugate()
+    expected = canonical_subspace(space, m.right_kernel())
+    calls, rref = [], Matrix.rref
+    with mock.patch.object(Matrix, "rref", lambda self: calls.append(1) or rref(self)):
+        comp = orthogonal_complement(space, s)
+    assert comp == expected and comp.basis._ints == expected.basis._ints
+    assert len(calls) == 1
 
 
 def greedy_extension(sub: Matrix, within: Matrix) -> Matrix:

@@ -242,3 +242,69 @@ def test_full_lattice_validation():
     space = hyperbolic_plane()
     with pytest.raises(ValueError):
         FullLattice(space, Matrix([[1, 0], [2, 0]]))
+
+
+# singular bases of full size: a zero row, a repeated row, a rational and a
+# Q(sqrt(-d)) multiple of another row, a row that sums two others
+SINGULAR_BASES = [
+    (hyperbolic_plane(), [[0, 0], [1, 2]]),
+    (hyperbolic_plane(), [[1, 2], [1, 2]]),
+    (hyperbolic_plane(), [[Fraction(1, 2), 3], [-1, -6]]),
+    (unitary_test_space(1, 1),
+     [[1, QuadFieldElement(0, 1, 1)], [QuadFieldElement(0, 1, 1), -1]]),
+    (unitary_test_space(7, 1),
+     [[QuadFieldElement(1, 1, 7), 2],
+      [QuadFieldElement(-6, 2, 7), QuadFieldElement(2, 2, 7)]]),
+    (orthogonal_test_space([-2]),
+     [[1, 0, 0, 0, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+      [1, 1, 0, 0, 2]]),
+    (standard_symplectic(2), [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SINGULAR_BASES)))
+def test_singular_bases_are_refused(case):
+    space, rows = SINGULAR_BASES[case]
+    with pytest.raises(ValueError, match="^lattice basis is singular$"):
+        FullLattice(space, Matrix(rows))
+    with pytest.raises(ValueError, match="^a full lattice needs dim-many basis rows$"):
+        FullLattice(space, Matrix(rows[1:], space.dim))
+
+
+def _random_lattices(rng, space, count):
+    """Nonsingular lattices with rational entries, or entries over the
+    space's field for a hermitian space."""
+    def entry():
+        x = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+        if space.kind != HERMITIAN:
+            return x
+        y = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+        return QuadFieldElement(x, y, space.d)
+
+    out = []
+    while len(out) < count:
+        rows = Matrix([[entry() for _ in range(space.dim)] for _ in range(space.dim)])
+        if rows.det() != 0:
+            out.append(FullLattice(space, rows))
+    return out
+
+
+def test_kept_inverse_is_the_basis_inverse():
+    rng = random.Random(25)
+    spaces = [hyperbolic_plane(), standard_symplectic(2), orthogonal_test_space([-2])]
+    spaces += [unitary_test_space(d, 1, negatives) for d in (1, 2, 3, 7)
+               for negatives in ((), (-1,))]
+    for space in spaces:
+        lattices = _random_lattices(rng, space, 6)
+        for lat in lattices:
+            assert lat._inverse == lat.basis.inverse()
+            assert lat._inverse._ints == lat.basis.inverse()._ints
+        # the levels read off the kept inverses are those of the inverted bases
+        for lat, lat_prime in zip(lattices, lattices[1:]):
+            for n in (1, 2, 6):
+                n1 = minimal_multiplier(lat_prime.basis, lat.basis * n)
+                n2 = minimal_multiplier(lat.basis, lat_prime.basis)
+                assert containment_level(lat, lat_prime, n) == (n1, n2, n1 * n2)
+            assert lattice_contains(lat, lat_prime) == (
+                minimal_multiplier(lat_prime.basis, lat.basis) == 1
+            )

@@ -440,7 +440,7 @@ def test_matrices_read_as_before(rows):
 
 # A matrix of "p" strings alone is read by one json.loads of its joined rows;
 # an entry that JSON reads otherwise than int(), or whose "," would split it,
-# sends the matrix back to the row-by-row reading.
+# sends the matrix back to the entry-by-entry reading.
 ONE_PARSE_HOSTILE = ["1,2", "1],[2", "007", " 7 ", "-0", "1/2", "9" * 4000, "9" * 5000]
 
 
@@ -461,6 +461,37 @@ def test_p_strings_are_read_by_one_parse():
         m = serialize.matrix_from_json(rows)
     assert loads.call_count == 1
     assert m.rows == ((1, -2, 30), (0, 5, -6))
+
+
+# A matrix of "p" and "p/q" strings is read by one json.loads too, a row
+# holding a "p/q" as the lists [p] and [p, q]; a q below 1, an entry JSON
+# reads otherwise than int() reads p and q, or one holding a ",", sends the
+# matrix back to the entry-by-entry reading.
+RATIO_ROWS = [["1", "-2/3", "30"], ["0", "5", "-6"], ["7/4", "-80", "9/2"]]
+RATIO_HOSTILE = [
+    "1/0", "0/0", "-0/5", "1/-2", "1//2", "1/2/3", "1/", "/2", "-1/2", "2/4",
+    "1/02", "007/2", "1/2,3", "1,2/3", " 1/2", "1/2 ", "1-2/3", "--1/2",
+    "9" * 4400 + "/2", "1/" + "9" * 4400, "-" + "7" * 4301 + "/3",
+]
+
+
+@pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 1)])
+@pytest.mark.parametrize("stray", RATIO_HOSTILE, ids=range(len(RATIO_HOSTILE)))
+def test_ratio_strays_read_as_entrywise(stray, at):
+    rows = [list(r) for r in RATIO_ROWS]
+    rows[at[0]][at[1]] = stray
+    assert_read_as_entrywise(rows)
+    assert_read_as_entrywise([[{"a": x, "b": "-1/3", "D": 2} for x in r] for r in rows])
+    assert_read_as_entrywise([[{"a": "2", "b": x, "D": 7} for x in r] for r in rows])
+
+
+def test_ratio_strings_are_read_by_one_parse():
+    # rows of "p" strings alone, of "p/q" strings alone and of both
+    rows = [["1", "-2", "30"], ["1/2", "-5/6", "7/9"], ["0", "3/4", "-6"]]
+    with mock.patch.object(serialize.json, "loads", wraps=json.loads) as loads:
+        m = serialize.matrix_from_json(rows)
+    assert loads.call_count == 1
+    assert m.rows == tuple(tuple(map(Fraction, r)) for r in rows)
 
 
 @pytest.mark.parametrize(
