@@ -377,3 +377,7 @@ def _emit_error(exc: Exception) -> None:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -13,8 +13,8 @@ with all of the row's integers), so equal matrices hold equal integers.
 * A matrix built from rows lifts them to integers at once; entries that are
   not exact scalars raise ``TypeError``, two values of ``d``
   :class:`MixedDiscriminants`.
-* Products, row reduction (and so rank, inverse, solving and kernels),
-  determinants, transposes, conjugates and stacking run on the integers.
+* Products, row reduction, determinants, transposes, conjugates and
+  stacking run on the integers.
   Entries are computed from them on each read (``rows``, ``m[i, j]``) and
   never stored: ``Fraction`` entries for a rational matrix,
   ``QuadFieldElement`` entries in every position otherwise.  An operation
@@ -32,6 +32,11 @@ n+1 integer determinants.
 There is no entry-wise path; reduced echelon forms and determinants are
 unique, so they, and everything built from them, match exact entry-wise
 arithmetic.
+
+Row reduction has one kernel, ``_reduced``, which makes nothing canonical:
+``rref`` makes every row canonical, ``rank`` reads the pivots, ``inverse``
+reduces ``[A | I]`` and makes only I's part canonical, ``solve`` reads x off
+the last column of ``[A | b]``, and ``right_kernel`` reads the raw rows.
 
 The integer normal forms share one kernel, ``_echelon``: a row echelon by
 unimodular row steps, with extra columns riding along, so ``[A | I]`` gives
@@ -281,34 +286,6 @@ class Matrix:
             im = [r for p in parts for r in (p[1] or [[0] * ncols] * len(p[0]))]
         return _stored(re, im, [q for p in parts for q in p[2]], d, ncols)
 
-    @classmethod
-    def hstack(cls, *mats: "Matrix") -> "Matrix":
-        nrows = mats[0].nrows
-        for m in mats:
-            if m.nrows != nrows:
-                raise ValueError("hstack row mismatch")
-        ncols = sum(m.ncols for m in mats)
-        # each row over the lcm of its pieces' denominators, which keeps it
-        # canonical: every prime power of the lcm is the full power of some
-        # piece's denominator, whose numerators it leaves coprime to that prime
-        parts = [m._ints for m in mats]
-        d = _join(*(p[3] for p in parts))
-        has_im = any(p[1] is not None for p in parts)
-        re, im, den = [], [] if has_im else None, []
-        for i in range(nrows):
-            q = lcm(*(p[2][i] for p in parts))
-            re.append([x * (q // p[2][i]) for p in parts for x in p[0][i]])
-            if has_im:
-                im.append(
-                    [
-                        x * (q // p[2][i])
-                        for p, m in zip(parts, mats)
-                        for x in (p[1][i] if p[1] is not None else [0] * m.ncols)
-                    ]
-                )
-            den.append(q)
-        return _stored(re, im, den, d, ncols)
-
     # -- shape and access --------------------------------------------------
 
     @property
@@ -452,30 +429,12 @@ class Matrix:
         without its denominator.
         """
         re, im, _, d = self._ints
-        ncols = self.ncols
-        if im is None:
-            re = list(re)
-            pivots = _int_eliminate(re, ncols)
-        else:
-            # the rational rows of x and sqrt(-d)*x for each row x, the parts
-            # (re, im) of each column side by side: their span is the row
-            # space over Q, so the reduced rows come in pairs, x_j and
-            # sqrt(-d)*x_j with pivots 2c and 2c+1, and row 2j holds x_j
-            m = []
-            for a, b in zip(re, im):
-                m.append(_interleaved(a, b))
-                m.append(_interleaved([-d * y for y in b], a))
-            pivots = [c // 2 for c in _int_eliminate(m, 2 * ncols)[::2]]
-            m = m[::2]
-            re, im = [r[::2] for r in m], [r[1::2] for r in m]
-        # row i is the i-th reduced row times its real pivot entry; rows past
-        # the rank are zero
-        dens = [re[i][c] for i, c in enumerate(pivots)]
-        dens += [1] * (len(re) - len(pivots))
-        return _canonical(re, im, dens, d, ncols), tuple(pivots)
+        re, im, den, pivots = _reduced(re, im, d, self.ncols)
+        return _canonical(re, im, den, d, self.ncols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        re, im, _, d = self._ints
+        return len(_reduced(re, im, d, self.ncols)[3])
 
     def det(self):
         if self.nrows != self.ncols:
@@ -492,11 +451,17 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = Matrix.hstack(self, Matrix.identity(n))
-        red, pivots = aug.rref()
-        if tuple(range(n)) != pivots[:n] or len(pivots) != n:
+        re, im, den, d = self._ints
+        # [A | I] row by row over den[i], the identity riding along
+        re = [
+            r + [q * (i == j) for j in range(n)] for i, (r, q) in enumerate(zip(re, den))
+        ]
+        im = None if im is None else [r + [0] * n for r in im]
+        re, im, den, pivots = _reduced(re, im, d, n)
+        if len(pivots) != n:
             raise ZeroDivisionError("matrix is singular")
-        return red.submatrix(cols=slice(n, None))
+        im = None if im is None else [r[n:] for r in im]
+        return _canonical([r[n:] for r in re], im, den, d, n)
 
     def solve(self, rhs: Sequence) -> tuple | None:
         """Some x with self @ x = rhs, free variables pinned to zero.
@@ -506,26 +471,37 @@ class Matrix:
         rhs = tuple(rhs)
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side length mismatch")
-        aug = Matrix.hstack(self, Matrix.column(rhs))
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
+        ncols = self.ncols
+        (ar, ai, ad, da), (br, bi, bd, db) = self._ints, Matrix.column(rhs)._ints
+        d = _join(da, db)
+        # [A | rhs] row by row over den[i] * q[i], q[i] the denominator of rhs[i]
+        qs = list(zip(ad, bd))
+        re = [[q * x for x in r] + [p * y] for r, (y,), (p, q) in zip(ar, br, qs)]
+        im = None
+        if ai is not None or bi is not None:
+            ai, bi = ai or [[0] * ncols] * self.nrows, bi or [[0]] * self.nrows
+            im = [[q * x for x in r] + [p * y] for r, (y,), (p, q) in zip(ai, bi, qs)]
+        re, im, den, pivots = _reduced(re, im, d, ncols + 1)
+        if ncols in pivots:
             return None
-        x = [_zero_like(aug)] * self.ncols
+        zero = _ZERO if d is None else QuadFieldElement(_ZERO, _ZERO, d)
+        x = [zero] * ncols
         for r, p in enumerate(pivots):
-            x[p] = _entry(red._ints, r, self.ncols)
+            x[p] = _entry((re, im, den, d), r, ncols)
         return tuple(x)
 
     def right_kernel(self) -> "Matrix":
         """Rows form a basis of {x : self @ x = 0} (deterministic order)."""
-        red, pivots = self.rref()
-        re, im, den, d = red._ints
+        re, im, _, d = self._ints
         ncols = self.ncols
+        re, im, den, pivots = _reduced(re, im, d, ncols)
         out_re, out_im, out_den = [], [], []
         for fc in range(ncols):
             if fc in pivots:
                 continue
-            # x[fc] = 1 and x[p] = -red[r][fc], over the lcm of the dens of
-            # the rows nonzero in column fc
+            # x[fc] = 1 and x[p] = -re[r][fc] / den[r] for the reduced row r
+            # of pivot p, over the lcm of the dens of the rows nonzero in
+            # column fc
             hits = [
                 (r, p)
                 for r, p in enumerate(pivots)
@@ -679,11 +655,6 @@ def _entry(ints: tuple, i: int, j: int):
     )
 
 
-def _zero_like(mat: Matrix):
-    d = mat._ints[3]
-    return _ZERO if d is None else QuadFieldElement(0, 0, d)
-
-
 def _scaled(m: Matrix, c) -> Matrix:
     """m times the scalar c, a rational or a QuadFieldElement.
 
@@ -829,6 +800,33 @@ def _int_eliminate(m: list[list[int]], ncols: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _reduced(re, im, d: int | None, ncols: int) -> tuple:
+    """(re, im, den, pivots): the integer rows reduced on their first ncols columns.
+
+    Row i over den[i], its pivot entry, is the i-th row of the reduced
+    echelon form, and the rows past the rank are zero there (den 1); columns
+    past ncols ride along.  Nothing is canonicalized, and the given rows are
+    not changed.  With imaginary parts, the rows are reduced as the rational
+    rows of x and sqrt(-d)*x for each row x, the parts (re, im) of each
+    column side by side: their span is the row space over Q, so the reduced
+    rows come in pairs, x_j and sqrt(-d)*x_j with pivots 2c and 2c+1, and
+    row 2j holds x_j.
+    """
+    if im is None:
+        re = list(re)
+        pivots = _int_eliminate(re, ncols)
+    else:
+        m = []
+        for a, b in zip(re, im):
+            m.append(_interleaved(a, b))
+            m.append(_interleaved([-d * y for y in b], a))
+        pivots = [c // 2 for c in _int_eliminate(m, 2 * ncols)[::2]]
+        m = m[::2]
+        re, im = [r[::2] for r in m], [r[1::2] for r in m]
+    den = [re[i][c] for i, c in enumerate(pivots)]
+    return re, im, den + [1] * (len(re) - len(pivots)), pivots
 
 
 def _int_det(m: list[list[int]], den: int) -> tuple[int, int]:

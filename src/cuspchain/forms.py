@@ -39,6 +39,7 @@ from .exact import (
     _check_field,
     _in_field,
     _one_denominator,
+    _reduced,
     as_fraction,
     rref_basis,
 )
@@ -354,8 +355,9 @@ def extend_basis_rows(sub: Matrix, within: Matrix) -> Matrix:
     which makes it a pivot column of the reduced echelon form of all the
     rows written as columns.
     """
-    _, pivots = Matrix.vstack(sub, within).transpose().rref()
     k = sub.nrows
+    re, im, _, d = Matrix.vstack(sub, within).transpose()._ints
+    pivots = _reduced(re, im, d, k + within.nrows)[3]
     return within.submatrix(rows=[c - k for c in pivots if c >= k])
 
 

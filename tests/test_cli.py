@@ -405,6 +405,14 @@ INPUT_ERRORS = {
          "ambient": {"kind": "symmetric", "gram": [["1"]]}},
         ["verify", "--cert", "{bad}"], "a link must be an object",
     ),
+    "unknown-form-kind": ({"kind": "quartic", "gram": [["1"]]},
+                          ["analyze", "--space", "{bad}"], "unknown form kind 'quartic'"),
+    "interior-curve-vector-not-a-list": (
+        {"format": 1, "kind": "orthogonal", "nodes": [],
+         "links": [{"type": "orth_interior_curve", "vector": "1"}],
+         "ambient": {"kind": "symmetric", "gram": [["1"]]}},
+        ["verify", "--cert", "{bad}"], "a vector must be a list of entries",
+    ),
 }
 
 
@@ -461,16 +469,21 @@ def test_singular_lattices_exit_2_with_fixed_stderr(case, symplectic_files, tmp_
     assert err == diagnosis_text("matrix lattice basis is not full rank")
 
 
-def run_alone(argv):
-    """(exit code, stdout, stderr) of the command in a fresh interpreter."""
+CALL_MAIN = (
+    "-c", "import sys; from cuspchain.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def run_alone(argv, launch=CALL_MAIN):
+    """(exit code, stdout, stderr) of the command in a fresh interpreter.
+
+    ``launch`` holds the interpreter's arguments before the command's."""
     paths = [str(Path(cuspchain.__file__).resolve().parents[1])]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from cuspchain.cli import main; sys.exit(main(sys.argv[1:]))",
-         *argv],
+        [sys.executable, *launch, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -506,6 +519,46 @@ def test_repeated_calls_match_single_runs(symplectic_files, capsys, monkeypatch)
     for _ in range(2):
         for argv, expected in zip(commands, alone):
             assert run_in_process(capsys, argv) == expected, argv
+
+
+def test_module_run_is_the_command(symplectic_files, capsys):
+    # python -m cuspchain.cli runs the command, as the installed script does
+    argv = ["analyze", "--space", symplectic_files["space"]]
+    code, out, err = run_alone(argv, ("-m", "cuspchain.cli"))
+    assert (code, out, err) == run_in_process(capsys, argv)
+    assert code == 0 and out.startswith("{")
+    code, out, err = run_alone(["analyze", "--bogus"], ("-m", "cuspchain.cli"))
+    assert (code, out) == (2, "")
+    assert json.loads(err).keys() == {"error", "detail"}
+
+
+# cusp data that chain cannot join: (space, i1, i2, error, detail)
+UNJOINABLE = {
+    "line-and-plane": (
+        {"kind": "alternating", "gram": [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+                                         ["-1", "0", "0", "0"], ["0", "-1", "0", "0"]]},
+        {"basis": [["1", "0", "0", "0"]]},
+        {"basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]},
+        "DimensionMismatch", "cusp data of dimensions 1 != 2",
+    ),
+    "signature-not-2-n": (
+        {"kind": "symmetric", "gram": [["0", "1"], ["1", "0"]]},
+        {"basis": [["1", "0"]]},
+        {"basis": [["0", "1"]]},
+        "SignatureMismatch", "need signature (2, n), got (1, 1, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNJOINABLE)
+def test_unjoinable_cusp_data_is_one_diagnosis(case, tmp_path, capsys):
+    space, i1, i2, error, detail = UNJOINABLE[case]
+    argv = ["chain"]
+    for name, doc in (("space", space), ("i1", i1), ("i2", i2)):
+        argv += [f"--{name}", write(tmp_path / f"{name}.json", doc)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": error, "detail": detail}
 
 
 def test_help_still_exits_zero(capsys):

@@ -360,7 +360,7 @@ def reference_order_rows(lattice):
     """
     b_inv = lattice.vec_basis().inverse()
     blocks = [Matrix([vec(bm * e) for e in UNITS]) * b_inv for bm in lattice.basis]
-    stacked = Matrix.hstack(*blocks)
+    stacked = Matrix([sum((blk.rows[i] for blk in blocks), ()) for i in range(4)])
     denom = stacked.denominator_lcm()
     s, u, _ = smith(stacked * denom)
     scale_rows = Matrix(

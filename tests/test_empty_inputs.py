@@ -32,7 +32,7 @@ from cuspchain.forms import (
     unit_vector,
     zero_subspace,
 )
-from cuspchain.isotropic import j0_construct
+from cuspchain.isotropic import find_isotropic_vector, j0_construct
 
 SPACES = {
     "symplectic": standard_symplectic(2),
@@ -54,6 +54,7 @@ def test_zero_dimensional_form_space(space):
     empty = FormSpace(space.kind, Matrix([], ncols=0), space.d)
     assert empty.dim == 0
     assert empty.gram.shape == (0, 0)
+    assert find_isotropic_vector(empty) is None
 
 
 def test_intersection_with_the_zero_subspace(space):
@@ -75,6 +76,9 @@ def test_complement_of_the_zero_subspace(space):
     perp = orthogonal_complement(space, zero_subspace(space))
     assert perp == canonical_subspace(space, Matrix.identity(space.dim))
     assert perp.basis == space.coerce_matrix(Matrix.identity(space.dim))
+    # plain rows, none at all included
+    assert canonical_subspace(space, Matrix.identity(space.dim).rows) == perp
+    assert canonical_subspace(space, []) == zero_subspace(space)
 
 
 def test_pairing_of_zero_subspaces(space):

@@ -26,6 +26,13 @@ hand-written elimination cannot grow back beside it.
 of its stability system's column lattice will do, so it skips the
 transform and the reduction above the pivots that ``hnf`` adds.
 
+Row reduction over a field takes one kernel, ``exact._reduced``: it is the
+only caller of ``exact._int_eliminate``, and ``Matrix.inverse``,
+``Matrix.solve``, ``Matrix.right_kernel``, ``Matrix.rank`` and
+``forms.extend_basis_rows`` call it directly, never ``rref`` (which makes
+every row canonical) or a stacking helper, so each reads only what it needs
+of one elimination.
+
 The command line writes matrices through ``serialize.dumps_canonical``:
 ``cli`` never calls ``serialize.matrix_to_json``, because its outputs carry
 ``Matrix`` values, which ``dumps_canonical`` writes from their integer rows.
@@ -148,26 +155,45 @@ def test_adjoint_products_use_mul_adjoint():
     assert found == []
 
 
-def test_normal_forms_share_one_echelon():
-    def reads(fn, name):
-        return any(
-            isinstance(node, (ast.Name, ast.Attribute))
-            and isinstance(node.ctx, ast.Load)
-            and getattr(node, "id", getattr(node, "attr", None)) == name
-            for node in ast.walk(fn)
-        )
+def reads(fn, name):
+    """Whether the function's body loads the name, plain or as an attribute."""
+    return any(
+        isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+        and getattr(node, "id", getattr(node, "attr", None)) == name
+        for node in ast.walk(fn)
+    )
 
-    functions = [
+
+def functions():
+    """(file name, function) for every function of the package."""
+    return [
         (path.name, fn)
         for path in SOURCES
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(fn, ast.FunctionDef)
     ]
-    exact = {fn.name: fn for name, fn in functions if name == "exact.py"}
-    xgcd_users = [f"{name}:{fn.name}" for name, fn in functions if reads(fn, "_xgcd")]
+
+
+def test_normal_forms_share_one_echelon():
+    found = functions()
+    exact = {fn.name: fn for name, fn in found if name == "exact.py"}
+    xgcd_users = [f"{name}:{fn.name}" for name, fn in found if reads(fn, "_xgcd")]
     assert xgcd_users == ["exact.py:_echelon"]
     assert reads(exact["hnf"], "_echelon")
     assert reads(exact["smith"], "_echelon")
+
+
+def test_eliminations_share_one_kernel():
+    found = functions()
+    users = [f"{name}:{fn.name}" for name, fn in found if reads(fn, "_int_eliminate")]
+    assert users == ["exact.py:_reduced"]
+    by_name = {(name, fn.name): fn for name, fn in found}
+    for key in [("exact.py", "inverse"), ("exact.py", "solve"), ("exact.py", "rank"),
+                ("exact.py", "right_kernel"), ("forms.py", "extend_basis_rows")]:
+        fn = by_name[key]
+        assert reads(fn, "_reduced"), key
+        assert not reads(fn, "rref") and not reads(fn, "hstack"), key
 
 
 def test_cli_leaves_matrices_to_dumps_canonical():
