@@ -29,7 +29,7 @@ from .errors import (
     SignatureUnsupported,
     _ensure,
 )
-from .exact import Matrix, as_fraction, rref_basis
+from .exact import Matrix, as_fraction
 from .forms import (
     ALTERNATING,
     HERMITIAN,
@@ -175,10 +175,6 @@ def _check_endpoints(space: FormSpace, kind: str, i1: Subspace, i2: Subspace):
     return a, b
 
 
-def _trivial(space: FormSpace, kind: str, node: Subspace) -> ChainCertificate:
-    return ChainCertificate(space, kind, (node,), ())
-
-
 def build_chain_orthogonal(
     space: FormSpace,
     i1: Subspace,
@@ -199,7 +195,7 @@ def build_chain_orthogonal(
     if a.dim == 2 and n < 3:
         raise ExcludedCase("(n, k) = (2, 1) is excluded; need n >= 3 for planes")
     if a == b:
-        return _trivial(space, ORTHOGONAL, a)
+        return ChainCertificate(space, ORTHOGONAL, (a,), ())
     if a.dim == 1:
         if pairing_matrix(space, a, b).is_zero():
             plane = subspace_sum(a, b)
@@ -251,10 +247,13 @@ def _interior_vector(
 
 def _segre_witness(space: FormSpace, j1: Subspace, j2: Subspace) -> Matrix:
     """Images of (e1, f1, e2, f2) under an isometry 2U -> J1 + J2."""
-    p = pairing_matrix(space, j1, j2)
-    if j1.dim != 2 or j2.dim != 2 or p.det() == 0:
+    if j1.dim != 2 or j2.dim != 2:
         raise PreconditionFailed("need perfectly paired isotropic planes")
-    dual = p.inverse().transpose() * j2.basis  # rows pair dually with j1 rows
+    try:
+        p_inv = pairing_matrix(space, j1, j2).inverse()
+    except ZeroDivisionError:
+        raise PreconditionFailed("need perfectly paired isotropic planes") from None
+    dual = p_inv.transpose() * j2.basis  # rows pair dually with j1 rows
     # rows a1, a2 of j1 and b1, b2 of dual, in the order (a1, b1, a2, b2)
     return Matrix.vstack(j1.basis, dual).submatrix(rows=[0, 2, 1, 3])
 
@@ -617,7 +616,7 @@ def _check_boundary_descent(cert, link, left, right, fail):
             return
         coords = node.basis * project
         residual = node.basis - coords * lift
-        if rref_basis(Matrix.vstack(meet.basis, residual)).nrows != meet.dim:
+        if Matrix.vstack(meet.basis, residual).rank() != meet.dim:
             fail(
                 "push-residual",
                 f"{name} endpoint does not project along the intersection",

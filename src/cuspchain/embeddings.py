@@ -208,12 +208,6 @@ class M2Model:
 
     d: int
 
-    def to_matrix(self, coords: Sequence[QuadFieldElement]) -> Matrix:
-        x, y = coords
-        a, b = x.a, x.b
-        c, e = y.a, y.b
-        return Matrix([[a, c - self.d * b], [b, a + e]])
-
     def from_matrix(self, m: Matrix) -> tuple[QuadFieldElement, QuadFieldElement]:
         m00, m01 = Fraction(m[0, 0]), Fraction(m[0, 1])
         m10, m11 = Fraction(m[1, 0]), Fraction(m[1, 1])
@@ -388,8 +382,8 @@ def order_of_lattice(lattice: MatrixLattice) -> MatrixLattice:
 
 def order_containment_scale(order: MatrixLattice, maximal: MatrixLattice) -> int:
     """Minimal positive N0 with N0 * maximal inside order: the least common
-    denominator of change^-1, for change = O * M^-1 with vec bases O and M."""
-    change = order.vec_basis() * maximal._dual
-    if not change.is_integral():
+    denominator of change^-1 = M * O^-1, for change = O * M^-1 with vec bases
+    O and M, read off the inverses the two lattices keep."""
+    if not (order.vec_basis() * maximal._dual).is_integral():
         raise NotContained("the first order is not contained in the second")
-    return change.inverse().denominator_lcm()
+    return (maximal.vec_basis() * order._dual).denominator_lcm()

@@ -208,13 +208,6 @@ class QuadFieldElement:
         return f"{self.a}+{self.b}*sqrt(-{self.d})"
 
 
-def conjugate_scalar(x):
-    """Complex conjugation; the identity on rationals."""
-    if isinstance(x, QuadFieldElement):
-        return x.conjugate()
-    return x
-
-
 def as_fraction(x) -> Fraction:
     """Extract a rational value, failing on genuinely imaginary input."""
     if isinstance(x, QuadFieldElement):
@@ -520,9 +513,6 @@ class Matrix:
             out_im.append(xi)
             out_den.append(q)
         return _canonical(out_re, None if im is None else out_im, out_den, d, ncols)
-
-    def left_kernel(self) -> "Matrix":
-        return self.transpose().right_kernel()
 
     def __repr__(self):
         body = "; ".join(
@@ -1074,22 +1064,17 @@ def smith(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     )
 
 
-def descending_range(h: int) -> range:
-    """Coordinate values h, h-1, ..., -h used by shell enumeration."""
-    return range(h, -h - 1, -1)
-
-
 def shell_tuples(width: int, h: int):
     """Integer tuples with max-norm exactly h, in lexicographic order.
 
-    The order is that of ``itertools.product(descending_range(h),
-    repeat=width)`` kept to the shell, but only the shell is generated: a
-    prefix of the first width - 1 coordinates that already has max-norm h
-    takes every last coordinate h, ..., -h, any other prefix only h and -h.
-    So each prefix's tuples are consecutive, and a tuple starts a new prefix
-    exactly when its last coordinate is h.
+    Each coordinate runs down h, h-1, ..., -h, and the order is that of
+    ``itertools.product`` over those values kept to the shell, but only the
+    shell is generated: a prefix of the first width - 1 coordinates that
+    already has max-norm h takes every last coordinate h, ..., -h, any other
+    prefix only h and -h.  So each prefix's tuples are consecutive, and a
+    tuple starts a new prefix exactly when its last coordinate is h.
     """
-    full = descending_range(h)
+    full = range(h, -h - 1, -1)
     ends = (h, -h)
     for prefix in itertools.product(full, repeat=width - 1):
         for x in full if h in prefix or -h in prefix else ends:

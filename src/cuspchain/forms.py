@@ -201,7 +201,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     _same_space(a, b)
     stacked = Matrix.vstack(a.basis, b.basis)
-    coeffs = stacked.left_kernel()  # rows (x, y) with x*A == -y*B
+    coeffs = stacked.transpose().right_kernel()  # rows (x, y) with x*A == -y*B
     rows = coeffs.submatrix(cols=slice(a.dim)) * a.basis
     return canonical_subspace(a.space, rows)
 
@@ -209,7 +209,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 def subspace_contains(big: Subspace, small: Subspace) -> bool:
     _same_space(big, small)
     stacked = Matrix.vstack(big.basis, small.basis)
-    return rref_basis(stacked).nrows == rref_basis(big.basis).nrows
+    return stacked.rank() == rref_basis(big.basis).nrows
 
 
 def _same_space(a: Subspace, b: Subspace) -> None:

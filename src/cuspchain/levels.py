@@ -3,10 +3,11 @@
 Given commensurable full lattices L and L' in one form space, the sandwich
 N1 L' <= N L <= L <= N2^-1 L' yields the level N' = N1 N2 at which the
 principal congruence isometries of (L', N') land inside those of (L, N).
-The multipliers are minimal, read off the denominators of the exact
-change-of-basis matrices.  Each lattice inverts its basis once, when it is
-built; that inversion is also the test that the basis is nonsingular, and
-every change of basis into the lattice reads the kept inverse.
+The multipliers are minimal: each is the least common denominator of the
+coordinates of one lattice's basis rows in the other's basis, so L' lies in
+L exactly when N1 = 1 at N = 1.  Each lattice inverts its basis once, when
+it is built; that inversion is also the test that the basis is nonsingular,
+and every change of basis into the lattice reads the kept inverse.
 """
 
 from __future__ import annotations
@@ -42,18 +43,11 @@ class FullLattice:
         object.__setattr__(self, "_inverse", inverse)
 
 
-def minimal_multiplier(inner: Matrix, outer: Matrix) -> int:
-    """Least k >= 1 with k * rowlattice(inner) inside rowlattice(outer)."""
-    return _multiplier(inner, outer.inverse())
-
-
 def _multiplier(inner: Matrix, outer_inverse: Matrix) -> int:
-    """minimal_multiplier(inner, outer), given outer^-1."""
+    """Least k >= 1 with k * rowlattice(inner) inside the row lattice of the
+    basis whose inverse is outer_inverse: the least common denominator of
+    inner * outer_inverse, the coordinates of inner's rows in that basis."""
     return (inner * outer_inverse).denominator_lcm()
-
-
-def lattice_contains(outer: FullLattice, inner: FullLattice) -> bool:
-    return _multiplier(inner.basis, outer._inverse) == 1
 
 
 def containment_level(

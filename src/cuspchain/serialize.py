@@ -44,7 +44,6 @@ from typing import Any
 from .chains import (
     LINK_TYPES,
     ChainCertificate,
-    Failure,
     Link,
     ManinDrinfeldLeaf,
     VerificationReport,
@@ -405,27 +404,6 @@ def report_to_json(report: VerificationReport) -> dict:
             for f in report.failures
         ],
     }
-
-
-_FAILURE_FIELDS = {"link": int, "condition": str, "detail": str}
-
-
-def report_from_json(obj) -> VerificationReport:
-    if not isinstance(obj, dict) or not isinstance(obj.get("failures"), list):
-        raise InputFormatError("a report must be an object with failures")
-    failures = []
-    for f in obj["failures"]:
-        if (
-            not isinstance(f, dict)
-            or any(type(f.get(k)) is not t for k, t in _FAILURE_FIELDS.items())
-            or f["link"] < -1
-        ):
-            raise InputFormatError(f"bad failure entry {f!r}")
-        failures.append(Failure(f["link"], f["condition"], f["detail"]))
-    ok = obj.get("ok")
-    if type(ok) is not bool or ok == bool(failures):
-        raise InputFormatError(f"report ok must be true iff no failures, got {ok!r}")
-    return VerificationReport(ok=ok, failures=tuple(failures))
 
 
 def dumps_canonical(obj) -> str:

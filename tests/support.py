@@ -40,6 +40,11 @@ def field_zero(space: FormSpace):
     return Fraction(0)
 
 
+def conjugate_scalar(x):
+    """Complex conjugation of a field element; the identity on rationals."""
+    return x.conjugate() if isinstance(x, QuadFieldElement) else x
+
+
 def _columns_from_action(space: FormSpace, image_of_basis) -> Matrix:
     cols = [image_of_basis(unit_vector(space, j)) for j in range(space.dim)]
     return Matrix(cols).transpose()

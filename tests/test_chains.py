@@ -104,6 +104,17 @@ class TestOrthogonalBuilder:
         assert isinstance(cert.links[0], OrthSegre)
         assert verify_certificate(cert).ok
 
+    def test_segre_witness_needs_perfectly_paired_planes(self):
+        # the builder passes only planes that meet in zero, which pair
+        # perfectly in signature (2, n); the witness refuses any other pair
+        j1, j2 = plane(self.space, 0, 2), plane(self.space, 1, 3)
+        e1 = line(self.space, unit_vector(self.space, 0))
+        for left, right in ((j1, j1), (j1, plane(self.space, 0, 3)), (e1, j2)):
+            with pytest.raises(
+                PreconditionFailed, match="^need perfectly paired isotropic planes$"
+            ):
+                chains._segre_witness(self.space, left, right)
+
     def test_meeting_planes_three_isometry_links(self):
         j1 = plane(self.space, 0, 2)
         j2 = plane(self.space, 0, 3)

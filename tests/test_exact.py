@@ -15,13 +15,12 @@ from cuspchain.errors import MixedDiscriminants
 from cuspchain.exact import (
     Matrix,
     QuadFieldElement,
-    conjugate_scalar,
     hnf,
     rref_basis,
     smith,
 )
 
-from support import oracle_hnf, oracle_invariant_factors
+from support import conjugate_scalar, oracle_hnf, oracle_invariant_factors
 
 
 def mat(rows):

@@ -19,7 +19,6 @@ from cuspchain.exact import (
     Matrix,
     QuadFieldElement,
     as_fraction,
-    conjugate_scalar,
     rref_basis,
 )
 from cuspchain.forms import (
@@ -51,7 +50,7 @@ from cuspchain.forms import (
     zero_subspace,
 )
 
-from support import field_zero
+from support import conjugate_scalar, field_zero
 
 
 def test_form_space_validation():

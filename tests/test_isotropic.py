@@ -21,7 +21,6 @@ from cuspchain.chains import _to_local
 from cuspchain.exact import (
     Matrix,
     QuadFieldElement,
-    conjugate_scalar,
     rref_basis,
     shell_tuples,
 )
@@ -56,7 +55,7 @@ from cuspchain.isotropic import (
     third_isotropic_lines,
 )
 
-from support import field_zero, run_optimized
+from support import conjugate_scalar, field_zero, run_optimized
 
 
 def diag_space(entries):

@@ -18,8 +18,6 @@ from cuspchain.levels import (
     FullLattice,
     congruence_membership,
     containment_level,
-    lattice_contains,
-    minimal_multiplier,
 )
 
 from support import (
@@ -40,6 +38,11 @@ def brute_multiplier(inner: Matrix, outer: Matrix, bound: int) -> int:
     raise AssertionError("no multiplier up to bound")
 
 
+def multiplier(inner: Matrix, outer: Matrix) -> int:
+    """Least k >= 1 with k * rowlattice(inner) inside rowlattice(outer)."""
+    return (inner * outer.inverse()).denominator_lcm()
+
+
 class TestContainmentLevel:
     def setup_method(self):
         self.space = hyperbolic_plane()
@@ -51,6 +54,9 @@ class TestContainmentLevel:
         lat = self.lattice([[1, 0], [0, 1]])
         for n in (1, 2, 5):
             assert containment_level(lat, lat, n) == (n, 1, n)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="^the level N must be a positive"):
+                containment_level(lat, lat, n)
 
     def test_doubled_lattice(self):
         lat = self.lattice([[1, 0], [0, 1]])
@@ -68,10 +74,8 @@ class TestContainmentLevel:
         assert nprime == 6
         # sandwich containments re-verified exactly
         scaled = other.basis.map_entries(lambda x: x * n1)
-        assert minimal_multiplier(scaled, lat.basis.map_entries(lambda x: x * 2)) == 1
-        assert minimal_multiplier(
-            lat.basis.map_entries(lambda x: x * n2), other.basis
-        ) == 1
+        assert multiplier(scaled, lat.basis.map_entries(lambda x: x * 2)) == 1
+        assert multiplier(lat.basis.map_entries(lambda x: x * n2), other.basis) == 1
 
     def test_ambient_mismatch(self):
         other_space = FormSpace("symmetric", Matrix([[2, 0], [0, -2]]))
@@ -119,6 +123,9 @@ class TestCongruenceMembership:
         space = standard_symplectic(2)
         lat = FullLattice(space, Matrix.identity(4))
         assert congruence_membership(Matrix.identity(4), lat, 7)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^the level N must be a positive"):
+                congruence_membership(Matrix.identity(4), lat, n)
 
     def test_transvection_level(self):
         space = standard_symplectic(2)
@@ -134,6 +141,9 @@ class TestCongruenceMembership:
         lat = FullLattice(space, Matrix.identity(2))
         with pytest.raises(NotAnIsometry):
             congruence_membership(Matrix([[1, 0], [0, 2]]), lat, 2)
+        for gamma in (Matrix([[1, 0, 0], [0, 1, 0]]), Matrix.identity(3)):
+            with pytest.raises(NotAnIsometry, match="^matrix of shape .* cannot act$"):
+                congruence_membership(gamma, lat, 2)
 
     def test_closed_under_composition(self):
         rng = random.Random(97)
@@ -231,11 +241,12 @@ class TestCongruenceMembership:
 
 
 def test_lattice_contains():
+    # L' lies in L exactly when N1 = 1 at level N = 1
     space = hyperbolic_plane()
     big = FullLattice(space, Matrix.identity(2))
     small = FullLattice(space, Matrix([[2, 0], [0, 3]]))
-    assert lattice_contains(big, small)
-    assert not lattice_contains(small, big)
+    assert containment_level(big, small, 1)[0] == 1
+    assert containment_level(small, big, 1)[0] != 1
 
 
 def test_full_lattice_validation():
@@ -302,9 +313,9 @@ def test_kept_inverse_is_the_basis_inverse():
         # the levels read off the kept inverses are those of the inverted bases
         for lat, lat_prime in zip(lattices, lattices[1:]):
             for n in (1, 2, 6):
-                n1 = minimal_multiplier(lat_prime.basis, lat.basis * n)
-                n2 = minimal_multiplier(lat.basis, lat_prime.basis)
+                n1 = multiplier(lat_prime.basis, lat.basis * n)
+                n2 = multiplier(lat.basis, lat_prime.basis)
                 assert containment_level(lat, lat_prime, n) == (n1, n2, n1 * n2)
-            assert lattice_contains(lat, lat_prime) == (
-                minimal_multiplier(lat_prime.basis, lat.basis) == 1
+            assert (containment_level(lat, lat_prime, 1)[0] == 1) == (
+                multiplier(lat_prime.basis, lat.basis) == 1
             )

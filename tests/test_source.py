@@ -50,6 +50,11 @@ Every condition the verifier can report, the literal name in each
 ``test_chains.VERIFIER_CONDITIONS``, so a new condition lands with a
 certificate that shows it.
 
+No function of the package serves only tests: every public module-level
+function is read somewhere in the package outside its own body, or is named
+in ``cuspchain.__all__``.  The exceptions are the three standard form
+spaces the tests build their fixtures from.
+
 There is no dead configuration: every parameter of a public function or
 method (a name with no leading underscore), other than ``self`` and
 ``cls``, is read in its body, so no function takes a value only to keep a
@@ -211,7 +216,7 @@ SERIALIZE_PUBLIC = {
     "matrix_from_json", "vector_to_json", "vector_from_json", "form_space_to_json",
     "form_space_from_json", "subspace_to_json", "subspace_from_json",
     "certificate_to_json", "certificate_from_json", "link_to_json",
-    "link_from_json", "report_to_json", "report_from_json", "dumps_canonical",
+    "link_from_json", "report_to_json", "dumps_canonical",
 }
 
 
@@ -289,3 +294,28 @@ def test_public_parameters_are_read():
                 if p.arg not in ("self", "cls", *read)
             ]
     assert found == []
+
+
+# standard form spaces that only the tests build
+FIXTURE_ONLY = {
+    "forms.py:hyperbolic_plane", "forms.py:standard_symplectic",
+    "forms.py:standard_hermitian_hyperbolic",
+}
+
+
+def test_public_functions_serve_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    found = []
+    for name, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            used = fn.name in cuspchain.__all__ or any(
+                reads(stmt, fn.name)
+                for other in trees.values()
+                for stmt in other.body
+                if stmt is not fn
+            )
+            if not used:
+                found.append(f"{name}:{fn.name}")
+    assert sorted(found) == sorted(FIXTURE_ONLY)
