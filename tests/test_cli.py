@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 import cuspchain
 from cuspchain import chains, serialize
 from cuspchain.cli import COMMANDS, Group, main
-from cuspchain.exact import QuadFieldElement
-from cuspchain.forms import line, standard_symplectic, unit_vector
+from cuspchain.exact import Matrix, QuadFieldElement
+from cuspchain.forms import canonical_subspace, line, standard_symplectic, unit_vector
 
 from support import (
+    orthogonal_test_space,
+    random_orthogonal_isometry,
     random_symplectic_isometry,
     random_unitary_isometry,
     standard_isotropic,
@@ -979,6 +981,75 @@ def test_symplectic_certificate_bytes_unchanged(tmp_path, capsys):
     assert {digest(verify) for _, verify in outs.values()} == {VERIFY_DIGEST}
 
 
+def orthogonal_instances():
+    """(key, space, i1, i2): one pair per orthogonal link route, then random
+    pairs of lines and of planes in 2U + <-2, ...>, two seeds each."""
+    space = orthogonal_test_space([-2])
+
+    def span(*indices):
+        return canonical_subspace(space, Matrix([unit_vector(space, i) for i in indices]))
+
+    yield "boundary plane", space, span(0), span(2)
+    yield "interior curve", space, span(0), span(1)
+    yield "2U isometry", space, span(0, 2), span(1, 3)
+    yield "intersecting planes", space, span(0, 2), span(0, 3)
+    for negatives in ([-2], [-2, -4], [-2, -4, -6]):
+        space = orthogonal_test_space(negatives)
+        for rank in (1, 2):
+            base = canonical_subspace(
+                space, Matrix([unit_vector(space, 2 * i) for i in range(rank)])
+            )
+            for seed in (0, 1):
+                rng = random.Random(100 * len(negatives) + 10 * rank + seed)
+                i1, i2 = (
+                    transform_subspace(
+                        space,
+                        random_orthogonal_isometry(space, rng, rng.randint(1, 3)),
+                        base,
+                    )
+                    for _ in range(2)
+                )
+                yield f"neg{negatives} rank{rank} s{seed}", space, i1, i2
+
+
+# First 16 hex digits of the sha256 of each instance's `chain` stdout and the
+# link types of its certificate, recorded while the interior-curve vector was
+# still written as a list of "p/q" strings by the encoder.
+ORTHOGONAL_GOLDEN = {
+    "boundary plane": ("0774ee59ba67f5f5", ("orth_boundary_plane",)),
+    "interior curve": ("9b01415ad13f3204", ("orth_interior_curve",)),
+    "2U isometry": ("b569bdcf6cfd5148", ("orth_segre",)),
+    "intersecting planes": ("34b131a1ee0358d1", ("orth_segre",) * 3),
+    "neg[-2] rank1 s0": ("f24817f10360029b", ("orth_boundary_plane",)),
+    "neg[-2] rank1 s1": ("b9be47ba40dc3715", ("orth_interior_curve",)),
+    "neg[-2] rank2 s0": ("16392c3108fe9b04", ()),
+    "neg[-2] rank2 s1": ("b4c34a4354937278", ("orth_segre",)),
+    "neg[-2, -4] rank1 s0": ("ad164c9ec5295add", ("orth_boundary_plane",)),
+    "neg[-2, -4] rank1 s1": ("be786efc099fe810", ("orth_interior_curve",)),
+    "neg[-2, -4] rank2 s0": ("c2e584d659b9f10f", ("orth_segre",)),
+    "neg[-2, -4] rank2 s1": ("56887c58b6453466", ("orth_segre",) * 3),
+    "neg[-2, -4, -6] rank1 s0": ("97de72b123c5ec30", ("orth_boundary_plane",)),
+    "neg[-2, -4, -6] rank1 s1": ("df93c775e9abd379", ("orth_interior_curve",)),
+    "neg[-2, -4, -6] rank2 s0": ("bdffcfd10af634d5", ()),
+    "neg[-2, -4, -6] rank2 s1": ("63590412fb851c74", ("orth_segre",)),
+}
+
+
+def test_orthogonal_certificate_bytes_unchanged(tmp_path, capsys):
+    outs = chain_and_verify(tmp_path, capsys, orthogonal_instances())
+    found = {
+        k: (digest(chain), tuple(link["type"] for link in json.loads(chain)["links"]))
+        for k, (chain, _) in outs.items()
+    }
+    assert found == ORTHOGONAL_GOLDEN
+    assert {digest(verify) for _, verify in outs.values()} == {VERIFY_DIGEST}
+    # every orthogonal link type and the three-link intersecting route
+    assert {t for _, types in found.values() for t in types} == {
+        "orth_boundary_plane", "orth_interior_curve", "orth_segre"
+    }
+    assert found["intersecting planes"][1] == ("orth_segre",) * 3
+
+
 def test_deep_boundary_descent_is_input_error(tmp_path, capsys):
     # 300 nested descents parse as JSON, but no certificate over a
     # 4-dimensional space can descend more than twice
@@ -1002,8 +1073,6 @@ def test_deep_boundary_descent_is_input_error(tmp_path, capsys):
 
 
 def test_demo_order_failed_self_check_is_named(tmp_path, capsys, monkeypatch):
-    from cuspchain.exact import Matrix
-
     monkeypatch.setattr(Matrix, "is_integral", lambda self: False)
     lattice_file = write(
         tmp_path / "lat.json",
@@ -1020,7 +1089,6 @@ def test_demo_order_failed_self_check_is_named(tmp_path, capsys, monkeypatch):
 
 def test_analyze_eliminates_once(tmp_path, capsys, monkeypatch):
     from cuspchain import forms
-    from cuspchain.exact import Matrix
 
     calls = []
     pivots = forms._congruent_pivots
