@@ -46,9 +46,8 @@ def _load_json(path: str):
             return json.loads(text)
         except json.JSONDecodeError:
             # positions in the message count in the text as text mode reads it,
-            # with "\r\n" read as "\n"
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+            # with "\r\n" and then "\r" read as "\n"
+            return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -87,7 +86,7 @@ def _cmd_analyze(space: str, max_height: int) -> tuple[dict, int]:
         "kind": space.kind,
         "dim": space.dim,
         "signature": signature,
-        "isotropic": serialize.vector_to_json(vector) if vector else None,
+        "isotropic": vector,
     }, EXIT_OK
 
 
@@ -95,7 +94,7 @@ def _cmd_isotropic(space: str, max_height: int) -> tuple[dict, int]:
     vector = find_isotropic_vector(_load_space(space), max_height)
     return {
         "found": vector is not None,
-        "vector": serialize.vector_to_json(vector) if vector else None,
+        "vector": vector,
         "max_height": max_height,
     }, EXIT_OK
 
@@ -107,7 +106,7 @@ def _cmd_chain(space: str, i1: str, i2: str, max_height: int) -> tuple[dict, int
     # only the orthogonal builder searches
     bound = {"max_height": max_height} if space.kind == SYMMETRIC else {}
     cert = BUILDERS[space.kind](space, i1, i2, **bound)
-    return serialize.certificate_to_json(cert, plain=False), EXIT_OK
+    return serialize.certificate_to_json(cert), EXIT_OK
 
 
 def _cmd_verify(cert: str) -> tuple[dict, int]:
@@ -133,7 +132,7 @@ def _signature(space: FormSpace) -> list[int]:
 
 def _space_demo(space: FormSpace, basis) -> tuple[dict, int]:
     return {
-        "space": serialize.form_space_to_json(space, plain=False),
+        "space": serialize.form_space_to_json(space),
         "basis": list(basis),
         "signature": _signature(space),
     }, EXIT_OK
@@ -146,21 +145,13 @@ def _demo_trace_zero() -> tuple[dict, int]:
 def _demo_veronese(tau: Fraction) -> tuple[dict, int]:
     point = embeddings.veronese_point(tau)
     space, _ = embeddings.trace_zero_space()
-    return {
-        "tau": serialize.fraction_to_json(tau),
-        "point": serialize.vector_to_json(point),
-        "norm": serialize.fraction_to_json(space.norm(point)),
-    }, EXIT_OK
+    return {"tau": tau, "point": point, "norm": space.norm(point)}, EXIT_OK
 
 
 def _demo_segre(tau1: Fraction, tau2: Fraction) -> tuple[dict, int]:
     point = embeddings.segre_point(tau1, tau2)
-    return {
-        "tau1": serialize.fraction_to_json(tau1),
-        "tau2": serialize.fraction_to_json(tau2),
-        "point": serialize.vector_to_json(point),
-        "norm": serialize.fraction_to_json(standard_2u().norm(point)),
-    }, EXIT_OK
+    norm = standard_2u().norm(point)
+    return {"tau1": tau1, "tau2": tau2, "point": point, "norm": norm}, EXIT_OK
 
 
 def _demo_hermitian_m2(D: int) -> tuple[dict, int]:

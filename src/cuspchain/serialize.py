@@ -7,13 +7,12 @@ to ASCII as ``json.dumps`` does, so equal values produce byte-identical
 documents.  Its own small emitter writes the text, because ``json.dumps``
 serves ``indent`` only from its pure-Python encoder.
 
-Matrices are read and written through their integer arrays.  The encoders
-(``*_to_json``) return plain JSON; with ``plain=False`` they leave each
-matrix a ``Matrix``, which ``dumps_canonical`` writes straight from its
-integer rows, one "p" / "p/q" text per entry and one template per field
-element, as the text of ``matrix_to_json``'s rows.  The command line hands
-such documents to ``dumps_canonical``, so no per-entry string or dict is
-built for its output.
+``dumps_canonical`` is the one writer.  The encoders (``*_to_json``) build
+documents whose leaves may be exact values: each ``Matrix``, ``Fraction``
+and ``QuadFieldElement`` stays as it is, and the writer formats it.  A
+matrix is written straight from its integer rows, one "p" / "p/q" text per
+entry and one template per field element, so no per-entry string or dict
+is built for it.  To get plain JSON, read the written text back.
 
 A JSON matrix has two readings.  The integer reader takes a matrix of one
 nonzero width whose entries share one encoding: all JSON integers, all
@@ -39,7 +38,6 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
-from typing import Any
 
 from .chains import (
     LINK_TYPES,
@@ -53,20 +51,6 @@ from .exact import Matrix, QuadFieldElement, _canonical, _is_field
 from .forms import HERMITIAN, KINDS, FormSpace, Subspace
 
 CERTIFICATE_FORMAT = 1
-
-
-def fraction_to_json(q: Fraction | int) -> str:
-    return _ratio_to_json(q.numerator, q.denominator)
-
-
-def scalar_to_json(x) -> Any:
-    if isinstance(x, QuadFieldElement):
-        return {
-            "a": fraction_to_json(x.a),
-            "b": fraction_to_json(x.b),
-            "D": x.d,
-        }
-    return fraction_to_json(x)
 
 
 def scalar_from_json(obj) -> Fraction | QuadFieldElement:
@@ -105,27 +89,11 @@ def _fraction_from_json(obj) -> Fraction:
 
 
 def _ratio_to_json(n: int, q: int) -> str:
-    """fraction_to_json(Fraction(n, q)) for q > 0."""
+    """The text of the rational n/q for q > 0: "p/q" in lowest terms, or "p"."""
     if q != 1:
         g = gcd(n, q)
         n, q = n // g, q // g
     return str(n) if q == 1 else f"{n}/{q}"
-
-
-def matrix_to_json(m: Matrix) -> list:
-    re, im, den, d = m._ints
-    if d is None:
-        return [
-            list(map(str, r)) if q == 1 else [_ratio_to_json(x, q) for x in r]
-            for r, q in zip(re, den)
-        ]
-    return [
-        [
-            {"a": _ratio_to_json(x, q), "b": _ratio_to_json(y, q), "D": d}
-            for x, y in zip(r, i or [0] * len(r))
-        ]
-        for r, i, q in zip(re, im or [None] * len(re), den)
-    ]
 
 
 # the characters of "p" and "p/q" strings joined by ","
@@ -231,23 +199,14 @@ def matrix_from_json(obj, ncols: int | None = None) -> Matrix:
         raise InputFormatError(str(exc)) from exc
 
 
-def vector_to_json(v) -> list:
-    return [scalar_to_json(x) for x in v]
-
-
 def vector_from_json(obj) -> tuple:
     if not isinstance(obj, list):
         raise InputFormatError("a vector must be a list of entries")
     return tuple(scalar_from_json(x) for x in obj)
 
 
-def _matrix(m: Matrix, plain: bool):
-    """The matrix leaf of an encoder's document: plain JSON, or m itself."""
-    return matrix_to_json(m) if plain else m
-
-
-def form_space_to_json(space: FormSpace, plain: bool = True) -> dict:
-    out = {"kind": space.kind, "gram": _matrix(space.gram, plain)}
+def form_space_to_json(space: FormSpace) -> dict:
+    out = {"kind": space.kind, "gram": space.gram}
     if space.kind == HERMITIAN:
         out["D"] = space.d
     return out
@@ -267,8 +226,8 @@ def form_space_from_json(obj) -> FormSpace:
         raise InputFormatError(str(exc)) from exc
 
 
-def subspace_to_json(s: Subspace, plain: bool = True) -> dict:
-    return {"basis": _matrix(s.basis, plain)}
+def subspace_to_json(s: Subspace) -> dict:
+    return {"basis": s.basis}
 
 
 def subspace_from_json(obj, space: FormSpace) -> Subspace:
@@ -291,13 +250,13 @@ def _leaf_from_json(obj) -> ManinDrinfeldLeaf:
     return ManinDrinfeldLeaf(note=obj["note"])
 
 
-def certificate_to_json(cert: ChainCertificate, plain: bool = True) -> dict:
+def certificate_to_json(cert: ChainCertificate) -> dict:
     return {
         "format": CERTIFICATE_FORMAT,
         "kind": cert.kind,
-        "ambient": form_space_to_json(cert.ambient, plain),
-        "nodes": [subspace_to_json(n, plain) for n in cert.nodes],
-        "links": [link_to_json(l, plain) for l in cert.links],
+        "ambient": form_space_to_json(cert.ambient),
+        "nodes": [subspace_to_json(n) for n in cert.nodes],
+        "links": [link_to_json(l) for l in cert.links],
     }
 
 
@@ -339,26 +298,31 @@ def _sub_certificate_from_json(obj, descents: int) -> ChainCertificate:
     return certificate_from_json(obj, descents - 1)
 
 
+def _same(value):
+    """A matrix or vector field's encoding: the value, for dumps_canonical."""
+    return value
+
+
 # Link field codecs by the names ``chains.LINK_TYPES`` declares: an encoder
-# of (value, plain), and a decoder of (JSON value, ambient space, fields
-# decoded so far, descents left).
+# of the value, and a decoder of (JSON value, ambient space, fields decoded
+# so far, descents left).
 FIELD_CODECS = {
     "subspace": (
         subspace_to_json,
         lambda obj, space, done, left: subspace_from_json(obj, space),
     ),
     "ambient_matrix": (
-        _matrix,
+        _same,
         lambda obj, space, done, left: matrix_from_json(obj, ncols=space.dim),
     ),
     "quotient_matrix": (
-        _matrix,
+        _same,
         lambda obj, space, done, left: matrix_from_json(
             obj, ncols=done["sub"].ambient.dim
         ),
     ),
     "vector": (
-        lambda v, plain: vector_to_json(v),
+        _same,
         lambda obj, space, done, left: vector_from_json(obj),
     ),
     "certificate": (
@@ -366,19 +330,19 @@ FIELD_CODECS = {
         lambda obj, space, done, left: _sub_certificate_from_json(obj, left),
     ),
     "leaf": (
-        lambda leaf, plain: _leaf_to_json(leaf),
+        _leaf_to_json,
         lambda obj, space, done, left: _leaf_from_json(obj),
     ),
 }
 
 
-def link_to_json(link: Link, plain: bool = True) -> dict:
+def link_to_json(link: Link) -> dict:
     link_type = LINK_TYPES.get(type(link))
     if link_type is None:
         raise InputFormatError(f"unknown link type {type(link).__name__}")
     out = {"type": link_type.tag}
     for name, codec in link_type.fields:
-        out[name] = FIELD_CODECS[codec][0](getattr(link, name), plain)
+        out[name] = FIELD_CODECS[codec][0](getattr(link, name))
     return out
 
 
@@ -411,7 +375,10 @@ def dumps_canonical(obj) -> str:
 
     The text is the one ``json.dumps`` writes with sorted keys and an indent
     of 2, and a newline, for every value whose dict keys are strings, with
-    each ``Matrix`` in it read as its ``matrix_to_json`` rows.
+    each exact value in it read as its JSON: a ``Fraction`` as its "p" /
+    "p/q" string, a ``QuadFieldElement`` as {"D": d, "a": a, "b": b} with
+    those strings for a and b, and a ``Matrix`` as the list of its rows of
+    such entries.
     """
     out: list[str] = []
     _emit(obj, "\n", out)
@@ -453,13 +420,17 @@ def _emit(obj, nl: str, out: list[str]) -> None:
         _emit_matrix(obj, nl, out)
     elif type(obj) is int:
         out.append(repr(obj))
+    elif isinstance(obj, Fraction):
+        out += ('"', _ratio_to_json(obj.numerator, obj.denominator), '"')
+    elif isinstance(obj, QuadFieldElement):
+        _emit({"a": obj.a, "b": obj.b, "D": obj.d}, nl, out)
     else:  # None, bools, floats: the C encoder writes them as the indent one does
         out.append(json.dumps(obj))
 
 
 def _emit_matrix(m: Matrix, nl: str, out: list[str]) -> None:
-    """Append the canonical text of matrix_to_json(m) to out, written row by
-    row from m's integer arrays; nl as in _emit."""
+    """Append the canonical text of m, as a list of its rows, to out, written
+    row by row from m's integer arrays; nl as in _emit."""
     re, im, den, d = m._ints
     if not re:
         out.append("[]")

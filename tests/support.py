@@ -6,6 +6,7 @@ Everything takes an explicit random.Random so test runs are reproducible.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import cuspchain
+from cuspchain import serialize
 from cuspchain.exact import Matrix, QuadFieldElement
 from cuspchain.forms import (
     HERMITIAN,
@@ -310,6 +312,19 @@ def oracle_invariant_factors(rows: list[list[int]]) -> list[int]:
     while len(factors) < rank:
         factors.append(0)
     return factors
+
+
+def json_scalar(x):
+    """The JSON of a scalar, written out here: "p" or "p/q" for a rational,
+    {"a", "b", "D"} for a field element."""
+    if isinstance(x, QuadFieldElement):
+        return {"a": str(x.a), "b": str(x.b), "D": x.d}
+    return str(Fraction(x))
+
+
+def plain_json(doc):
+    """An encoder's document as plain JSON: its canonical text read back."""
+    return json.loads(serialize.dumps_canonical(doc))
 
 
 def run_optimized(script: str, *args: str) -> subprocess.CompletedProcess:

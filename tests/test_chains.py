@@ -50,6 +50,7 @@ from cuspchain.forms import (
 from cuspchain.serialize import certificate_from_json, certificate_to_json
 
 from support import (
+    plain_json,
     random_orthogonal_isometry,
     random_symplectic_isometry,
     random_unitary_isometry,
@@ -726,7 +727,7 @@ class TestVerifierNeverRaises:
 
 # -- one case for every condition the verifier reports -----------------------
 
-JSON = {name: certificate_to_json(cert) for name, cert in CERTS.items()}
+JSON = {name: plain_json(certificate_to_json(cert)) for name, cert in CERTS.items()}
 
 
 def _json_case(source, *changes):

@@ -20,7 +20,7 @@ from cuspchain.exact import (
     smith,
 )
 
-from support import conjugate_scalar, oracle_hnf, oracle_invariant_factors
+from support import conjugate_scalar, json_scalar, oracle_hnf, oracle_invariant_factors
 
 
 def mat(rows):
@@ -828,7 +828,7 @@ class TestPairKernelMixedDiscriminants:
 def two_forms(rows: list, ncols: int) -> tuple[Matrix, Matrix]:
     from cuspchain import serialize
 
-    text = [[serialize.scalar_to_json(x) for x in r] for r in rows]
+    text = [[json_scalar(x) for x in r] for r in rows]
     return Matrix(rows, ncols), serialize.matrix_from_json(text, ncols=ncols)
 
 

@@ -31,6 +31,8 @@ from cuspchain.forms import (
 )
 
 from support import (
+    json_scalar,
+    plain_json,
     random_orthogonal_isometry,
     standard_isotropic,
     transform_subspace,
@@ -39,15 +41,15 @@ from support import (
 
 
 def test_fraction_strings():
-    assert serialize.fraction_to_json(Fraction(3)) == "3"
-    assert serialize.fraction_to_json(Fraction(-4, 6)) == "-2/3"
+    assert serialize.dumps_canonical(Fraction(3)) == '"3"\n'
+    assert serialize.dumps_canonical(Fraction(-4, 6)) == '"-2/3"\n'
     assert serialize.scalar_from_json("-2/3") == Fraction(-2, 3)
     assert serialize.scalar_from_json(7) == Fraction(7)
 
 
 def test_quad_field_round_trip():
     x = QuadFieldElement(Fraction(1, 2), Fraction(-3), 7)
-    encoded = serialize.scalar_to_json(x)
+    encoded = plain_json(x)
     assert encoded == {"a": "1/2", "b": "-3", "D": 7}
     assert serialize.scalar_from_json(encoded) == x
 
@@ -75,14 +77,15 @@ def test_form_space_round_trip():
         standard_symplectic(2),
         standard_hermitian_hyperbolic(3, 2),
     ):
-        encoded = serialize.form_space_to_json(space)
+        encoded = plain_json(serialize.form_space_to_json(space))
         assert serialize.form_space_from_json(encoded) == space
 
 
 def test_subspace_round_trip():
     space = standard_symplectic(2)
     s = line(space, unit_vector(space, 0))
-    assert serialize.subspace_from_json(serialize.subspace_to_json(s), space) == s
+    encoded = plain_json(serialize.subspace_to_json(s))
+    assert serialize.subspace_from_json(encoded, space) == s
 
 
 def certificate_samples():
@@ -120,10 +123,10 @@ def certificate_samples():
 
 def test_certificate_round_trip():
     for cert in certificate_samples():
-        encoded = serialize.certificate_to_json(cert)
+        encoded = plain_json(serialize.certificate_to_json(cert))
         decoded = serialize.certificate_from_json(encoded)
         assert decoded == cert
-        assert serialize.certificate_to_json(decoded) == encoded
+        assert plain_json(serialize.certificate_to_json(decoded)) == encoded
 
 
 def test_samples_cover_every_link_type():
@@ -196,32 +199,26 @@ def test_canonical_text_of_documents_is_json_dumps_text():
     documents = [
         serialize.certificate_to_json(symplectic),
         serialize.certificate_to_json(unitary),
+        serialize.form_space_to_json(herm),
         serialize.report_to_json(verify_certificate(unitary)),
         report,
         {"error": "InputFormatError", "detail": "bad rational '1e3' ∉ ℚ\t"},
     ]
     for doc in documents:
-        assert serialize.dumps_canonical(doc) == json_text(doc)
-    # the documents the command line writes keep their matrices as Matrix values
-    assert isinstance(serialize.form_space_to_json(herm, plain=False)["gram"], Matrix)
-    for encode, value in (
-        (serialize.certificate_to_json, symplectic),
-        (serialize.certificate_to_json, unitary),
-        (serialize.form_space_to_json, herm),
-    ):
-        doc = encode(value, plain=False)
-        assert serialize.dumps_canonical(doc) == json_text(encode(value))
+        assert serialize.dumps_canonical(doc) == json_text(plain_document(doc))
+    # the encoders leave their matrices to the writer as Matrix values
+    assert isinstance(serialize.form_space_to_json(herm)["gram"], Matrix)
 
 
 def test_certificate_format_guard():
     cert = next(certificate_samples())
     for fmt in (2, True, 1.0, "1", None):
-        encoded = serialize.certificate_to_json(cert)
+        encoded = plain_json(serialize.certificate_to_json(cert))
         encoded["format"] = fmt
         with pytest.raises(InputFormatError, match="unsupported certificate format"):
             serialize.certificate_from_json(encoded)
     # a boundary descent's sub-certificate is held to the same format
-    encoded = serialize.certificate_to_json(cert)
+    encoded = plain_json(serialize.certificate_to_json(cert))
     descent = next(link for link in encoded["links"] if "sub" in link)
     descent["sub"]["format"] = True
     with pytest.raises(InputFormatError, match="unsupported certificate format True"):
@@ -598,7 +595,7 @@ def exact_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(exact_matrices())
 def test_written_matrices_take_the_integer_reader(m):
-    obj = serialize.matrix_to_json(m)
+    obj = plain_document(m)
     read = serialize._integer_matrix(obj)
     assert read is not None
     assert read == m and read.rows == m.rows
@@ -637,30 +634,38 @@ def test_benchmark_inputs_take_the_integer_reader(monkeypatch):
         assert count, workload
 
 
-# -- the Matrix leaves of dumps_canonical --------------------------------------
+# -- the exact leaves of dumps_canonical ---------------------------------------
 #
-# dumps_canonical writes a Matrix in a document from its integer arrays, as
-# the text json.dumps writes for its matrix_to_json rows at that depth.
+# dumps_canonical writes a Fraction, a QuadFieldElement or a Matrix (from its
+# integer arrays) in a document as the text json.dumps writes for its JSON
+# at that depth.
 
 WRITTEN_MATRICES = st.one_of(
     exact_matrices(),
     st.integers(min_value=0, max_value=4).map(lambda n: Matrix([], ncols=n)),
     st.integers(min_value=1, max_value=3).map(lambda k: Matrix([[]] * k)),
 )
+RATIONALS = st.fractions(max_denominator=60)
+EXACT_SCALARS = st.one_of(
+    RATIONALS,
+    st.builds(QuadFieldElement, RATIONALS, RATIONALS, st.sampled_from([1, 2, 3, 7])),
+)
+EXACT_LEAVES = st.one_of(WRITTEN_MATRICES, EXACT_SCALARS)
 
 
 @st.composite
 def matrix_documents(draw, depth=None):
-    """A matrix nested 0-3 levels deep in lists and dicts, beside JSON
-    scalars and other matrices."""
+    """A matrix or an exact scalar nested 0-3 levels deep in lists, tuples
+    and dicts, beside JSON scalars, other matrices and exact scalars."""
     if depth is None:
         depth = draw(st.integers(min_value=0, max_value=3))
     if depth == 0:
-        return draw(WRITTEN_MATRICES)
+        return draw(EXACT_LEAVES)
     items = [draw(matrix_documents(depth - 1))]
-    items += draw(st.lists(st.one_of(JSON_SCALARS, WRITTEN_MATRICES), max_size=2))
+    items += draw(st.lists(st.one_of(JSON_SCALARS, EXACT_LEAVES), max_size=2))
     if draw(st.booleans()):
-        return draw(st.permutations(items))
+        items = draw(st.permutations(items))
+        return tuple(items) if draw(st.booleans()) else items
     keys = draw(
         st.lists(st.text(max_size=4), min_size=len(items), max_size=len(items),
                  unique=True)
@@ -669,12 +674,15 @@ def matrix_documents(draw, depth=None):
 
 
 def plain_document(doc):
-    """doc with each Matrix replaced by its matrix_to_json rows."""
+    """doc with each exact value replaced by its JSON, entry by entry: a
+    Matrix by the rows of its entries' JSON."""
     if isinstance(doc, Matrix):
-        return serialize.matrix_to_json(doc)
+        return [[json_scalar(x) for x in r] for r in doc.rows]
+    if isinstance(doc, (Fraction, QuadFieldElement)):
+        return json_scalar(doc)
     if isinstance(doc, dict):
         return {k: plain_document(v) for k, v in doc.items()}
-    if isinstance(doc, list):
+    if isinstance(doc, (list, tuple)):
         return [plain_document(v) for v in doc]
     return doc
 

@@ -33,14 +33,14 @@ only caller of ``exact._int_eliminate``, and ``Matrix.inverse``,
 every row canonical) or a stacking helper, so each reads only what it needs
 of one elimination.
 
-The command line writes matrices through ``serialize.dumps_canonical``:
-``cli`` never calls ``serialize.matrix_to_json``, because its outputs carry
-``Matrix`` values, which ``dumps_canonical`` writes from their integer rows.
-The public functions of ``serialize`` are a fixed set, and any new helper
-there is private: the benchmark's tracer files a public ``serialize``
-function under the writing layer only when its name holds "to_json" or
-starts with "dumps", and under the reading layer otherwise, so a new public
-writer would be timed as reading.
+Values are formatted as JSON in one place too: the encoders leave every
+``Matrix``, ``Fraction`` and ``QuadFieldElement`` in their documents, and
+``dumps_canonical`` writes each (a matrix from its integer rows).  The
+public functions of ``serialize`` are a fixed set with no writer of a single
+matrix or scalar, and any new helper there is private: the benchmark's
+tracer files a public ``serialize`` function under the writing layer only
+when its name holds "to_json" or starts with "dumps", and under the reading
+layer otherwise, so a new public writer would be timed as reading.
 
 ``SearchExhausted`` means a bounded search ran out (exit code 3), so only
 ``isotropic._search_vector`` raises it.
@@ -51,9 +51,12 @@ Every condition the verifier can report, the literal name in each
 certificate that shows it.
 
 No function of the package serves only tests: every public module-level
-function is read somewhere in the package outside its own body, or is named
-in ``cuspchain.__all__``.  The exceptions are the three standard form
-spaces the tests build their fixtures from.
+function is named in ``cuspchain.__all__`` or used somewhere in the package
+outside its own body.  A use is an import of the name from its module, an
+attribute read ``module.name``, or a load of the name in its own module
+where no local binding of the same name shadows it.  The exceptions are
+``forms.line`` and the three standard form spaces, which the tests build
+their fixtures from.
 
 There is no dead configuration: every parameter of a public function or
 method (a name with no leading underscore), other than ``self`` and
@@ -201,19 +204,8 @@ def test_eliminations_share_one_kernel():
         assert not reads(fn, "rref") and not reads(fn, "hstack"), key
 
 
-def test_cli_leaves_matrices_to_dumps_canonical():
-    cli = Path(cuspchain.__file__).parent / "cli.py"
-    found = [
-        node.lineno
-        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
-        if getattr(node, "id", getattr(node, "attr", None)) == "matrix_to_json"
-    ]
-    assert found == []
-
-
 SERIALIZE_PUBLIC = {
-    "fraction_to_json", "scalar_to_json", "scalar_from_json", "matrix_to_json",
-    "matrix_from_json", "vector_to_json", "vector_from_json", "form_space_to_json",
+    "scalar_from_json", "matrix_from_json", "vector_from_json", "form_space_to_json",
     "form_space_from_json", "subspace_to_json", "subspace_from_json",
     "certificate_to_json", "certificate_from_json", "link_to_json",
     "link_from_json", "report_to_json", "dumps_canonical",
@@ -296,26 +288,69 @@ def test_public_parameters_are_read():
     assert found == []
 
 
-# standard form spaces that only the tests build
+# the line and the standard form spaces that only the tests build
 FIXTURE_ONLY = {
-    "forms.py:hyperbolic_plane", "forms.py:standard_symplectic",
+    "forms.py:line", "forms.py:hyperbolic_plane", "forms.py:standard_symplectic",
     "forms.py:standard_hermitian_hyperbolic",
 }
 
 
+def bound_names(fn):
+    """The names a function or lambda binds: its parameters and every name
+    stored, imported or defined in its body (nested scopes included)."""
+    a = fn.args
+    names = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+             if p}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not fn:
+            names.add(node.name)
+    return names
+
+
+def loads_unshadowed(node, name, skip, shadowed=False):
+    """Whether node loads name outside skip, in a scope that does not bind it."""
+    if node is skip:
+        return False
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        shadowed = shadowed or name in bound_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name:
+        return not shadowed
+    return any(loads_unshadowed(child, name, skip, shadowed)
+               for child in ast.iter_child_nodes(node))
+
+
+def uses(tree, module, fn):
+    """Whether a module's tree uses the public function fn of module: imports
+    it from there, reads module.fn, or (in module itself) loads it unshadowed."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == module
+            and any(alias.name == fn.name for alias in node.names)
+        ) or (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr == fn.name
+            and isinstance(node.value, ast.Name)
+            and node.value.id == module
+        ):
+            return True
+    return fn in tree.body and loads_unshadowed(tree, fn.name, fn)
+
+
 def test_public_functions_serve_the_package():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    found = []
-    for name, tree in trees.items():
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
-                continue
-            used = fn.name in cuspchain.__all__ or any(
-                reads(stmt, fn.name)
-                for other in trees.values()
-                for stmt in other.body
-                if stmt is not fn
-            )
-            if not used:
-                found.append(f"{name}:{fn.name}")
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    found = [
+        f"{module}.py:{fn.name}"
+        for module, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and fn.name not in cuspchain.__all__
+        and not any(uses(other, module, fn) for other in trees.values())
+    ]
     assert sorted(found) == sorted(FIXTURE_ONLY)
