@@ -896,40 +896,10 @@ def rref_basis(mat: Matrix) -> Matrix:
     """Canonical basis of the row space: rref with zero rows dropped.
 
     Equal row spans produce identical output, so row spaces can be compared
-    by matrix equality.  A matrix already in that form is returned as is:
-    its canonical arrays are the ones the elimination would produce.
+    by matrix equality.
     """
-    if _is_reduced(mat._ints):
-        return mat
     red, pivots = mat.rref()
     return red.submatrix(rows=slice(len(pivots)))
-
-
-def _is_reduced(ints: tuple) -> bool:
-    """Whether a stored form is in reduced row echelon form without zero rows.
-
-    Each row's first nonzero column is its pivot, and the pivots increase;
-    each pivot entry is 1 (numerator equal to the denominator, no imaginary
-    part); every other row is zero in each pivot column.
-    """
-    re, im, den, _ = ints
-    pivots, last = [], -1
-    for r, q in zip(re, den):
-        c = next((j for j, x in enumerate(r) if x), None)
-        if c is None or c <= last or r[c] != q:
-            return False
-        pivots.append(c)
-        last = c
-    others = len(pivots) - 1
-    for r in re:
-        if list(map(r.__getitem__, pivots)).count(0) != others:
-            return False
-    if im is None:
-        return True
-    return not any(
-        any(s[: c + 1]) or any(map(s.__getitem__, pivots))
-        for s, c in zip(im, pivots)
-    )
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -209,7 +209,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 def subspace_contains(big: Subspace, small: Subspace) -> bool:
     _same_space(big, small)
     stacked = Matrix.vstack(big.basis, small.basis)
-    return stacked.rank() == rref_basis(big.basis).nrows
+    return stacked.rank() == big.basis.rank()
 
 
 def _same_space(a: Subspace, b: Subspace) -> None:
@@ -302,11 +302,12 @@ def orthogonal_complement(space: FormSpace, s: Subspace) -> Subspace:
     # sign for all three kinds
     m = (s.basis * space.gram).conjugate()
     # The kernel of m with its columns reversed, read back in reverse, is
-    # already reduced: each row's leading 1 sits in a free column and its
-    # other entries in later pivot columns, so no second elimination runs.
+    # the canonical basis as it stands: each row's leading 1 sits in a free
+    # column and its other entries in later pivot columns, so no second
+    # elimination is needed.
     flip = slice(None, None, -1)
     kernel = m.submatrix(cols=flip).right_kernel()
-    return canonical_subspace(space, kernel.submatrix(rows=flip, cols=flip))
+    return Subspace(space, kernel.submatrix(rows=flip, cols=flip))
 
 
 def pairing_kernels(

@@ -181,7 +181,7 @@ def dual_isotropic_basis(space: FormSpace, rows: Matrix) -> Matrix:
     """
     w = space.coerce_matrix(rows)
     k = w.nrows
-    if not canonical_subspace(space, w).is_isotropic():
+    if not (w * space.gram).mul_adjoint(w).is_zero():
         raise NotIsotropic("dual completion requires an isotropic subspace")
     if space.dim < 2 * k:
         raise DimensionTooSmall(

@@ -407,15 +407,12 @@ def _emit(obj, nl: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        try:
-            out += ("[", inner, ("," + inner).join(map(_quote, obj)), nl, "]")
-        except TypeError:  # an item that is not a string
-            sep = "[" + inner
-            for item in obj:
-                out.append(sep)
-                _emit(item, inner, out)
-                sep = "," + inner
-            out += (nl, "]")
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out += (nl, "]")
     elif isinstance(obj, Matrix):
         _emit_matrix(obj, nl, out)
     elif type(obj) is int:

@@ -401,6 +401,24 @@ def test_sum_intersection_containment():
     assert not subspace_contains(meet, a)
 
 
+@pytest.mark.parametrize(
+    "space", [standard_2u(), standard_hermitian_hyperbolic(3, 2)], ids=["Q", "Q(sqrt-3)"]
+)
+def test_containment_with_dependent_rows_in_the_containing_basis(space):
+    # big spans <u, v> through four rows: u, u again, a combination of u
+    # and v, and v; its dimension is 2, not its row count
+    c = Fraction(-2, 3) if space.d is None else QuadFieldElement(Fraction(-2, 3), 1, space.d)
+    u = [1, 0, c, 0]
+    v = [0, 1, 0, 2]
+    mixed = [x + c * y for x, y in zip(u, v)]
+    big = Subspace(space, Matrix([u, u, mixed, v], space.dim))
+    assert not big.is_canonical()
+    inside = line(space, [2 * x - c * y for x, y in zip(u, v)])
+    outside = line(space, unit_vector(space, 3))
+    assert subspace_contains(big, inside)
+    assert not subspace_contains(big, outside)
+
+
 def test_subspace_canonical_flag():
     space = standard_2u()
     raw = Subspace(space, Matrix([[2, 0, 0, 0]]))
