@@ -23,7 +23,6 @@ from .errors import (
     ExcludedCase,
     FormKindMismatch,
     NotIsotropic,
-    NotNested,
     PreconditionFailed,
     SignatureMismatch,
     SignatureUnsupported,
@@ -296,11 +295,8 @@ def _build_su_chain(space, kind, a, b, meet=None):
     if meet is None:
         meet = subspace_intersection(a, b)
     if meet.dim != 0:
-        # meet = a & b is canonical and lies in a and b, so of the checks of
-        # subquotient and push_subspace only the pairing with meet is left
-        for s in (a, b):
-            if not pairing_matrix(space, s, meet).is_zero():
-                raise NotNested("subspace is not inside the orthogonal of the core")
+        # meet = a & b is canonical, and a and b are isotropic and contain it,
+        # so both lie between meet and its orthogonal: nothing is left to check
         data = _subquotient(space, meet)
         a_q = _push_subspace(data, a)
         b_q = _push_subspace(data, b)

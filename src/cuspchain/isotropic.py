@@ -6,19 +6,23 @@ is lifted once per search to an integer form (:func:`forms.integer_form`).
 Only the shell is enumerated, and a candidate's norm is split over its last
 coordinate x as base + x * (lin + c * x): base and lin are computed once per
 prefix of the other coordinates, so each candidate costs a few integer
-operations whatever the dimension.  Only the accepted tuple becomes a vector
-of ``Fraction``s or ``QuadFieldElement``s, and its norm is checked once more
-in exact arithmetic.  The dual basis, dual complement, third-line and J0
-constructions run on matrix rows: each dual row is one solve of the stacked
-conditions, the standard isotropy correction x -> x - ((x,x)/2) w is a row
-operation, and their postconditions are Gram products, checked explicitly
-so that a violation raises :class:`PostconditionFailed`.
+operations whatever the dimension.  The isotropic search goes further: it
+finds the integer roots of c x^2 + lin x + base once per prefix and passes
+over the prefix's other tuples with no gcd and no norm.  Only the accepted
+tuple becomes a vector of ``Fraction``s or ``QuadFieldElement``s, and its
+norm is checked once more in exact arithmetic.  An exhausted search names
+the primitive tuples it passed, counted in closed form.  The dual basis,
+dual complement, third-line and J0 constructions run on matrix rows: each
+dual row is one solve of the stacked conditions, the standard isotropy
+correction x -> x - ((x,x)/2) w is a row operation, and their
+postconditions are Gram products, checked explicitly so that a violation
+raises :class:`PostconditionFailed`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import (
     DimensionTooSmall,
@@ -66,7 +70,7 @@ def _check_max_height(max_height: int) -> None:
         raise ValueError("need max_height >= 1")
 
 
-def _candidate_vectors(form: list[list[int]], max_height: int):
+def _candidate_vectors(form: list[list[int]], max_height: int, zeros: bool = False):
     """(raw, n) for primitive tuples raw by increasing shell, n = raw S raw^T.
 
     S is the symmetric integer ``form`` of :func:`integer_form`; the tuples
@@ -76,6 +80,10 @@ def _candidate_vectors(form: list[list[int]], max_height: int):
     tuple starts a new prefix exactly when x == h, so base and lin are
     recomputed there (before the gcd filter, since a prefix's first tuple
     may be non-primitive), and each candidate costs O(1).
+
+    With ``zeros`` only the tuples with n == 0 come, in the same order: the
+    integer roots of c x^2 + lin x + base are found once per prefix, and
+    every other tuple of the prefix is passed over with no gcd and no norm.
     """
     last = len(form) - 1
     head = [
@@ -90,38 +98,77 @@ def _candidate_vectors(form: list[list[int]], max_height: int):
         for raw in shell_tuples(len(form), h):
             x = raw[last]
             if x == h:
-                base = sum([c * raw[i] * raw[j] for i, j, c in head])
-                lin = sum([c * raw[i] for i, c in column])
-            if gcd(*raw) == 1:
+                # plain loops: before Python 3.12 a comprehension is a function call
+                base = lin = 0
+                for i, j, c in head:
+                    base += c * raw[i] * raw[j]
+                for i, c in column:
+                    lin += c * raw[i]
+                if zeros:
+                    everywhere = not (corner or lin or base)
+                    roots = () if everywhere else _integer_roots(corner, lin, base)
+            if zeros:
+                if (everywhere or x in roots) and gcd(*raw) == 1:
+                    yield raw, 0
+            elif gcd(*raw) == 1:
                 yield raw, base + x * (lin + corner * x)
+
+
+def _integer_roots(c: int, lin: int, base: int) -> tuple:
+    """The integers x with c x^2 + lin x + base == 0; not all three are 0."""
+    if c == 0:
+        return (-base // lin,) if lin and base % lin == 0 else ()
+    disc = lin * lin - 4 * c * base
+    if disc < 0:
+        return ()
+    r = isqrt(disc)
+    if r * r != disc:
+        return ()
+    return tuple(-(lin + s) // (2 * c) for s in {r, -r} if (lin + s) % (2 * c) == 0)
+
+
+def _primitive_count(width: int, height: int) -> int:
+    """The number of primitive integer tuples of a width and max-norm <= height.
+
+    Each nonzero tuple of height <= H is d times a primitive one of height
+    <= H // d, so by Moebius inversion the count is
+    sum over d <= H of mu(d) * ((2 * (H // d) + 1)^width - 1).
+    """
+    mu = [0, 1] + [0] * (height - 1)
+    for n in range(1, height + 1):
+        for m in range(2 * n, height + 1, n):
+            mu[m] -= mu[n]
+    return sum(mu[d] * ((2 * (height // d) + 1) ** width - 1) for d in range(1, height + 1))
 
 
 def _search_vector(space: FormSpace, accept, max_height: int, what: str):
     """The first candidate v, as a vector of the space's scalars, that passes.
 
     ``accept`` is called on the integer n = den * (v, v) of
-    :func:`integer_form`; den > 0, so n has the sign of (v, v).  For a
-    hermitian space each coordinate a + b*sqrt(-d) contributes the pair
-    (a, b), and the shell is the max over all |a|, |b|.  When no candidate
-    up to ``max_height`` passes, SearchExhausted names the ``what`` sought,
-    the candidates tried and the last shell reached.
+    :func:`integer_form`; den > 0, so n has the sign of (v, v).  With
+    ``accept`` None the search seeks n == 0 and solves each prefix's
+    quadratic in place of testing its tuples one by one.  For a hermitian
+    space each coordinate a + b*sqrt(-d) contributes the pair (a, b), and
+    the shell is the max over all |a|, |b|.  When no candidate up to
+    ``max_height`` passes, SearchExhausted names the ``what`` sought, the
+    candidates tried (every primitive tuple, counted in closed form) and
+    the last shell reached (the highest shell holding a primitive tuple).
     """
     form, den = integer_form(space)
-    tried = 0
-    raw = ()
-    for raw, n in _candidate_vectors(form, max_height):
-        tried += 1
-        if accept(n):
+    zeros = accept is None
+    for raw, n in _candidate_vectors(form, max_height, zeros):
+        if zeros or accept(n):
             v = _exact_vector(space, raw)
             if space.norm(v) * den != n:
                 raise PostconditionFailed(
                     f"integer norm {n}/{den} of {raw} disagrees with the exact norm"
                 )
             return v
-    height = max(map(abs, raw), default=0)
+    width = len(form)
     raise SearchExhausted(
         f"no {what} of height <= {max_height} "
-        f"({tried} candidates tried, last shell reached {height})"
+        f"({_primitive_count(width, max_height)} candidates tried, "
+        f"last shell reached {max_height if width > 1 else 1})"
     )
 
 
@@ -154,7 +201,7 @@ def find_isotropic_vector(
     if sig.plus == 0 or sig.minus == 0:
         return None
     try:
-        return _search_vector(space, lambda n: n == 0, max_height, "isotropic vector")
+        return _search_vector(space, None, max_height, "isotropic vector")
     except SearchExhausted:
         return None
 

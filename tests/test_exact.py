@@ -1018,12 +1018,13 @@ class TestMulAdjoint:
 
 
 # rref_basis returns a matrix already in reduced echelon form without zero
-# rows as it is; each near miss of that form takes the elimination.
+# rows unchanged; each near miss of that form takes the elimination.
 
 
 def without_zero_rows(m: Matrix) -> Matrix:
-    red, pivots = m.rref()
-    return red.submatrix(rows=slice(len(pivots)))
+    """m's reduced echelon rows up to the rank, by the reference ref_rref."""
+    red, pivots = ref_rref(m.rows, m.ncols)
+    return Matrix(red[: len(pivots)], m.ncols)
 
 
 def near_misses(r: Matrix):

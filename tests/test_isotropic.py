@@ -44,6 +44,7 @@ from cuspchain.forms import (
 )
 from cuspchain.isotropic import (
     _candidate_vectors,
+    _primitive_count,
     _search_vector,
     dual_isotropic_basis,
     find_isotropic_vector,
@@ -698,6 +699,109 @@ class TestCandidateVectors:
         form = data.draw(last_column_forms())
         cap = data.draw(st.integers(min_value=1, max_value=3 if len(form) <= 3 else 2))
         assert list(_candidate_vectors(form, cap)) == list(cube_candidates(form, cap))
+
+
+@st.composite
+def zero_target_forms(draw):
+    """Integer forms for the zeros mode, with each kind of prefix equation.
+
+    last_column_forms never has a zero corner, so each prefix there is a
+    quadratic in x.  A zero corner makes it linear, and a hyperbolic pair
+    placed last, as in U and U + <a>, makes it vanish for every x off the
+    zero prefix.  Hermitian Grams, zero diagonal entries included, enter
+    through integer_form.
+    """
+    kind = draw(st.sampled_from(["quadratic", "linear", "hyperbolic", "hermitian"]))
+    if kind == "quadratic":
+        return draw(last_column_forms())
+    if kind == "hermitian":
+        return integer_form(draw(hermitian_spaces(max_dim=2)))[0]
+    entries = st.integers(min_value=-4, max_value=4)
+    if kind == "linear":
+        n = draw(st.integers(min_value=1, max_value=4))
+        s = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                s[i][j] = s[j][i] = 0 if i == j == n - 1 else draw(entries)
+        return s
+    head = draw(st.lists(entries, max_size=2))
+    n = len(head) + 2
+    s = [[0] * n for _ in range(n)]
+    for i, a in enumerate(head):
+        s[i][i] = a
+    s[n - 2][n - 1] = s[n - 1][n - 2] = draw(nonzero)
+    return s
+
+
+def cube_zeros(form, max_height):
+    return [c for c in cube_candidates(form, max_height) if c[1] == 0]
+
+
+class TestZeroCandidates:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_zeros_match_the_cube_walk(self, data):
+        form = data.draw(zero_target_forms())
+        cap = data.draw(st.integers(min_value=1, max_value=3 if len(form) <= 3 else 2))
+        assert list(_candidate_vectors(form, cap, zeros=True)) == cube_zeros(form, cap)
+
+    @pytest.mark.parametrize("form", [
+        [[0, 1], [1, 0]],
+        [[3, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        integer_form(standard_hermitian_hyperbolic(2))[0],
+    ], ids=["U", "<3> + U", "last row zero", "hermitian zero corner"])
+    def test_prefixes_that_vanish_or_are_linear(self, form):
+        # U's prefix (0,) and every prefix (t, +-t) of the degenerate form
+        # vanish for every x; the hermitian hyperbolic form has a zero corner
+        zeros = cube_zeros(form, 3)
+        assert zeros
+        assert list(_candidate_vectors(form, 3, zeros=True)) == zeros
+
+
+def primitive_tuples(width, max_height):
+    return [
+        raw
+        for h in range(1, max_height + 1)
+        for raw in cube_shell(width, h)
+        if reduce(gcd, raw, 0) == 1
+    ]
+
+
+def test_primitive_count_is_the_brute_force_count():
+    for width in range(1, 7):
+        for h in range(1, 5):
+            assert _primitive_count(width, h) == len(primitive_tuples(width, h)), (width, h)
+
+
+class TestExhaustionCount:
+    # a^2 + b^2 = 3 (c^2 + e^2) only at 0: diag(1, -3) is anisotropic over Q(i)
+    @pytest.mark.parametrize("space", [
+        diag_space([1, -3]),
+        FormSpace("hermitian", Matrix([[QuadFieldElement(1, 0, 1), 0], [0, -3]]), d=1),
+    ], ids=["symmetric", "hermitian"])
+    def test_both_modes_name_every_primitive_tuple(self, space):
+        form, _ = integer_form(space)
+        tried = len(primitive_tuples(len(form), 3))
+        assert tried == len(list(_candidate_vectors(form, 3)))
+        texts = []
+        for accept in (None, lambda n: n == 0):
+            with pytest.raises(SearchExhausted) as info:
+                _search_vector(space, accept, 3, "isotropic vector")
+            texts.append(str(info.value))
+        assert texts == 2 * [
+            f"no isotropic vector of height <= 3 ({tried} candidates tried, "
+            "last shell reached 3)"
+        ]
+        assert find_isotropic_vector(space, 3) is None
+
+    def test_width_one_reaches_only_shell_one(self):
+        # (1,) and (-1,) are the only primitive tuples of width 1
+        with pytest.raises(SearchExhausted) as info:
+            _search_vector(diag_space([-1]), lambda n: n > 0, 3, "positive vector")
+        assert str(info.value) == (
+            "no positive vector of height <= 3 (2 candidates tried, last shell reached 1)"
+        )
 
 
 class TestSearchEffort:
