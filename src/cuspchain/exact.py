@@ -69,16 +69,34 @@ def is_squarefree(n: int) -> bool:
         return False
     if n in _SQUAREFREE_CACHE:
         return True
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % (p * p) == 0:
-            return False
-        if m % p == 0:
-            m //= p
-        p += 1
+    if any(e > 1 for _, e in _trial_division(n, n)):
+        return False
     _SQUAREFREE_CACHE.add(n)
     return True
+
+
+def _trial_division(n: int, bound: int) -> list[tuple[int, int]]:
+    """Prime powers (p, e) of n > 0 by trial division up to bound.
+
+    Division by 2 and the odd numbers stops once p * p exceeds the part
+    still unfactored, which is then 1 or a prime, listed too.  If p passes
+    ``bound`` first, that part, which may be composite, is not listed.
+    """
+    factors = []
+    p = 2
+    while p * p <= n:
+        if p > bound:
+            return factors
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return factors
 
 
 def _is_field(d) -> bool:

@@ -135,15 +135,19 @@ class FormSpace:
         return as_fraction(self.pair(v, v))
 
     @cached_property
+    def _pivots(self) -> list[int]:
+        """The congruent pivots of the integer form, computed once per space."""
+        return _congruent_pivots(integer_form(self)[0])
+
+    @cached_property
     def _signature(self) -> "Signature":
         """signature_of's counts, computed once per space."""
-        form, _ = integer_form(self)
-        pivots = _congruent_pivots(form)
+        pivots = self._pivots
         plus = sum((p > 0) == (q > 0) for p, q in zip(pivots, [1] + pivots))
-        counts = (plus, len(pivots) - plus, len(form) - len(pivots))
+        counts = (plus, len(pivots) - plus)
         if self.kind == HERMITIAN:
             counts = tuple(c // 2 for c in counts)
-        return Signature(*counts)
+        return Signature(*counts, self.dim - sum(counts))
 
 
 @dataclass(frozen=True)

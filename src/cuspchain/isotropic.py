@@ -11,7 +11,10 @@ finds the integer roots of c x^2 + lin x + base once per prefix and passes
 over the prefix's other tuples with no gcd and no norm.  Only the accepted
 tuple becomes a vector of ``Fraction``s or ``QuadFieldElement``s, and its
 norm is checked once more in exact arithmetic.  An exhausted search names
-the primitive tuples it passed, counted in closed form.  The dual basis,
+the primitive tuples it passed, counted in closed form.  Whether a
+symmetric space of dimension 2 or 3 has a zero at all is decided exactly
+first, from its congruent pivots and Hilbert symbols, so an anisotropic one
+answers None at any cap without a search.  The dual basis,
 dual complement, third-line and J0 constructions run on matrix rows: each
 dual row is one solve of the stacked conditions, the standard isotropy
 correction x -> x - ((x,x)/2) w is a row operation, and their
@@ -39,12 +42,14 @@ from .errors import (
 from .exact import (
     Matrix,
     QuadFieldElement,
+    _trial_division,
     as_fraction,
     shell_tuples,
 )
 from .forms import (
     ALTERNATING,
     HERMITIAN,
+    SYMMETRIC,
     FormSpace,
     Subspace,
     canonical_subspace,
@@ -62,6 +67,11 @@ from .forms import (
 
 # Default hard cap on the shell height that vector searches reach.
 MAX_HEIGHT = 50
+
+# Trial division bound of the isotropy decision: the primes is_squarefree
+# reaches on a field parameter d <= 2**32, and a part left unfactored past
+# it is composite only if it exceeds 2**32.
+_TRIAL_BOUND = 2**16
 
 
 def _check_max_height(max_height: int) -> None:
@@ -189,8 +199,9 @@ def find_isotropic_vector(
 
     Alternating spaces return the first basis vector (every vector is
     isotropic).  Definite spaces short-circuit to None: they contain no
-    nonzero isotropic vector at any height.  Shells above ``max_height``
-    are not searched.
+    nonzero isotropic vector at any height.  So do symmetric spaces of
+    dimension 2 or 3 that :func:`_has_no_zero` proves anisotropic, at any
+    cap and without a search.  Shells above ``max_height`` are not searched.
     """
     _check_max_height(max_height)
     if space.dim == 0:
@@ -200,10 +211,57 @@ def find_isotropic_vector(
     sig = signature_of(space)
     if sig.plus == 0 or sig.minus == 0:
         return None
+    if space.kind == SYMMETRIC and space.dim in (2, 3) and _has_no_zero(space._pivots):
+        return None
     try:
         return _search_vector(space, None, max_height, "isotropic vector")
     except SearchExhausted:
         return None
+
+
+def _has_no_zero(pivots: list[int]) -> bool:
+    """Whether an indefinite rational form in 2 or 3 variables provably has no zero.
+
+    ``pivots`` are the form's congruent pivots d_k: over Q the form is
+    <d_1, d_1 d_2, d_2 d_3>, the k-th entry d_k / d_(k-1) times the square
+    d_(k-1)^2.  A binary form has a zero iff -d_2 = -det is a square.  A
+    ternary <a, b, c> has one iff the Hilbert symbol (-ac, -bc)_v is 1 at
+    every place v (Serre, A Course in Arithmetic, III-IV).  It is 1 at
+    infinity, the form being indefinite, and at every odd p not dividing abc;
+    by Hilbert reciprocity it is then 1 at 2 when it is 1 at every odd p, so
+    the odd primes of d_1 d_2 d_3 decide.  A symbol of -1 at any of them is
+    conclusive, so the primes of a part that trial division up to
+    _TRIAL_BOUND leaves unfactored are not examined: with no obstruction at
+    the others, the question is undecided, and the answer False.
+    """
+    if len(pivots) == 2:
+        r = isqrt(-pivots[1])
+        return r * r != -pivots[1]
+    primes = set()
+    for d in pivots:
+        primes.update(p for p, _ in _trial_division(abs(d), _TRIAL_BOUND) if p > 2)
+    d1, d2, d3 = pivots
+    c = d2 * d3
+    return any(_hilbert_symbol(-d1 * c, -d1 * d2 * c, p) == -1 for p in primes)
+
+
+def _hilbert_symbol(a: int, b: int, p: int) -> int:
+    """(a, b)_p for nonzero integers a, b and an odd prime p (Serre, III.1.2).
+
+    With a = p^alpha u and b = p^beta v for p-adic units u, v, it is
+    (-1)^(alpha beta (p - 1)/2) (u/p)^beta (v/p)^alpha, each Legendre symbol
+    (x/p) read off as x^((p - 1)/2) mod p.
+    """
+    alpha = beta = 0
+    while a % p == 0:
+        a //= p
+        alpha += 1
+    while b % p == 0:
+        b //= p
+        beta += 1
+    half = (p - 1) // 2
+    e = alpha * beta * half + beta * (pow(a, half, p) != 1) + alpha * (pow(b, half, p) != 1)
+    return -1 if e % 2 else 1
 
 
 def hyperbolic_complete(space: FormSpace, v) -> tuple:

@@ -149,6 +149,33 @@ def test_isotropic_none_found(tmp_path, capsys):
     assert payload == {"found": False, "max_height": 10, "vector": None}
 
 
+NO_ZERO_ANALYZE = (
+    '{\n  "dim": %d,\n  "isotropic": null,\n  "kind": "symmetric",\n'
+    '  "signature": [\n    %d,\n    1,\n    0\n  ]\n}\n'
+)
+NO_ZERO_ISOTROPIC = '{\n  "found": false,\n  "max_height": %d,\n  "vector": null\n}\n'
+
+
+@pytest.mark.parametrize("gram, cap", [
+    ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-3"]], None),
+    ([["1", "0"], ["0", "-3"]], "50"),
+], ids=["ternary", "binary"])
+def test_anisotropic_space_answers_null_without_a_search(gram, cap, tmp_path, capsys):
+    # x^2 + y^2 - 3z^2 walked every shell up to the default cap 50 (0.27 s)
+    # before its answer was decided exactly
+    space_file = write(tmp_path / "aniso.json", {"kind": "symmetric", "gram": gram})
+    dim = len(gram)
+    cap_args = [] if cap is None else ["--max-height", cap]
+    for command, expected in (
+        ("analyze", NO_ZERO_ANALYZE % (dim, dim - 1)),
+        ("isotropic", NO_ZERO_ISOTROPIC % 50),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, "--space", space_file, *cap_args])
+        assert time.perf_counter() - start < 0.1
+        assert (code, out, err) == (0, expected, "")
+
+
 def test_chain_verify_round_trip(symplectic_files, tmp_path, capsys):
     cert_path = str(tmp_path / "cert.json")
     code, out, err = run(

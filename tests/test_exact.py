@@ -15,7 +15,9 @@ from cuspchain.errors import MixedDiscriminants
 from cuspchain.exact import (
     Matrix,
     QuadFieldElement,
+    _trial_division,
     hnf,
+    is_squarefree,
     rref_basis,
     smith,
 )
@@ -116,6 +118,36 @@ class TestQuadFieldElement:
         assert x == 3
         assert x + Fraction(1, 2) == QuadFieldElement(Fraction(7, 2), 0, 7)
         assert 1 / QuadFieldElement(0, 1, 7) == QuadFieldElement(0, Fraction(-1, 7), 7)
+
+
+def naive_factors(n):
+    """Prime powers of n > 0 by division by every integer from 2 up."""
+    out, p = [], 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out
+
+
+class TestTrialDivision:
+    def test_small_numbers_factor_completely(self):
+        for n in range(1, 3000):
+            assert _trial_division(n, n) == naive_factors(n), n
+            assert is_squarefree(n) == all(e == 1 for _, e in naive_factors(n)), n
+
+    def test_a_prime_past_the_bound_is_known_when_its_square_is_past_the_rest(self):
+        # 2**16 + 1 is prime: beyond the bound 2**8, but p * p > the rest stops first
+        assert _trial_division(4 * 65537, 2**8) == [(2, 2), (65537, 1)]
+        assert _trial_division(2**32 - 5, 2**16) == [(2**32 - 5, 1)]
+
+    def test_the_part_left_at_the_bound_is_not_listed(self):
+        assert _trial_division(12 * 65537 * 65539, 2**16) == [(2, 2), (3, 1)]
+        assert _trial_division(2**61 - 1, 2**16) == []
 
 
 class TestMatrixBasics:

@@ -44,6 +44,8 @@ from cuspchain.forms import (
 )
 from cuspchain.isotropic import (
     _candidate_vectors,
+    _has_no_zero,
+    _hilbert_symbol,
     _primitive_count,
     _search_vector,
     dual_isotropic_basis,
@@ -816,6 +818,115 @@ class TestSearchEffort:
             f"no isotropic vector of height <= 3 ({tried} candidates tried, "
             "last shell reached 3)"
         )
+
+
+# -- the exact isotropy decision of binary and ternary forms -------------------
+
+
+def has_zero_up_to(space, height):
+    """Whether a nonzero integer tuple of max-norm <= height is a zero, by the cube."""
+    form, _ = integer_form(space)
+    n = len(form)
+    values = range(-height, height + 1)
+    return any(
+        any(v) and sum(form[i][j] * v[i] * v[j] for i in range(n) for j in range(n)) == 0
+        for v in itertools.product(values, repeat=n)
+    )
+
+
+def decided_none(space):
+    """Whether the decision answers "no zero" for an indefinite space."""
+    sig = signature_of(space)
+    assume(sig.plus and sig.minus)
+    return _has_no_zero(space._pivots)
+
+
+@st.composite
+def small_symmetric_spaces(draw):
+    """Non-diagonal binary and ternary Grams, entries p/q with |p| <= 5, both signs."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(
+                draw(st.integers(min_value=-5, max_value=5)), draw(st.sampled_from([1, 2, 3]))
+            )
+    assume(any(rows[i][j] for i in range(n) for j in range(i)))
+    gram = Matrix(rows)
+    assume(gram.det() != 0)
+    return FormSpace("symmetric", gram)
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """The spaces find_isotropic_vector hands to the search, in order."""
+    from cuspchain import isotropic
+
+    calls, search = [], isotropic._search_vector
+    counted = lambda space, *args: calls.append(space) or search(space, *args)
+    monkeypatch.setattr(isotropic, "_search_vector", counted)
+    return calls
+
+
+# A prime past the trial bound: 2**61 - 1 is a Mersenne prime, 3 mod 4, and
+# 65537 * 65539 a product of two primes past it.
+MERSENNE_61 = 2**61 - 1
+
+
+class TestIsotropyDecision:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(symmetric_spaces(), small_symmetric_spaces()))
+    def test_no_zero_is_confirmed_by_brute_force(self, space):
+        if decided_none(space):
+            assert not has_zero_up_to(space, 12)
+            assert find_isotropic_vector(space, 3) is None
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(small_symmetric_spaces())
+    def test_undecided_small_forms_have_a_zero(self, space):
+        if not decided_none(space):
+            assert has_zero_up_to(space, 12)
+
+    @pytest.mark.parametrize("diag", [
+        [1, 1, -7],  # seen at 7 (and, by reciprocity, at 2)
+        [1, 1, -3],  # seen at 3 (and at 2)
+        [1, 1, -21],  # seen at 3 and 7, not at 2
+        [-5, 3, 3],  # negative pivots -5, -15, -45
+        [1, 1, -4294967291],  # the largest prime below 2**32, still decided
+        [1, 1, -3 * MERSENNE_61],  # seen at 3, whatever the prime past the bound
+        [1, -3],
+        [2, -3],
+    ])
+    def test_anisotropic_forms_skip_the_search(self, diag, search_calls):
+        assert find_isotropic_vector(diag_space(diag)) is None
+        assert search_calls == []
+
+    @pytest.mark.parametrize("diag, found", [
+        ([2, 3, -5], (1, 1, 1)),
+        ([1, 1, -2], (1, 1, 1)),
+        ([1, -1], (1, 1)),
+        ([1, -4], None),  # has a zero, (2, 1), only past height 1
+        ([3, 5, -2], None),  # has a zero, (1, 1, 2), only past height 1
+    ])
+    def test_isotropic_forms_still_search(self, diag, found, search_calls):
+        space = diag_space(diag)
+        assert find_isotropic_vector(space, 1) == found
+        assert search_calls == [space]
+
+    @pytest.mark.parametrize("q", [MERSENNE_61, 65537 * 65539])
+    def test_factor_past_the_bound_falls_back_to_the_search(self, q, search_calls):
+        space = diag_space([1, 1, -q])
+        assert find_isotropic_vector(space, 3) is None
+        assert search_calls == [space]
+        assert reference_find(space, 3) is None
+
+    def test_hilbert_symbols_at_odd_primes(self):
+        # (a, b)_p by Serre's formula: Legendre symbols and (-1)^((p-1)/2)
+        cases = {(-1, 3, 3): -1, (-1, 5, 5): 1, (2, 3, 3): -1, (2, 7, 7): 1,
+                 (3, 3, 3): -1, (5, 5, 5): 1, (7, 7, 7): -1, (21, 21, 7): -1,
+                 (9, 3, 3): 1, (3, 10, 5): -1, (4, 3, 3): 1}
+        for (a, b, p), symbol in cases.items():
+            assert _hilbert_symbol(a, b, p) == symbol, (a, b, p)
 
 
 # A symplectic chain between e1 and e2 runs split_off_kernels; with

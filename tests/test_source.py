@@ -33,6 +33,10 @@ only caller of ``exact._int_eliminate``, and ``Matrix.inverse``,
 every row canonical) or a stacking helper, so each reads only what it needs
 of one elimination.
 
+A form space runs one congruent elimination: only the cached property
+``FormSpace._pivots`` calls ``forms._congruent_pivots``, and the signature
+and the isotropy decision both read the property.
+
 Values are formatted as JSON in one place too: the encoders leave every
 ``Matrix``, ``Fraction`` and ``QuadFieldElement`` in their documents, and
 ``dumps_canonical`` writes each (a matrix from its integer rows).  The
@@ -202,6 +206,15 @@ def test_eliminations_share_one_kernel():
         fn = by_name[key]
         assert reads(fn, "_reduced"), key
         assert not reads(fn, "rref") and not reads(fn, "hstack"), key
+
+
+def test_one_congruent_elimination_per_space():
+    users = [f"{name}:{fn.name}" for name, fn in functions() if reads(fn, "_congruent_pivots")]
+    assert users == ["forms.py:_pivots"]
+    forms = ast.parse((SOURCES[0].parent / "forms.py").read_text(encoding="utf-8"))
+    space = next(c for c in forms.body if isinstance(c, ast.ClassDef) and c.name == "FormSpace")
+    pivots = next(fn for fn in space.body if getattr(fn, "name", None) == "_pivots")
+    assert [ast.unparse(d) for d in pivots.decorator_list] == ["cached_property"]
 
 
 SERIALIZE_PUBLIC = {
