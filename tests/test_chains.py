@@ -869,9 +869,19 @@ VERIFIER_CONDITIONS = {
     ],
     "split-nondegenerate": [_json_case(SYM, (SPAN, _rows([1, 0, 0, 0], [0, 0, 1, 0])))],
     "complement-matches": [
-        _json_case(SYM, (COMPLEMENT, _rows([1, 0, 0, 1], [0, 0, 1, 0])))
+        _json_case(SYM, (COMPLEMENT, _rows([1, 0, 0, 1], [0, 0, 1, 0]))),
+        # a wrong complement that is nondegenerate: only the match fails
+        _json_case(SYM, (COMPLEMENT, _rows([1, 0, 1, 0], [0, 1, 0, 1]))),
     ],
-    "complement-nondegenerate": [_json_case(SYM, (COMPLEMENT, _rows([0, 0, 1, 0])))],
+    "complement-nondegenerate": [
+        _json_case(SYM, (COMPLEMENT, _rows([0, 0, 1, 0]))),
+        # a degenerate span <e1, e2> with its true orthogonal, itself
+        _json_case(
+            SYM,
+            (SPAN, _rows([1, 0, 0, 0], [0, 0, 1, 0])),
+            (COMPLEMENT, _rows([1, 0, 0, 0], [0, 0, 1, 0])),
+        ),
+    ],
     "decomposition-spans": [_json_case(SYM, (COMPLEMENT, []))],
     # boundary descent
     "intersection-shape": [
@@ -917,20 +927,212 @@ VERIFIER_CONDITIONS = {
     ],
 }
 
+# The full report of each case above, (link, condition, detail) in the
+# verifier's order, keyed by the test id; recorded before the product-split
+# check stopped computing the complement's Gram determinant when the span
+# is nondegenerate and the complement matches.
+VERIFIER_REPORTS = {
+    "certificate-error-0": [
+        (-1, "certificate-error", "TypeError: object of type 'NoneType' has no len()"),
+    ],
+    "certificate-kind-0": [(-1, "certificate-kind", "unknown kind 'affine'")],
+    "ambient-kind-0": [
+        (-1, "ambient-kind", "symplectic certificate over a symmetric space"),
+    ],
+    "node-count-0": [(-1, "node-count", "certificate has no nodes")],
+    "link-count-0": [(-1, "link-count", "0 links cannot join 2 nodes")],
+    "node-space-0": [(-1, "node-space", "node 0 lives in a different space")],
+    "node-canonical-0": [(-1, "node-canonical", "node 0 basis is not canonical")],
+    "node-isotropic-0": [
+        (-1, "node-isotropic", "node 0 is not isotropic"),
+        (0, "plane-contains-endpoints", "plane misses the first endpoint"),
+    ],
+    "node-dimension-0": [(-1, "node-dimension", "nodes of unequal dimensions [1, 2]")],
+    "node-dimension-1": [(-1, "node-dimension", "nodes must be nonzero subspaces")],
+    "node-dimension-2": [
+        (-1, "node-isotropic", "node 0 is not isotropic"),
+        (-1, "node-dimension", "orthogonal cusp data of dimension 3"),
+    ],
+    "ambient-signature-0": [
+        (-1, "ambient-signature", "signature (3, 2, 0) is not (2, n)"),
+    ],
+    "ambient-signature-1": [(-1, "ambient-signature", "signature (3, 1, 0) has p > q")],
+    "chain-length-0": [
+        (-1, "chain-length", "3 links exceed the bound 2 for point cusps"),
+    ],
+    "chain-length-1": [
+        (-1, "chain-length", "6 links exceed the bound 5 for non-maximal cusps"),
+        (1, "sub-endpoints", "pushed first endpoint differs from the sub-certificate's"),
+        (1, "sub-endpoints", "pushed second endpoint differs from the sub-certificate's"),
+        (3, "sub-endpoints", "pushed first endpoint differs from the sub-certificate's"),
+        (3, "sub-endpoints", "pushed second endpoint differs from the sub-certificate's"),
+        (5, "sub-endpoints", "pushed first endpoint differs from the sub-certificate's"),
+        (5, "sub-endpoints", "pushed second endpoint differs from the sub-certificate's"),
+    ],
+    "link-kind-0": [
+        (0, "link-kind", "boundary-plane link outside an orthogonal chain"),
+    ],
+    "link-kind-1": [(0, "link-kind", "unknown link type NoneType")],
+    "link-node-dimension-0": [
+        (0, "link-node-dimension", "boundary-plane link needs line endpoints"),
+    ],
+    "link-error-0": [
+        (0, "link-error", "AttributeError: 'NoneType' object has no attribute 'space'"),
+    ],
+    "plane-shape-0": [(0, "plane-shape", "plane lives in a different space")],
+    "plane-canonical-0": [(0, "plane-canonical", "plane basis is not canonical")],
+    "plane-dimension-0": [(0, "plane-dimension", "plane has dimension 1")],
+    "plane-isotropic-0": [
+        (0, "plane-isotropic", "plane is not isotropic"),
+        (0, "plane-contains-endpoints", "plane misses the second endpoint"),
+    ],
+    "plane-contains-endpoints-0": [
+        (0, "plane-contains-endpoints", "plane misses the second endpoint"),
+    ],
+    "vector-shape-0": [
+        (0, "vector-shape", "vector of length 4 in a space of dimension 5"),
+    ],
+    "vector-positive-norm-0": [
+        (0, "vector-positive-norm", "(v, v) = -2 is not positive"),
+    ],
+    "vector-orthogonal-0": [
+        (0, "vector-orthogonal", "vector is not orthogonal to both endpoints"),
+    ],
+    "endpoints-pairing-nonzero-0": [
+        (0, "vector-orthogonal", "vector is not orthogonal to both endpoints"),
+        (0, "endpoints-pairing-nonzero", "endpoints pair to zero"),
+    ],
+    "witness-shape-0": [(0, "witness-shape", "witness has shape (3, 5)")],
+    "witness-isometry-0": [
+        (0, "witness-isometry", "witness rows do not realize the 2U Gram matrix"),
+        (0, "witness-first-plane", "rows (2, 0) do not span the first endpoint"),
+    ],
+    "witness-first-plane-0": [
+        (0, "witness-first-plane", "rows (2, 0) do not span the first endpoint"),
+    ],
+    "witness-second-plane-0": [
+        (0, "witness-second-plane", "rows (3, 1) do not span the second endpoint"),
+    ],
+    "endpoints-pairing-perfect-0": [
+        (0, "endpoints-pairing-perfect", "endpoint pairing is not perfect"),
+        (0, "split-is-endpoint-span", "split is not the span of the endpoints"),
+    ],
+    "split-shape-0": [(0, "split-shape", "split subspaces live in a different space")],
+    "split-canonical-0": [
+        (0, "split-canonical", "split basis is not canonical"),
+        (0, "split-is-endpoint-span", "split is not the span of the endpoints"),
+    ],
+    "complement-canonical-0": [
+        (0, "complement-canonical", "complement basis is not canonical"),
+        (0, "complement-matches", "complement is not the orthogonal complement"),
+    ],
+    "split-is-endpoint-span-0": [
+        (0, "split-is-endpoint-span", "split is not the span of the endpoints"),
+        (0, "complement-matches", "complement is not the orthogonal complement"),
+    ],
+    "split-nondegenerate-0": [
+        (0, "split-is-endpoint-span", "split is not the span of the endpoints"),
+        (0, "split-nondegenerate", "split carries a degenerate form"),
+        (0, "complement-matches", "complement is not the orthogonal complement"),
+    ],
+    "complement-matches-0": [
+        (0, "complement-matches", "complement is not the orthogonal complement"),
+    ],
+    "complement-matches-1": [
+        (0, "complement-matches", "complement is not the orthogonal complement"),
+    ],
+    "complement-nondegenerate-0": [
+        (0, "complement-matches", "complement is not the orthogonal complement"),
+        (0, "complement-nondegenerate", "complement carries a degenerate form"),
+        (0, "decomposition-spans", "split and complement do not fill the space"),
+    ],
+    "complement-nondegenerate-1": [
+        (0, "split-is-endpoint-span", "split is not the span of the endpoints"),
+        (0, "split-nondegenerate", "split carries a degenerate form"),
+        (0, "complement-nondegenerate", "complement carries a degenerate form"),
+    ],
+    "decomposition-spans-0": [
+        (0, "complement-matches", "complement is not the orthogonal complement"),
+        (0, "decomposition-spans", "split and complement do not fill the space"),
+    ],
+    "intersection-shape-0": [
+        (0, "intersection-shape", "intersection lives in a different space"),
+    ],
+    "intersection-canonical-0": [
+        (0, "intersection-canonical", "intersection basis is not canonical"),
+        (0, "intersection-matches", "stored intersection differs from the nodes'"),
+    ],
+    "intersection-matches-0": [
+        (0, "intersection-matches", "stored intersection differs from the nodes'"),
+    ],
+    "intersection-nonzero-0": [
+        (0, "intersection-nonzero", "endpoints intersect trivially"),
+    ],
+    "sub-kind-0": [(0, "sub-kind", "sub-certificate kind 'unitary' differs")],
+    "quotient-dimension-0": [
+        (0, "quotient-dimension", "sub-certificate dimension 4 != 4 - 2*1"),
+    ],
+    "lift-shape-0": [(0, "lift-shape", "lift has shape (3, 4)")],
+    "project-shape-0": [(0, "project-shape", "project has shape (3, 2)")],
+    "lift-orthogonal-0": [
+        (0, "lift-orthogonal", "lift rows leave the orthogonal of the intersection"),
+        (0, "lift-gram", "lift rows do not realize the sub-certificate form"),
+        (0, "project-identity", "project is not a left inverse of lift"),
+        (0, "push-residual", "first endpoint does not project along the intersection"),
+    ],
+    "sub-ambient-0": [(0, "sub-ambient", "sub-certificate scalar field differs")],
+    "lift-gram-0": [
+        (0, "lift-gram", "lift rows do not realize the sub-certificate form"),
+        (0, "project-identity", "project is not a left inverse of lift"),
+        (0, "push-residual", "second endpoint does not project along the intersection"),
+    ],
+    "project-identity-0": [
+        (0, "project-identity", "project is not a left inverse of lift"),
+        (0, "push-residual", "first endpoint does not project along the intersection"),
+    ],
+    "project-kills-intersection-0": [
+        (0, "project-kills-intersection", "project does not kill the intersection"),
+        (0, "push-residual", "first endpoint does not project along the intersection"),
+        (0, "push-residual", "second endpoint does not project along the intersection"),
+        (0, "sub-endpoints", "pushed second endpoint differs from the sub-certificate's"),
+    ],
+    "push-residual-0": [
+        (0, "project-identity", "project is not a left inverse of lift"),
+        (0, "push-residual", "first endpoint does not project along the intersection"),
+        (0, "sub-endpoints", "pushed first endpoint differs from the sub-certificate's"),
+        (0, "push-residual", "second endpoint does not project along the intersection"),
+        (0, "sub-endpoints", "pushed second endpoint differs from the sub-certificate's"),
+    ],
+    "sub-endpoints-0": [(0, "sub-endpoints", "sub-certificate has no nodes")],
+    "sub-endpoints-1": [
+        (0, "sub-endpoints", "pushed first endpoint differs from the sub-certificate's"),
+        (0, "sub-endpoints", "pushed second endpoint differs from the sub-certificate's"),
+    ],
+}
+
+
+VERIFIER_CASES = [
+    pytest.param(cond, make, id=f"{cond}-{i}")
+    for cond, makes in VERIFIER_CONDITIONS.items()
+    for i, make in enumerate(makes)
+]
+
 
 class TestEveryVerifierCondition:
     """Each condition the verifier names, reported for a certificate that
     violates it; a JSON document where the parser lets the fault through."""
 
-    @pytest.mark.parametrize(
-        "condition,make",
-        [
-            pytest.param(cond, make, id=f"{cond}-{i}")
-            for cond, makes in VERIFIER_CONDITIONS.items()
-            for i, make in enumerate(makes)
-        ],
-    )
+    @pytest.mark.parametrize("condition,make", VERIFIER_CASES)
     def test_condition_is_reported(self, condition, make):
         report = verify_certificate(make())
         assert not report.ok
         assert condition in {f.condition for f in report.failures}, report.failures
+
+    @pytest.mark.parametrize("condition,make", VERIFIER_CASES)
+    def test_report_is_pinned(self, condition, make, request):
+        report = verify_certificate(make())
+        found = [(f.link, f.condition, f.detail) for f in report.failures]
+        assert found == VERIFIER_REPORTS[request.node.callspec.id]
+
+    def test_every_case_is_pinned(self):
+        assert [p.id for p in VERIFIER_CASES] == list(VERIFIER_REPORTS)
