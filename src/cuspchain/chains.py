@@ -547,11 +547,16 @@ def _check_product_split(cert, link, left, right, fail):
         fail("complement-canonical", "complement basis is not canonical")
     if span != subspace_sum(left, right):
         fail("split-is-endpoint-span", "split is not the span of the endpoints")
-    if pairing_matrix(space, span, span).det() == 0:
+    span_ok = pairing_matrix(space, span, span).det() != 0
+    if not span_ok:
         fail("split-nondegenerate", "split carries a degenerate form")
-    if comp != orthogonal_complement(space, span):
+    comp_ok = comp == orthogonal_complement(space, span)
+    if not comp_ok:
         fail("complement-matches", "complement is not the orthogonal complement")
-    if pairing_matrix(space, comp, comp).det() == 0:
+    # In a nondegenerate space V, a nondegenerate S gives V = S perp S-perp,
+    # so S-perp is nondegenerate too: the complement's Gram determinant can
+    # only vanish when one of the two checks above has failed.
+    if not (span_ok and comp_ok) and pairing_matrix(space, comp, comp).det() == 0:
         fail("complement-nondegenerate", "complement carries a degenerate form")
     if span.dim + comp.dim != space.dim:
         fail("decomposition-spans", "split and complement do not fill the space")

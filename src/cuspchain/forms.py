@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -36,6 +37,7 @@ from .errors import (
 )
 from .exact import (
     Matrix,
+    _canonical,
     _check_field,
     _in_field,
     _one_denominator,
@@ -203,11 +205,26 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """The canonical basis of A & B, from one elimination (Zassenhaus).
+
+    The rows of [[A, A], [B, 0]] combine to (x*A + y*B, x*A); a combination
+    with first half zero has x*A = -y*B in A & B, and every vector of A & B
+    arises so.  Reduced, the rows whose pivots lie in the second half are
+    zero in the first, and their second halves are the reduced echelon basis
+    of A & B: no second elimination is needed.
+    """
     _same_space(a, b)
-    stacked = Matrix.vstack(a.basis, b.basis)
-    coeffs = stacked.transpose().right_kernel()  # rows (x, y) with x*A == -y*B
-    rows = coeffs.submatrix(cols=slice(a.dim)) * a.basis
-    return canonical_subspace(a.space, rows)
+    n, d = a.space.dim, a.space.d
+    (ar, ai, _, _), (br, bi, _, _) = a.basis._ints, b.basis._ints
+    stack = lambda x, y: [r + r for r in x] + [r + [0] * n for r in y]
+    im = None
+    if ai is not None or bi is not None:
+        im = stack(ai or [[0] * n] * a.dim, bi or [[0] * n] * b.dim)
+    re, im, den, pivots = _reduced(stack(ar, br), im, d, 2 * n)
+    rows = [i for i, c in enumerate(pivots) if c >= n]
+    im = None if im is None else [im[i][n:] for i in rows]
+    basis = _canonical([re[i][n:] for i in rows], im, [den[i] for i in rows], d, n)
+    return Subspace(a.space, basis)
 
 
 def subspace_contains(big: Subspace, small: Subspace) -> bool:
@@ -348,8 +365,24 @@ def coordinate_map(basis: Matrix) -> Matrix:
 
     A row x * basis of their span times it gives back its coordinates x;
     a row outside the span gives the coordinates of its projection.
+    M = basis basis^H is hermitian, so the map is (M^-1 basis)^H, and
+    M^-1 basis is read off one elimination of [M | basis].
     """
-    return basis.conj_transpose() * basis.mul_adjoint(basis).inverse()
+    k, n = basis.shape
+    (mr, mi, md, _), (br, bi, bd, d) = basis.mul_adjoint(basis)._ints, basis._ints
+    # row i of [M | basis] over lcm(md[i], bd[i])
+    scales = [(q // gcd(p, q), p // gcd(p, q)) for p, q in zip(md, bd)]
+    beside = lambda ms, bs: [
+        [s * x for x in m] + [t * y for y in b] for m, b, (s, t) in zip(ms, bs, scales)
+    ]
+    im = None
+    if mi is not None or bi is not None:
+        im = beside(mi or [[0] * k] * k, bi or [[0] * n] * k)
+    re, im, den, pivots = _reduced(beside(mr, br), im, d, k)
+    if len(pivots) != k:
+        raise ZeroDivisionError("basis rows are dependent")
+    im = None if im is None else [r[k:] for r in im]
+    return _canonical([r[k:] for r in re], im, den, d, n).conj_transpose()
 
 
 def extend_basis_rows(sub: Matrix, within: Matrix) -> Matrix:

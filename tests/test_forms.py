@@ -1,5 +1,6 @@
 """Form spaces: signatures, complements, pairings, subquotients."""
 
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuspchain import exact
+from cuspchain import exact, forms
 from cuspchain.errors import (
     AlternatingHasNoSignature,
     DimensionMismatch,
@@ -27,6 +28,7 @@ from cuspchain.forms import (
     Subspace,
     canonical_subspace,
     _congruent_pivots,
+    coordinate_map,
     extend_basis_rows,
     hyperbolic_plane,
     integer_form,
@@ -51,6 +53,7 @@ from cuspchain.forms import (
 )
 
 from support import conjugate_scalar, field_zero
+from test_exact import ref_mul, ref_right_kernel, ref_rref
 
 
 def test_form_space_validation():
@@ -649,3 +652,179 @@ def extension_problems(draw):
 def test_extend_basis_rows_matches_greedy_loop(problem):
     sub, within = problem
     assert extend_basis_rows(sub, within) == greedy_extension(sub, within)
+
+
+# -- meets and coordinate maps against references --------------------------
+
+
+class Quad:
+    """a + b*sqrt(-d) in Fractions: the reference's scalar over Q(sqrt(-d)),
+    so that the reference uses nothing of exact."""
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+
+    def _lift(self, x):
+        return x if isinstance(x, Quad) else Quad(x, 0, self.d)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return Quad(self.a + other.a, self.b + other.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Quad(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return Quad(
+            self.a * o.a - self.d * self.b * o.b, self.a * o.b + self.b * o.a, self.d
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        norm = o.a * o.a + self.d * o.b * o.b
+        return self * Quad(o.a / norm, -o.b / norm, self.d)
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return (self.a, self.b) == (other.a, other.b)
+
+
+def reference_meet(a_rows: list, b_rows: list, n: int) -> list:
+    """Reduced echelon basis of span(a) & span(b), entry by entry: a kernel
+    (x, y) of the stacked rows written as columns, then x * A reduced."""
+    stacked = a_rows + b_rows
+    columns = [[r[j] for r in stacked] for j in range(n)]
+    coeffs = ref_right_kernel(columns, len(stacked))
+    rows = ref_mul([x[: len(a_rows)] for x in coeffs], a_rows, n)
+    red, pivots = ref_rref(rows, n)
+    return red[: len(pivots)]
+
+
+@st.composite
+def meet_problems(draw):
+    """(space, a rows, b rows, reference rows of a, of b): zero, equal, nested,
+    transverse and planted pairs over Q or Q(sqrt(-d)), d in {1, 2, 3, 7}.
+
+    An entry is drawn as a pair (x, y) of Fractions, standing for
+    x + y*sqrt(-d); the package gets it as a QuadFieldElement and the
+    reference as a Quad.
+    """
+    d = draw(st.sampled_from([None, 1, 2, 3, 7]))
+    n = draw(st.integers(min_value=1, max_value=5))
+    part = mixed_fractions if d is not None else st.just(Fraction(0))
+    pair = st.tuples(mixed_fractions, part)
+    vector = st.lists(pair, min_size=n, max_size=n)
+
+    def times(c, x):
+        return (c[0] * x[0] - (d or 0) * c[1] * x[1], c[0] * x[1] + c[1] * x[0])
+
+    def combine(rows, count):
+        # count rows p * u + q * v, u and v rows of the given ones
+        out = []
+        for _ in range(count):
+            i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            p, q = draw(pair), draw(pair)
+            terms = ((times(p, x), times(q, y)) for x, y in zip(rows[i], rows[j]))
+            out.append([(u[0] + v[0], u[1] + v[1]) for u, v in terms])
+        return out
+
+    how = draw(st.sampled_from(["zero", "equal", "nested", "transverse", "planted"]))
+    a = draw(st.lists(vector, min_size=1, max_size=n))
+    if how == "zero":
+        b = []
+    elif how == "equal":
+        b = combine(a, draw(st.integers(len(a), len(a) + 1))) + a[::-1]
+    elif how == "nested":
+        b = combine(a, draw(st.integers(0, len(a))))
+    elif how == "transverse":
+        b = draw(st.lists(vector, max_size=n))
+    else:
+        common = draw(st.lists(vector, min_size=1, max_size=2))
+        a = common + a
+        b = combine(common, 2) + draw(st.lists(vector, max_size=n))
+    if draw(st.booleans()):
+        a, b = b, a
+    if d is None:
+        space = FormSpace("symmetric", Matrix.identity(n))
+        ours = lambda rows: Matrix([[x for x, _ in r] for r in rows], n)
+        ref = lambda rows: [[x for x, _ in r] for r in rows]
+    else:
+        space = FormSpace("hermitian", Matrix.identity(n), d)
+        ours = lambda rows: Matrix(
+            [[QuadFieldElement(x, y, d) for x, y in r] for r in rows], n
+        )
+        ref = lambda rows: [[Quad(x, y, d) for x, y in r] for r in rows]
+    return space, Subspace(space, ours(a)), Subspace(space, ours(b)), ref(a), ref(b)
+
+
+def same_entries(result: Matrix, reference: list) -> bool:
+    parts = lambda x: (x.a, x.b) if isinstance(x, (Quad, QuadFieldElement)) else (x, 0)
+    pairs = zip(itertools.chain(*result.rows), itertools.chain(*reference))
+    return result.nrows == len(reference) and all(parts(x) == parts(y) for x, y in pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(meet_problems())
+def test_intersection_matches_the_kernel_reference(problem):
+    space, a, b, a_ref, b_ref = problem
+    meet = subspace_intersection(a, b)
+    assert meet.is_canonical()
+    assert same_entries(meet.basis, reference_meet(a_ref, b_ref, space.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(meet_problems())
+def test_intersection_is_one_elimination(problem):
+    _, a, b, _, _ = problem
+    expected = subspace_intersection(a, b)
+    calls = []
+    counted = lambda f: lambda *args: calls.append(1) or f(*args)
+
+    def refused(*args):
+        raise AssertionError("no rref or kernel in an intersection")
+
+    with mock.patch.object(exact, "_reduced", counted(exact._reduced)), \
+            mock.patch.object(forms, "_reduced", counted(forms._reduced)), \
+            mock.patch.object(Matrix, "rref", refused), \
+            mock.patch.object(Matrix, "right_kernel", refused):
+        meet = subspace_intersection(a, b)
+    assert meet == expected and meet.basis._ints == expected.basis._ints
+    assert len(calls) == 1
+
+
+@st.composite
+def full_row_rank_bases(draw):
+    """k x n rows of rank k, 1 <= k <= n, over Q or Q(sqrt(-d))."""
+    d = draw(st.sampled_from([None, 1, 2, 3, 7]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=n))
+    if d is None:
+        entry = mixed_fractions
+    else:
+        entry = st.builds(QuadFieldElement, mixed_fractions, mixed_fractions, st.just(d))
+    row = st.lists(entry, min_size=n, max_size=n)
+    basis = Matrix(draw(st.lists(row, min_size=k, max_size=k)))
+    assume(basis.rank() == k)
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_row_rank_bases())
+def test_coordinate_map_is_the_right_inverse(basis):
+    # the map is written into certificates (project), so its arrays are pinned
+    # to the product with the inverse of the hermitian basis * basis^H
+    expected = basis.conj_transpose() * basis.mul_adjoint(basis).inverse()
+    found = coordinate_map(basis)
+    assert found.shape == expected.shape and found._ints == expected._ints
+    assert basis * found == Matrix.identity(basis.nrows)

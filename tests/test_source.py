@@ -206,6 +206,13 @@ def test_eliminations_share_one_kernel():
         fn = by_name[key]
         assert reads(fn, "_reduced"), key
         assert not reads(fn, "rref") and not reads(fn, "hstack"), key
+    # a meet and a right inverse are one elimination each, not a kernel or an
+    # inverse followed by a second elimination or a product
+    for key in [("forms.py", "subspace_intersection"), ("forms.py", "coordinate_map")]:
+        fn = by_name[key]
+        assert reads(fn, "_reduced"), key
+        for name in ("inverse", "right_kernel", "rref"):
+            assert not reads(fn, name), (key, name)
 
 
 def test_one_congruent_elimination_per_space():
