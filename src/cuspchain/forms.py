@@ -14,9 +14,12 @@ as its rational form in 2n variables); signatures come from a fraction-free
 Y, which is never built.  Rows of a span become coordinates on its
 independent basis B by one product with the right inverse
 ``B^H (B B^H)^-1`` of :func:`coordinate_map`, for subquotient projections
-and restricted spaces alike.  Vectors reach a space's field as one-row
-matrices (:meth:`FormSpace.coerce_row`, :func:`unit_vector`), never one
-scalar at a time.
+and restricted spaces alike; it is read off one elimination of
+``[B B^H | B]``, with no inverse and no dense product.  The meet of two
+subspaces is one elimination too (Zassenhaus, :func:`subspace_intersection`).
+Vectors reach a space's field as one-row matrices
+(:meth:`FormSpace.coerce_row`, :func:`unit_vector`), never one scalar at a
+time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -370,10 +372,10 @@ def coordinate_map(basis: Matrix) -> Matrix:
     """
     k, n = basis.shape
     (mr, mi, md, _), (br, bi, bd, d) = basis.mul_adjoint(basis)._ints, basis._ints
-    # row i of [M | basis] over lcm(md[i], bd[i])
-    scales = [(q // gcd(p, q), p // gcd(p, q)) for p, q in zip(md, bd)]
+    # row i of [M | basis] times md[i] * bd[i]; scaling a row leaves the
+    # reduced form unchanged
     beside = lambda ms, bs: [
-        [s * x for x in m] + [t * y for y in b] for m, b, (s, t) in zip(ms, bs, scales)
+        [q * x for x in m] + [p * y for y in b] for m, b, p, q in zip(ms, bs, md, bd)
     ]
     im = None
     if mi is not None or bi is not None:

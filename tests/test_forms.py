@@ -828,3 +828,9 @@ def test_coordinate_map_is_the_right_inverse(basis):
     found = coordinate_map(basis)
     assert found.shape == expected.shape and found._ints == expected._ints
     assert basis * found == Matrix.identity(basis.nrows)
+
+
+def test_coordinate_map_refuses_dependent_rows():
+    for basis in (Matrix([[1, 2, 0], [2, 4, 0]]), Matrix([[0, 0]])):
+        with pytest.raises(ZeroDivisionError):
+            coordinate_map(basis)
